@@ -6,7 +6,6 @@ them, all computable on 2D convex polygons.
 """
 
 from .ellipses import Ellipse, john_ellipse, loewner_ellipse
-from .kernels import BACKEND
 from .points import PointFunction, PointResult, eval_point
 from .polygons import (
     AffineMap,
@@ -34,4 +33,6 @@ __all__ = [
     "loewner_ellipse",
     "polar_about",
 ]
+# the kernel implementation; benchmark reports record it
+BACKEND = "python"
 __version__ = "0.1.0"

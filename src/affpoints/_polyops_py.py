@@ -1,15 +1,13 @@
-"""Pure numpy implementations of the hot polygon kernels.
+"""The hot polygon kernels, in numpy.
 
-All functions take a CCW-ordered (n, 2) float64 vertex array.  The compiled
-twin in ``_polyops.pyx`` implements the same signatures; ``kernels`` picks
-whichever is importable.
+All functions take a CCW-ordered (n, 2) float64 vertex array.  Callers
+import this module as ``kernels``; the benchmark's tracer finds the kernel
+layer by this module's name.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-BACKEND = "python"
 
 
 def area_centroid(verts: np.ndarray) -> tuple[float, float, float]:

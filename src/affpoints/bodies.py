@@ -80,29 +80,36 @@ def random_map(rng: np.random.Generator, max_cond: float = 50.0) -> AffineMap:
 
 def parse_spec(text: str):
     """Parse a body spec string like 'square', 'ngon:64', 'kab:1,2',
-    'random:12,7', 'file:/path/to/body.json'. Returns a Polygon."""
+    'random:12,7', 'file:/path/to/body.json'. Returns a Polygon.
+
+    A malformed argument, or a file that cannot be read as polygon JSON,
+    raises BadParams.
+    """
     from .serialize import load_polygon
 
     name, _, arg = text.partition(":")
     name = name.strip().lower()
-    if name == "square":
-        return square()
-    if name == "cross":
-        return cross()
-    if name == "simplex":
-        return simplex()
-    if name == "ngon":
-        return ngon(int(arg))
-    if name == "kab":
-        a, b = (float(s) for s in arg.split(","))
-        return body_kab(a, b)
-    if name == "beta":
-        return b_eta(float(arg))
-    if name == "random":
-        parts = arg.split(",")
-        k = int(parts[0])
-        seed = int(parts[1]) if len(parts) > 1 else 0
-        return random_body(k, seed)
-    if name == "file":
-        return load_polygon(arg)
+    try:
+        if name == "square":
+            return square()
+        if name == "cross":
+            return cross()
+        if name == "simplex":
+            return simplex()
+        if name == "ngon":
+            return ngon(int(arg))
+        if name == "kab":
+            a, b = (float(s) for s in arg.split(","))
+            return body_kab(a, b)
+        if name == "beta":
+            return b_eta(float(arg))
+        if name == "random":
+            parts = arg.split(",")
+            k = int(parts[0])
+            seed = int(parts[1]) if len(parts) > 1 else 0
+            return random_body(k, seed)
+        if name == "file":
+            return load_polygon(arg)
+    except (ValueError, TypeError, OSError) as exc:
+        raise BadParams(f"bad body spec {text!r}: {exc}") from exc
     raise BadParams(f"unknown body spec {text!r}")

@@ -25,15 +25,37 @@ from .duality import (
     random_polygons,
 )
 from .ellipses import john_ellipse, loewner_ellipse, verify_john_conditions
-from .errors import GeometryError
-from .points import PointFunction, eval_point
+from .errors import BadParams, GeometryError
+from .points import POINT_IDS, PointFunction, eval_point
 from .polygons import Polygon, k_sub_z, polar_about
 
+# region map -> function name in ``regions``, looked up per call so that
+# wrappers installed on the module (as the benchmark's tracer does) see it
+REGION_MAPS = {"floating": "floating_body",
+               "illumination": "illumination_body",
+               "santalo": "santalo_region",
+               "john": "john_region",
+               "symcore": "symcore_region"}
 
-def _point_function(args) -> PointFunction:
-    if args.id == "capfamily":
-        return PointFunction("capfamily", (args.eps, args.delta))
-    return PointFunction(args.id)
+
+def _point(spec: str, eps: float = 0.1, delta: float = 0.05) -> PointFunction:
+    """Point function for an id; ``capfamily:EPS,DELTA`` sets the cap widths."""
+    name, _, widths = spec.partition(":")
+    if name != "capfamily":
+        return PointFunction(spec)
+    if widths:
+        try:
+            eps, delta = (float(s) for s in widths.split(","))
+        except ValueError as exc:
+            raise BadParams(f"expected capfamily:EPS,DELTA, got {spec!r}") from exc
+    return PointFunction("capfamily", (eps, delta))
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _parse_xy(text: str) -> np.ndarray:
@@ -84,9 +106,7 @@ def _add_body(sub, required=True):
 
 
 def _add_point_id(sub, flag="--id"):
-    sub.add_argument(flag, required=True,
-                     choices=["centroid", "santalo", "john", "loewner",
-                              "symcore", "capfamily"])
+    sub.add_argument(flag, required=True, choices=POINT_IDS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,8 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certify", action="store_true")
 
     p = sp.add_parser("region", help="affine invariant set mapping")
-    p.add_argument("which", choices=["floating", "illumination", "santalo",
-                                     "john", "symcore"])
+    p.add_argument("which", choices=list(REGION_MAPS))
     _add_body(p)
     p.add_argument("--param", type=float, required=True,
                    help="delta for floating/illumination, c for the rest")
@@ -129,26 +148,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sp.add_parser("dual-check", help="residual of q(K^{p(K)}) = p(K)")
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = sp.add_parser("product-check", help="check [p,q](r) = r")
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--r", required=True)
-    p.add_argument("--trials", type=int, default=25)
+    p.add_argument("--trials", type=_positive_int, default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sp.add_parser("invariance", help="affine equivariance deviation")
     _add_body(p)
     _add_point_id(p)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-6)
 
@@ -172,34 +190,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _pf(name: str) -> PointFunction:
-    if name.startswith("capfamily"):
-        _, _, rest = name.partition(":")
-        if rest:
-            e, d = (float(s) for s in rest.split(","))
-            return PointFunction("capfamily", (e, d))
-        return PointFunction("capfamily", (0.1, 0.05))
-    return PointFunction(name)
-
-
 def _residual_worker(args):
-    p_name, q_name, P = args
-    rep = dual_residual(_pf(p_name), _pf(q_name), [P])
+    p, q, P = args
+    rep = dual_residual(p, q, [P])
     return rep.max_residual, rep.failures
 
 
 def _dual_check(args) -> int:
+    p, q = _point(args.p), _point(args.q)
     bodies = list(random_polygons(args.trials, args.seed))
     if args.jobs > 1:
         from multiprocessing import get_context
 
-        with get_context("fork").Pool(args.jobs) as pool:
-            results = pool.map(_residual_worker,
-                               [(args.p, args.q, P) for P in bodies])
+        with get_context("fork").Pool(min(args.jobs, args.trials)) as pool:
+            results = pool.map(_residual_worker, [(p, q, P) for P in bodies])
         residuals = [r for r, _ in results]
         failures = [f for _, fs in results for f in fs]
     else:
-        rep = dual_residual(_pf(args.p), _pf(args.q), bodies)
+        rep = dual_residual(p, q, bodies)
         residuals = [rep.max_residual]
         failures = list(rep.failures)
     worst = max(residuals)
@@ -211,7 +219,7 @@ def _dual_check(args) -> int:
 
 
 def _product_check(args) -> int:
-    p, q, r = _pf(args.p), _pf(args.q), _pf(args.r)
+    p, q, r = _point(args.p), _point(args.q), _point(args.r)
     worst = 0.0
     for P in random_polygons(args.trials, args.seed):
         dev = np.linalg.norm(product_apply(p, q, r, P) - eval_point(r, P).value)
@@ -228,7 +236,7 @@ def run_command(argv) -> int:
 
     if args.cmd == "point":
         P = parse_spec(args.body)
-        res = eval_point(_point_function(args), P)
+        res = eval_point(_point(args.id, args.eps, args.delta), P)
         _emit({"id": args.id, "value": res.value.tolist(),
                "iterations": res.iterations, "residual": res.residual})
         return 0
@@ -263,11 +271,7 @@ def run_command(argv) -> int:
 
     if args.cmd == "region":
         P = parse_spec(args.body)
-        fn = {"floating": regions.floating_body,
-              "illumination": regions.illumination_body,
-              "santalo": regions.santalo_region,
-              "john": regions.john_region,
-              "symcore": regions.symcore_region}[args.which]
+        fn = getattr(regions, REGION_MAPS[args.which])
         R = fn(P, args.param, args.rays)
         doc = serialize.polygon_to_dict(R)
         doc["meta"] = {"rays": args.rays, "param": args.param,
@@ -283,7 +287,8 @@ def run_command(argv) -> int:
 
     if args.cmd == "invariance":
         P = parse_spec(args.body)
-        dev = invariance_check(_point_function(args), P, args.trials, args.seed)
+        dev = invariance_check(_point(args.id, args.eps, args.delta), P,
+                               args.trials, args.seed)
         passed = dev < args.tol
         _emit({"id": args.id, "max_deviation": dev, "trials": args.trials,
                "tolerance": args.tol, "passed": passed})
@@ -291,9 +296,9 @@ def run_command(argv) -> int:
 
     if args.cmd == "preimage":
         C = parse_spec(args.body)
-        z = polar_preimage(_point_function(args), C, args.init)
-        resid = float(np.linalg.norm(
-            eval_point(_point_function(args), polar_about(C, z)).value))
+        pf = _point(args.id, args.eps, args.delta)
+        z = polar_preimage(pf, C, args.init)
+        resid = float(np.linalg.norm(eval_point(pf, polar_about(C, z)).value))
         _emit({"z": z.tolist(), "residual": resid})
         return 0
 
@@ -308,7 +313,7 @@ def run_command(argv) -> int:
 
     if args.cmd == "iterate-product":
         P = parse_spec(args.body)
-        p, r = _pf(args.p), _pf(args.r)
+        p, r = _point(args.p), _point(args.r)
         values = [product_iterate(p, r, P, k).tolist()
                   for k in range(args.k + 1)]
         _emit({"p": args.p, "r": args.r, "k": args.k, "values": values})

@@ -280,32 +280,15 @@ def john_ellipse(P: Polygon) -> Ellipse:
     return Ellipse(c, _spd_factor(L @ L.T))
 
 
-def max_centered_area(P: Polygon, x, gap: float = 1e-10, warm=None,
-                      return_theta: bool = False):
-    """f_K(x): largest area of a centrally placed ellipse x + E inside P.
-
-    ``warm`` may carry the shape parameters of a solve at a nearby center;
-    after a feasibility-restoring shrink they let the barrier path start at
-    a large t.
-    """
+def max_centered_area(P: Polygon, x) -> float:
+    """f_K(x): largest area of a centrally placed ellipse x + E inside P."""
     x = np.asarray(x, dtype=float)
     if interior_margin(P, x) <= 1e-13 * P.diameter:
-        return (0.0, None) if return_theta else 0.0
+        return 0.0
     theta0, slacks, jac, hess, ss, m, d, g, _ = _john_theta(P, center=x)
-    t_start = 1.0
-    if warm is not None:
-        cand = np.asarray(warm, dtype=float).copy()
-        for _ in range(40):
-            if _is_pd(cand) and np.all(slacks(cand) > 0.0):
-                theta0, t_start = cand, 1e4
-                break
-            cand = cand * 0.8
-    theta = _barrier_maxlogdet(theta0, slacks, jac, hess, ss, m, gap=gap,
-                               t_start=t_start)
-    l3 = theta
+    l3 = _barrier_maxlogdet(theta0, slacks, jac, hess, ss, m)
     det = l3[0] * l3[2] - l3[1] ** 2
-    val = math.pi * det * d * d
-    return (val, theta.copy()) if return_theta else val
+    return math.pi * det * d * d
 
 
 # ---------------------------------------------------------------------------

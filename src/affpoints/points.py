@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from . import kernels
+from . import _polyops_py as kernels
 from .ellipses import john_ellipse, loewner_ellipse
 from .errors import BadParams, ConvergenceFailure
 from .polygons import (
@@ -71,7 +71,7 @@ def eval_point(pf: PointFunction, P: Polygon) -> PointResult:
 
 def _polar_centroid(verts: np.ndarray, x: np.ndarray) -> np.ndarray:
     dual = kernels.polar_vertices(verts, float(x[0]), float(x[1]))
-    _, cx, cy = kernels.area_centroid(np.ascontiguousarray(dual))
+    _, cx, cy = kernels.area_centroid(dual)
     return np.array([cx, cy])
 
 

@@ -2,7 +2,7 @@
 
 Polygons are immutable vertex lists in canonical form: strictly convex,
 counter-clockwise, first vertex lexicographically smallest.  All operations
-are pure functions; the hot kernels live in ``kernels``.
+are pure functions; the hot kernels live in ``_polyops_py``.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
+from . import _polyops_py as kernels
 from .errors import DegenerateInput, PointNotInterior, ShiftOutOfRange, SingularMap
 
 EPS_GEOM = 1e-10
@@ -149,7 +149,7 @@ def canonicalize(points) -> Polygon:
     hull = _convex_hull(pts)
     if len(hull) >= 3:
         hull = _drop_collinear(hull, scale)
-    if len(hull) < 3 or abs(kernels.area_centroid(np.ascontiguousarray(hull))[0]) <= EPS_AREA * scale * scale:
+    if len(hull) < 3 or abs(kernels.area_centroid(hull)[0]) <= EPS_AREA * scale * scale:
         raise DegenerateInput("points are collinear or coincident")
     start = int(np.lexsort((hull[:, 1], hull[:, 0]))[0])
     return Polygon(np.roll(hull, -start, axis=0))
@@ -245,7 +245,7 @@ def _hausdorff_directions(P: Polygon, Q: Polygon) -> np.ndarray:
 
 
 def hausdorff(P: Polygon, Q: Polygon) -> float:
-    dirs = np.ascontiguousarray(_hausdorff_directions(P, Q))
+    dirs = _hausdorff_directions(P, Q)
     hp = kernels.supports(P.vertices, dirs)
     hq = kernels.supports(Q.vertices, dirs)
     return float(np.abs(hp - hq).max())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
+from . import _polyops_py as kernels
 from .ellipses import max_area_reaches, max_centered_area
 from .errors import BadParams, EmptyResult
 from .points import overlap_area, santalo_point, symcore_point
@@ -64,8 +64,7 @@ def floating_body(P: Polygon, delta: float, m: int = DEFAULT_RAYS) -> Polygon:
                 lo = mid
             else:
                 hi = mid
-        verts = kernels.clip_halfplane(np.ascontiguousarray(verts), ux, uy,
-                                       0.5 * (lo + hi))
+        verts = kernels.clip_halfplane(verts, ux, uy, 0.5 * (lo + hi))
         if len(verts) < 3:
             raise EmptyResult(f"floating body empty at delta={delta}")
     try:

@@ -40,8 +40,9 @@ def polygon_to_dict(P: Polygon) -> dict:
 
 
 def polygon_from_dict(d: dict) -> Polygon:
-    if d.get("kind") != "polygon":
-        raise BadParams(f"expected polygon JSON, got kind={d.get('kind')!r}")
+    kind = d.get("kind") if isinstance(d, dict) else None
+    if kind != "polygon" or "vertices" not in d:
+        raise BadParams(f"expected polygon JSON with vertices, got kind={kind!r}")
     return canonicalize(d["vertices"])
 
 

@@ -139,3 +139,32 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         run(["point", "--body", "square"])  # missing --id
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["point", "--body", "ngon:abc", "--id", "centroid"],
+    ["point", "--body", "kab:1", "--id", "centroid"],
+    ["point", "--body", "file:/nonexistent", "--id", "centroid"],
+    ["point", "--body", "file:{tmp}/not_json.json", "--id", "centroid"],
+    ["point", "--body", "file:{tmp}/no_vertices.json", "--id", "centroid"],
+    ["dual-check", "--p", "capfamily:x", "--q", "centroid", "--trials", "1"],
+    ["dual-check", "--p", "centroid", "--q", "santalo", "--trials", "0"],
+    ["dual-check", "--p", "centroid", "--q", "santalo", "--trials", "0",
+     "--jobs", "2"],
+    ["dual-check", "--p", "centroid", "--q", "santalo", "--trials", "1",
+     "--jobs", "0"],
+    ["product-check", "--p", "centroid", "--q", "santalo", "--r", "centroid",
+     "--trials", "0"],
+    ["invariance", "--body", "simplex", "--id", "centroid", "--trials", "0"],
+])
+def test_bad_input_exit_2(argv, tmp_path, monkeypatch, capsys):
+    from affpoints import cli
+
+    (tmp_path / "not_json.json").write_text("not json\n")
+    (tmp_path / "no_vertices.json").write_text('{"kind": "polygon"}\n')
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    monkeypatch.setattr(sys, "argv", ["affpoints", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
