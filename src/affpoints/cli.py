@@ -51,11 +51,15 @@ def _point(spec: str, eps: float = 0.1, delta: float = 0.05) -> PointFunction:
     return PointFunction("capfamily", (eps, delta))
 
 
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {n}")
+        return n
+
+    parse.__name__ = "int"  # argparse names the type in its error message
+    return parse
 
 
 def _parse_xy(text: str) -> np.ndarray:
@@ -148,16 +152,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sp.add_parser("dual-check", help="residual of q(K^{p(K)}) = p(K)")
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
-    p.add_argument("--trials", type=_positive_int, default=50)
+    p.add_argument("--trials", type=_int_at_least(1), default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
 
     p = sp.add_parser("product-check", help="check [p,q](r) = r")
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--r", required=True)
-    p.add_argument("--trials", type=_positive_int, default=25)
+    p.add_argument("--trials", type=_int_at_least(1), default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-5)
 
@@ -166,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_id(p)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--trials", type=_positive_int, default=20)
+    p.add_argument("--trials", type=_int_at_least(1), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-6)
 
@@ -186,31 +190,30 @@ def build_parser() -> argparse.ArgumentParser:
     _add_body(p)
     p.add_argument("--p", required=True)
     p.add_argument("--r", required=True)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=_int_at_least(0), default=5)
     return ap
 
 
 def _residual_worker(args):
-    p, q, P = args
+    """Residual and failures of body ``i`` of the trial stream."""
+    p, q, i, P = args
     rep = dual_residual(p, q, [P])
-    return rep.max_residual, rep.failures
+    return rep.max_residual, [(i, msg) for _, msg in rep.failures]
 
 
 def _dual_check(args) -> int:
     p, q = _point(args.p), _point(args.q)
-    bodies = list(random_polygons(args.trials, args.seed))
+    work = [(p, q, i, P)
+            for i, P in enumerate(random_polygons(args.trials, args.seed))]
     if args.jobs > 1:
         from multiprocessing import get_context
 
         with get_context("fork").Pool(min(args.jobs, args.trials)) as pool:
-            results = pool.map(_residual_worker, [(p, q, P) for P in bodies])
-        residuals = [r for r, _ in results]
-        failures = [f for _, fs in results for f in fs]
+            results = pool.map(_residual_worker, work)
     else:
-        rep = dual_residual(p, q, bodies)
-        residuals = [rep.max_residual]
-        failures = list(rep.failures)
-    worst = max(residuals)
+        results = list(map(_residual_worker, work))
+    worst = max(r for r, _ in results)
+    failures = [f for _, fs in results for f in fs]
     passed = worst < args.tol and not failures
     _emit({"pair": [args.p, args.q], "bodies_tested": args.trials,
            "max_residual": worst, "tolerance": args.tol,

@@ -14,14 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import random_body, random_map
-from .errors import ConvergenceFailure
-from .points import PointFunction, eval_point
+from .points import PointFunction, eval_point, polar_root
 from .polygons import (
-    EPS_GEOM,
     AffineMap,
     Polygon,
     affine_apply,
-    interior_margin,
     polar_about,
 )
 
@@ -111,52 +108,14 @@ def invariance_check(pf: PointFunction, P: Polygon, trials: int,
     return worst
 
 
-def polar_preimage(pf: PointFunction, C: Polygon, init=None,
-                   tol: float = 1e-9, max_iter: int = 120) -> np.ndarray:
-    """A z in int(C) with p((C - z) polar) = 0, by damped quasi-Newton.
+def polar_preimage(pf: PointFunction, C: Polygon, init=None) -> np.ndarray:
+    """A z in int(C) with p((C - z) polar) = 0, by damped Newton.
 
     Existence holds for every proper point; uniqueness does not, so the
     starting point selects which root is found.
     """
-    g = C.centroid
-    d = C.diameter
-    verts = (C.vertices - g) / d
-    Q = Polygon(verts)
-    z = np.zeros(2) if init is None else (np.asarray(init, dtype=float) - g) / d
-
-    def F(z):
-        return eval_point(pf, polar_about(Q, z)).value
-
-    fz = F(z)
-    for _ in range(max_iter):
-        pol = polar_about(Q, z)
-        nrm = float(np.linalg.norm(fz))
-        if nrm < tol * pol.diameter:
-            return g + d * z
-        h = 1e-6
-        J = np.empty((2, 2))
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = h
-            J[:, k] = (F(z + e) - F(z - e)) / (2.0 * h)
-        try:
-            step = np.linalg.solve(J, -fz)
-        except np.linalg.LinAlgError:
-            step = -fz
-        if np.linalg.norm(step) > 0.25:
-            step *= 0.25 / np.linalg.norm(step)
-        alpha = 1.0
-        while alpha > 1e-12:
-            cand = z + alpha * step
-            if interior_margin(Q, cand) > 10.0 * EPS_GEOM:
-                fc = F(cand)
-                if np.linalg.norm(fc) < nrm:
-                    z, fz = cand, fc
-                    break
-            alpha *= 0.5
-        else:
-            raise ConvergenceFailure(f"preimage search stalled at |F|={nrm:.3e}")
-    raise ConvergenceFailure(f"preimage search: no convergence in {max_iter} steps")
+    return polar_root(lambda Q, z: eval_point(pf, polar_about(Q, z)).value,
+                      C, init).value
 
 
 def random_polygons(count: int, seed: int, k_range=(5, 30)):

@@ -69,54 +69,67 @@ def eval_point(pf: PointFunction, P: Polygon) -> PointResult:
     return PointResult(cap_point(P, eps, delta))
 
 
-def _polar_centroid(verts: np.ndarray, x: np.ndarray) -> np.ndarray:
-    dual = kernels.polar_vertices(verts, float(x[0]), float(x[1]))
+def _polar_centroid(Q: Polygon, x: np.ndarray) -> np.ndarray:
+    dual = kernels.polar_vertices(Q.vertices, float(x[0]), float(x[1]))
     _, cx, cy = kernels.area_centroid(dual)
     return np.array([cx, cy])
 
 
-def santalo_point(P: Polygon, tol: float = 1e-12, max_iter: int = 200) -> PointResult:
-    """Unique interior x with g((P - x) polar) = 0, by damped Newton.
+def polar_root(F, C: Polygon, init=None, tol: float = 1e-9) -> PointResult:
+    """A z in int(C) with F(Q, z) = 0, by damped Newton from ``init``
+    (an interior point of C; default its centroid).
 
-    The zero of that centroid map is exactly the minimizer of the polar
-    area, which is strictly log convex in x.
+    F gets C moved to centroid 0 and diameter 1 as Q, and z in Q's
+    coordinates, and returns an invariant point of the polar (Q - z)°,
+    such as its centroid.  The solve stops when |F| is below ``tol``
+    times the circumradius 1/margin(Q, z) of that polar, so the stop rule
+    does not depend on the scale of the polar.
     """
-    g = P.centroid
-    d = P.diameter
-    verts = (P.vertices - g) / d
-    Q = Polygon(verts)
-    x = np.zeros(2)
-
-    def F(x):
-        return _polar_centroid(verts, x)
-
-    fx = F(x)
-    for it in range(max_iter):
-        nrm = float(np.linalg.norm(fx))
-        if nrm < tol:
-            return PointResult(g + d * x, iterations=it, residual=nrm)
-        h = 1e-7
+    g = C.centroid
+    d = C.diameter
+    Q = Polygon((C.vertices - g) / d)
+    z = np.zeros(2) if init is None else (np.asarray(init, dtype=float) - g) / d
+    fz = F(Q, z)
+    margin = interior_margin(Q, z)
+    for it in range(120):
+        nrm = float(np.linalg.norm(fz))
+        if nrm * margin < tol:
+            return PointResult(g + d * z, iterations=it, residual=nrm)
+        h = 1e-6
         J = np.empty((2, 2))
         for k in range(2):
             e = np.zeros(2)
             e[k] = h
-            J[:, k] = (F(x + e) - F(x - e)) / (2.0 * h)
+            J[:, k] = (F(Q, z + e) - F(Q, z - e)) / (2.0 * h)
         try:
-            step = np.linalg.solve(J, -fx)
+            step = np.linalg.solve(J, -fz)
         except np.linalg.LinAlgError:
-            step = -fx
+            step = -fz
+        if np.linalg.norm(step) > 0.25:
+            step *= 0.25 / np.linalg.norm(step)
         alpha = 1.0
         while alpha > 1e-12:
-            cand = x + alpha * step
-            if interior_margin(Q, cand) > EPS_GEOM:
-                fc = F(cand)
+            cand = z + alpha * step
+            m = interior_margin(Q, cand)
+            if m > 10.0 * EPS_GEOM:
+                fc = F(Q, cand)
                 if np.linalg.norm(fc) < nrm:
-                    x, fx = cand, fc
+                    z, fz, margin = cand, fc, m
                     break
             alpha *= 0.5
         else:
-            raise ConvergenceFailure(f"santalo stalled at residual {nrm:.3e}")
-    raise ConvergenceFailure(f"santalo: no convergence in {max_iter} iterations")
+            raise ConvergenceFailure(f"polar root stalled at |F|={nrm:.3e}")
+    raise ConvergenceFailure("polar root: no convergence in 120 steps")
+
+
+def santalo_point(P: Polygon) -> PointResult:
+    """Unique interior x with g((P - x) polar) = 0: the polar preimage of
+    the centroid.
+
+    The zero of that centroid map is exactly the minimizer of the polar
+    area, which is strictly log convex in x.
+    """
+    return polar_root(_polar_centroid, P, tol=1e-12)
 
 
 def overlap_area(P: Polygon, x) -> float:

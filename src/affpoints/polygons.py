@@ -68,8 +68,10 @@ class AffineMap:
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float))
-        if abs(np.linalg.det(self.matrix)) <= EPS_GEOM:
-            raise SingularMap(f"determinant {np.linalg.det(self.matrix)!r} too small")
+        # |det M| / ||M||_F^2 lies in [1/(2 cond M), 1/cond M]: a test of shape, not scale
+        det = np.linalg.det(self.matrix)
+        if abs(det) <= EPS_GEOM * float(np.sum(self.matrix * self.matrix)):
+            raise SingularMap(f"determinant {det!r} too small")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -145,6 +147,8 @@ def canonicalize(points) -> Polygon:
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) < 3:
         raise DegenerateInput("need at least 3 points")
+    if not np.isfinite(pts).all():
+        raise DegenerateInput("coordinates must be finite")
     scale = max(float(np.abs(pts).max()), 1e-300)
     hull = _convex_hull(pts)
     if len(hull) >= 3:

@@ -67,11 +67,15 @@ def test_dual_check_pass_and_exit_codes():
     assert json.loads(out)["passed"] is False
 
 
-def test_dual_check_jobs_deterministic():
-    base = run(["dual-check", "--p", "centroid", "--q", "santalo",
-                "--trials", "8", "--seed", "5"])
-    par = run(["dual-check", "--p", "centroid", "--q", "santalo",
-               "--trials", "8", "--seed", "5", "--jobs", "2"])
+@pytest.mark.parametrize("pair, trials, seed", [
+    (["--p", "centroid", "--q", "santalo"], "8", "5"),
+    # every body fails: the failures must keep the bodies' own indices
+    (["--p", "capfamily:1e-13,1e-13", "--q", "centroid"], "4", "1"),
+], ids=["centroid-santalo", "failing-capfamily"])
+def test_dual_check_jobs_deterministic(pair, trials, seed):
+    argv = ["dual-check", *pair, "--trials", trials, "--seed", seed]
+    base = run(argv)
+    par = run([*argv, "--jobs", "2"])
     assert base[1] == par[1]
 
 
@@ -107,6 +111,10 @@ def test_iterate_product():
                      "--p", "centroid", "--r", "centroid", "--k", "3"])
     assert code == 0
     assert len(json.loads(out)["values"]) == 4
+    code, out = run(["iterate-product", "--body", "kab:1,2",
+                     "--p", "centroid", "--r", "centroid", "--k", "0"])
+    assert code == 0
+    assert len(json.loads(out)["values"]) == 1
 
 
 def test_byte_identical_output():
@@ -156,12 +164,17 @@ def test_usage_error_exit_2():
     ["product-check", "--p", "centroid", "--q", "santalo", "--r", "centroid",
      "--trials", "0"],
     ["invariance", "--body", "simplex", "--id", "centroid", "--trials", "0"],
+    ["point", "--body", "file:{tmp}/nan.json", "--id", "centroid"],
+    ["iterate-product", "--body", "kab:1,2", "--p", "centroid",
+     "--r", "centroid", "--k", "-1"],
 ])
 def test_bad_input_exit_2(argv, tmp_path, monkeypatch, capsys):
     from affpoints import cli
 
     (tmp_path / "not_json.json").write_text("not json\n")
     (tmp_path / "no_vertices.json").write_text('{"kind": "polygon"}\n')
+    (tmp_path / "nan.json").write_text(
+        '{"kind": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [NaN, 1]]}\n')
     argv = [a.format(tmp=tmp_path) for a in argv]
     monkeypatch.setattr(sys, "argv", ["affpoints", *argv])
     with pytest.raises(SystemExit) as exc:

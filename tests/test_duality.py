@@ -110,6 +110,12 @@ class TestInvariance:
         pf = PointFunction("capfamily", (0.1, 0.05))
         assert invariance_check(pf, triangle, 10, 3) < 1e-8
 
+    def test_santalo_on_ill_conditioned_image(self):
+        # an absolute 1e-12 stop rule on the Santalo residual stalled on
+        # one of these five maps of an affine image
+        P = list(random_polygons(50, 4))[49]
+        assert invariance_check(S, P, 5, 4049) < 1e-6
+
 
 class TestPreimage:
     def test_symmetric_zero(self, square):

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from affpoints.bodies import body_kab, random_body
-from affpoints.errors import DegenerateInput, PointNotInterior, ShiftOutOfRange
+from affpoints.errors import (
+    DegenerateInput,
+    PointNotInterior,
+    ShiftOutOfRange,
+    SingularMap,
+)
 from affpoints.polygons import (
     AffineMap,
     Halfplane,
@@ -150,6 +155,12 @@ class TestAffine:
         P = canonicalize([(0, 0), (1, 0), (1, 1), (0, 1)])
         Q = affine_apply(AffineMap(2.0 * np.eye(2)), P)
         assert Q.area == pytest.approx(4.0, abs=1e-14)
+
+    def test_singularity_is_relative_to_scale(self):
+        for s in (1e-5, 1e5):
+            AffineMap(s * np.eye(2))
+        with pytest.raises(SingularMap):
+            AffineMap([[1.0, 1.0], [1.0, 1.0]])
 
     def test_polar_adjoint_law(self):
         rng = np.random.default_rng(17)
