@@ -18,7 +18,6 @@ from .bodies import parse_spec
 from .duality import (
     dual_residual,
     invariance_check,
-    phi,
     polar_preimage,
     product_apply,
     product_iterate,
@@ -27,7 +26,7 @@ from .duality import (
 from .ellipses import john_ellipse, loewner_ellipse, verify_john_conditions
 from .errors import BadParams, GeometryError
 from .points import POINT_IDS, PointFunction, eval_point
-from .polygons import Polygon, k_sub_z, polar_about
+from .polygons import k_sub_z, polar_about
 
 # region map -> function name in ``regions``, looked up per call so that
 # wrappers installed on the module (as the benchmark's tracer does) see it
@@ -36,6 +35,9 @@ REGION_MAPS = {"floating": "floating_body",
                "santalo": "santalo_region",
                "john": "john_region",
                "symcore": "symcore_region"}
+# upper bound of region --rays: far past any useful resolution, and small
+# enough that the ray arrays are a few MB
+MAX_RAYS = 65536
 
 
 def _point(spec: str, eps: float = 0.1, delta: float = 0.05) -> PointFunction:
@@ -51,11 +53,13 @@ def _point(spec: str, eps: float = 0.1, delta: float = 0.05) -> PointFunction:
     return PointFunction("capfamily", (eps, delta))
 
 
-def _int_at_least(lo: int):
+def _int_range(lo: int, hi: int | None = None):
     def parse(text: str) -> int:
         n = int(text)
         if n < lo:
             raise argparse.ArgumentTypeError(f"must be at least {lo}, got {n}")
+        if hi is not None and n > hi:
+            raise argparse.ArgumentTypeError(f"must be at most {hi}, got {n}")
         return n
 
     parse.__name__ = "int"  # argparse names the type in its error message
@@ -146,22 +150,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_body(p)
     p.add_argument("--param", type=float, required=True,
                    help="delta for floating/illumination, c for the rest")
-    p.add_argument("--rays", type=int, default=regions.DEFAULT_RAYS)
+    p.add_argument("--rays", type=_int_range(3, MAX_RAYS),
+                   default=regions.DEFAULT_RAYS,
+                   help=f"directions or rays, 3 to {MAX_RAYS}; floating and "
+                        "illumination need at least 64")
     p.add_argument("--svg")
 
     p = sp.add_parser("dual-check", help="residual of q(K^{p(K)}) = p(K)")
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
-    p.add_argument("--trials", type=_int_at_least(1), default=50)
+    p.add_argument("--trials", type=_int_range(1), default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--jobs", type=_int_range(1), default=1)
 
     p = sp.add_parser("product-check", help="check [p,q](r) = r")
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--r", required=True)
-    p.add_argument("--trials", type=_int_at_least(1), default=25)
+    p.add_argument("--trials", type=_int_range(1), default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-5)
 
@@ -170,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_id(p)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--trials", type=_int_at_least(1), default=20)
+    p.add_argument("--trials", type=_int_range(1), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-6)
 
@@ -190,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_body(p)
     p.add_argument("--p", required=True)
     p.add_argument("--r", required=True)
-    p.add_argument("--k", type=_int_at_least(0), default=5)
+    p.add_argument("--k", type=_int_range(0), default=5)
     return ap
 
 

@@ -9,18 +9,13 @@ and polar_preimage realizes surjectivity of K -> K^{p(K)} by root-finding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bodies import random_body, random_map
 from .points import PointFunction, eval_point, polar_root
-from .polygons import (
-    AffineMap,
-    Polygon,
-    affine_apply,
-    polar_about,
-)
+from .polygons import Polygon, affine_apply, polar_about
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import CertificationFailure, ConvergenceFailure, NoContacts
 from .polygons import AffineMap, Polygon, edge_normals, interior_margin
@@ -405,6 +404,39 @@ def min_centered_inverse_area(P: Polygon, x, gap: float = 1e-10) -> float:
 # John condition certificates.
 
 
+def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin |A w - b| over w >= 0, by the Lawson-Hanson active-set method.
+
+    The passive set holds the weights that may be positive; each outer step
+    frees the zero weight with the largest gradient, and each inner step
+    solves least squares on the passive set, stepping back to the last
+    feasible point and dropping the weights that reach zero.
+    """
+    k = A.shape[1]
+    tol = 10.0 * max(A.shape) * np.finfo(float).eps * np.abs(A).sum(axis=0).max()
+    w = np.zeros(k)
+    passive = np.zeros(k, dtype=bool)
+    for _ in range(3 * k):
+        grad = np.where(passive, -np.inf, A.T @ (b - A @ w))
+        j = int(np.argmax(grad))
+        if grad[j] <= tol:
+            break
+        passive[j] = True
+        while True:
+            z = np.zeros(k)
+            z[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+            if np.all(z[passive] > 0.0):
+                w = z
+                break
+            neg = passive & (z <= 0.0)
+            ratio = w[neg] / (w[neg] - z[neg])
+            w += ratio.min() * (z - w)
+            w[np.flatnonzero(neg)[np.argmin(ratio)]] = 0.0
+            passive &= w > 0.0
+            w[~passive] = 0.0
+    return w
+
+
 def verify_john_conditions(P: Polygon, E: Ellipse, mode: str) -> JohnCertificate:
     """Checks F. John's contact conditions after normalizing E to the unit disk.
 
@@ -438,7 +470,7 @@ def verify_john_conditions(P: Polygon, E: Ellipse, mode: str) -> JohnCertificate
         U[:, 1] ** 2,
     ])
     rhs = np.array([0.0, 0.0, 1.0, 0.0, 1.0])
-    w, _ = nnls(A, rhs)
+    w = _nnls(A, rhs)
     res_sum = U.T @ w
     S = (U.T * w) @ U
     res_id = float(np.linalg.norm(S - np.eye(2)))

@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .bodies import b_eta, body_kab, cross, square
+from .bodies import b_eta, cross, square
 from .errors import BadParams, CertificationFailure, NoRoot
 from .points import PointFunction, cap_point, caps
-from .polygons import area_centroid, intersect, polar_about
+from .polygons import intersect, polar_about
 
 
 @dataclass(frozen=True)
@@ -75,10 +74,25 @@ def f_eps(delta: float, eta: float, eps: float) -> float:
 
 
 def solve_delta(eta: float, eps: float) -> float:
-    """Root of the cap imbalance in (eps^2, eps), by bracketed bisection."""
-    if f_eps(eps, eta, eps) <= 0.0 or f_eps(eps**2, eta, eps) >= 0.0:
+    """Root of the cap imbalance in (eps^2, eps), by bisection until the
+    bracket ends are neighbouring doubles; returns the end nearer the root.
+    """
+    lo, hi = eps**2, eps
+    f_lo, f_hi = f_eps(lo, eta, eps), f_eps(hi, eta, eps)
+    if f_hi <= 0.0 or f_lo >= 0.0:
         raise NoRoot(f"no sign change on (eps^2, eps) for eta={eta}, eps={eps}")
-    delta = float(brentq(f_eps, eps**2, eps, args=(eta, eps), xtol=1e-14))
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        f_mid = f_eps(mid, eta, eps)
+        if f_mid == 0.0:
+            lo = hi = mid
+            break
+        if f_mid < 0.0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+        mid = 0.5 * (lo + hi)
+    delta = lo if -f_lo <= f_hi else hi
     if eps + delta >= 2.0 * abs(alpha(eta)) / (1.0 - eta**2):
         raise NoRoot("cap widths violate the disjointness budget")
     return delta

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _polyops_py as kernels
-from .ellipses import max_area_reaches, max_centered_area
+from .ellipses import john_ellipse, max_area_reaches, max_centered_area
 from .errors import BadParams, EmptyResult
 from .points import overlap_area, santalo_point, symcore_point
 from .polygons import (
@@ -20,9 +20,7 @@ from .polygons import (
     edge_normals,
     interior_margin,
     polar_about,
-    support,
 )
-from .ellipses import john_ellipse
 
 DEFAULT_RAYS = 256
 

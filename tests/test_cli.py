@@ -92,6 +92,29 @@ def test_invariance():
     assert code == 0
 
 
+def test_invariance_symcore_on_a_trapezoid():
+    # the symcore point of a trapezoid lies on the kink of the overlap area
+    code, out = run(["invariance", "--body", "kab:0.4,0.9", "--id", "symcore",
+                     "--trials", "3", "--seed", "2"])
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
+def test_import_loads_no_scipy():
+    import os
+    import subprocess
+
+    import affpoints
+
+    src = os.path.dirname(os.path.dirname(affpoints.__file__))
+    code = ("import sys, affpoints.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"
+
+
 def test_preimage():
     code, out = run(["preimage", "--body", "random:9,4", "--id", "centroid"])
     assert code == 0
@@ -167,6 +190,10 @@ def test_usage_error_exit_2():
     ["point", "--body", "file:{tmp}/nan.json", "--id", "centroid"],
     ["iterate-product", "--body", "kab:1,2", "--p", "centroid",
      "--r", "centroid", "--k", "-1"],
+    ["region", "santalo", "--body", "square", "--param", "0.5",
+     "--rays", "2"],
+    ["region", "floating", "--body", "square", "--param", "0.1",
+     "--rays", "100000000000"],
 ])
 def test_bad_input_exit_2(argv, tmp_path, monkeypatch, capsys):
     from affpoints import cli

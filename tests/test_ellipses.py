@@ -4,6 +4,7 @@ import pytest
 from affpoints.bodies import random_body, random_map
 from affpoints.ellipses import (
     Ellipse,
+    _nnls,
     john_ellipse,
     loewner_ellipse,
     max_centered_area,
@@ -154,3 +155,40 @@ class TestEllipseDuality:
     def test_monotone_in_nesting(self, square):
         inner = canonicalize(square.vertices * 0.7)
         assert john_ellipse(inner).area <= john_ellipse(square).area + 1e-9
+
+
+class TestNNLS:
+    @staticmethod
+    def _contact_system(U):
+        return np.vstack([U[:, 0], U[:, 1], U[:, 0] ** 2, U[:, 0] * U[:, 1],
+                          U[:, 1] ** 2])
+
+    @staticmethod
+    def _assert_kkt(A, b, w, tol=1e-12):
+        grad = A.T @ (b - A @ w)
+        assert w.min() >= 0.0
+        assert np.all(grad[w == 0.0] <= tol)
+        assert np.all(np.abs(grad[w > 0.0]) <= tol)
+
+    def test_random_contact_systems(self):
+        rng = np.random.default_rng(104)
+        for trial in range(300):
+            k = int(rng.integers(1, 13))
+            t = rng.uniform(0.0, 2.0 * np.pi, k)
+            if trial % 3 == 0:
+                t[-1] = t[0]  # the contact set repeats a direction
+            A = self._contact_system(np.column_stack([np.cos(t), np.sin(t)]))
+            b = np.array([0.0, 0.0, 1.0, 0.0, 1.0]) if trial % 2 else \
+                rng.normal(size=5)
+            self._assert_kkt(A, b, _nnls(A, b))
+
+    def test_square_contacts_repeated(self):
+        # the square's four contacts, each listed twice: any split of the
+        # weight 1/2 between the copies solves the John system exactly
+        U = np.array([[1.0, 0], [0, 1], [-1, 0], [0, -1]] * 2)
+        A = self._contact_system(U)
+        b = np.array([0.0, 0.0, 1.0, 0.0, 1.0])
+        w = _nnls(A, b)
+        self._assert_kkt(A, b, w)
+        assert np.linalg.norm(A @ w - b) < 1e-14
+        assert np.allclose(w[:4] + w[4:], 0.5, atol=1e-14)

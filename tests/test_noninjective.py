@@ -117,6 +117,14 @@ class TestCapBalance:
             assert abs(f_eps(delta, eta, eps)) < 1e-13
             assert eps + delta < 2 * abs(alpha(eta)) / (1 - eta**2)
 
+    @pytest.mark.parametrize("eta", [0.1, 0.25, 0.5, 0.75, 0.9])
+    def test_solve_delta_to_a_double(self, eta):
+        # f_eps changes sign between the neighbouring doubles of delta
+        for eps in (default_eps(eta), default_eps(eta) / 3):
+            delta = solve_delta(eta, eps)
+            assert f_eps(np.nextafter(delta, 0.0), eta, eps) <= 0.0
+            assert f_eps(np.nextafter(delta, 1.0), eta, eps) >= 0.0
+
     def test_no_root_when_eps_large(self):
         with pytest.raises(NoRoot):
             solve_delta(0.5, 10.0)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from affpoints.bodies import b_eta, random_body, random_map
+from affpoints.bodies import b_eta, parse_spec, random_body, random_map
 from affpoints.errors import BadParams
 from affpoints.points import (
     PointFunction,
+    _overlap_model,
     cap_point,
     caps,
     eval_point,
@@ -14,6 +15,7 @@ from affpoints.points import (
 )
 from affpoints.polygons import (
     Halfplane,
+    Polygon,
     affine_apply,
     area_centroid,
     canonicalize,
@@ -97,6 +99,66 @@ class TestSymcore:
             m1 = symcore_point(affine_apply(T, P)).value
             m2 = T(symcore_point(P).value)
             assert np.linalg.norm(m1 - m2) < 1e-7 * affine_apply(T, P).diameter
+
+    def test_equivariance_to_rounding(self):
+        rng = np.random.default_rng(76)
+        for P in random_bodies(10, 77, affine=False):
+            m = symcore_point(P).value
+            T = random_map(rng)
+            Q = affine_apply(T, P)
+            assert np.linalg.norm(symcore_point(Q).value - T(m)) <= 1e-10 * Q.diameter
+            for s in (1e-8, 1e8):
+                ms = symcore_point(Polygon(s * P.vertices)).value
+                assert np.linalg.norm(ms / s - m) <= 1e-12 * P.diameter
+
+
+    def test_overlap_model_matches_clipping(self):
+        # A and its exact gradient against the clipped overlap
+        rng = np.random.default_rng(72)
+        for P in random_bodies(10, 73, affine=False):
+            f, _ = _overlap_model(P)
+            g = P.centroid
+            h = 1e-6 * P.diameter
+            for _ in range(3):
+                x = g + 0.1 * P.diameter * rng.normal(size=2)
+                if not P.contains(x, tol=-0.01 * P.diameter):
+                    continue
+                a, grad = f(x)
+                assert a == pytest.approx(overlap_area(P, x), rel=1e-12)
+                fd = [(overlap_area(P, x + e) - overlap_area(P, x - e)) / (2 * h)
+                      for e in np.eye(2) * h]
+                assert np.allclose(grad, fd, atol=1e-6 * P.diameter)
+
+    def test_converges_on_random_bodies(self):
+        for P in random_bodies(20, 74):
+            r = symcore_point(P)
+            assert 0 < r.iterations <= 12
+            assert r.residual < 1e-12
+
+
+# Bodies with antiparallel edges: the overlap has a kink on each pair's
+# midline, and the maximizer lies on it.
+PARALLEL_EDGE_BODIES = ["kab:0.4,0.9", "kab:1,2", "square", "ngon:6", "ngon:8"]
+
+
+@pytest.mark.parametrize("spec", PARALLEL_EDGE_BODIES)
+class TestSymcoreOnMidlines:
+    def test_equivariance(self, spec):
+        P = parse_spec(spec)
+        m = symcore_point(P).value
+        rng = np.random.default_rng(75)
+        for _ in range(5):
+            T = random_map(rng)
+            Q = affine_apply(T, P)
+            dev = np.linalg.norm(symcore_point(Q).value - T(m))
+            assert dev <= 1e-10 * Q.diameter
+
+    def test_rescaling(self, spec):
+        P = parse_spec(spec)
+        m = symcore_point(P).value
+        for s in (1e-8, 1e-4, 1e4, 1e8):
+            ms = symcore_point(Polygon(s * P.vertices)).value
+            assert np.linalg.norm(ms / s - m) <= 1e-12 * P.diameter
 
 
 class TestCaps:
