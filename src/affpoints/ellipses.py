@@ -2,9 +2,10 @@
 ellipse solvers for convex polygons.
 
 Both solvers run a damped-Newton log-barrier path on a small parameter vector
-(center + symmetric 2x2 shape), which keeps them certificate-checkable via the
-John contact conditions.  Fixed-center variants back the scalar fields
-``max_centered_area`` and ``min_centered_inverse_area``.
+(center + symmetric 2x2 shape), with the constraint Hessians summed in closed
+form, which keeps them certificate-checkable via the John contact conditions.
+Fixed-center variants back the scalar fields ``max_centered_area`` and
+``min_centered_inverse_area``.
 """
 
 from __future__ import annotations
@@ -23,10 +24,17 @@ CERT_RESIDUAL_TOL = 1e-6
 
 @dataclass(frozen=True)
 class Ellipse:
-    """The set {center + shape @ u : |u| <= 1} with shape symmetric PD."""
+    """The set {center + shape @ u : |u| <= 1} with shape symmetric PD.
+
+    A solved ellipse records its solve: ``iterations`` counts the barrier's
+    Newton steps and ``residual`` is its final duality gap n_con / t.  Both
+    are 0 for an ellipse built any other way.
+    """
 
     center: np.ndarray
     shape: np.ndarray
+    iterations: int = 0
+    residual: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
@@ -93,62 +101,56 @@ def _logdet3_hess(t3: np.ndarray) -> np.ndarray:
 
 
 def _barrier_maxlogdet(theta0, slack_fn, slack_jac, slack_hess, shape_slice,
-                       n_con, gap=1e-10, mu=10.0, max_newton=60, t_start=1.0,
-                       dec_tol=1e-13):
+                       n_con, gap=1e-10, t_start=1.0, dec_tol=1e-13):
     """Minimize -t*logdet(shape) - sum log(slacks) along an increasing-t path.
 
     ``shape_slice`` picks the (l11, l12, l22) entries out of theta;
-    ``slack_hess(theta)`` returns the per-constraint Hessian stack (m, k, k).
-    Returns the final theta.
+    ``slack_hess(theta, wts)`` returns the weighted sum of the constraint
+    Hessians, sum_i wts_i * hess(s_i), as one (k, k) matrix.  Returns
+    (theta, Newton steps taken, final gap n_con / t).
     """
     theta = np.asarray(theta0, dtype=float).copy()
-    if np.any(slack_fn(theta) <= 0.0) or not _is_pd(theta[shape_slice]):
+    s = slack_fn(theta)
+    if np.any(s <= 0.0) or not _is_pd(theta[shape_slice]):
         raise ConvergenceFailure("infeasible barrier start")
-    k = len(theta)
-
-    def grad_hess(th, t):
-        s = slack_fn(th)
-        J = slack_jac(th)
-        g = np.zeros(k)
-        g[shape_slice] = -t * _logdet3_grad(th[shape_slice])
-        g -= (J / s[:, None]).sum(axis=0)
-        H = np.zeros((k, k))
-        H[shape_slice, shape_slice] = t * -_logdet3_hess(th[shape_slice])
-        H += np.einsum("ia,ib,i->ab", J, J, 1.0 / s**2)
-        Hs = slack_hess(th)
-        H -= np.einsum("iab,i->ab", Hs, 1.0 / s)
-        return g, H
-
+    # the accepted iterate carries its slacks and their log sum, so neither
+    # the next Newton step nor its line search evaluates them again
+    log_s = float(np.log(s).sum())
+    steps = 0
     t = t_start
     while True:
-        for _ in range(max_newton):
-            g, H = grad_hess(theta, t)
+        for _ in range(60):
+            l3 = theta[shape_slice]
+            Js = slack_jac(theta) / s[:, None]
+            g = -Js.sum(axis=0)
+            g[shape_slice] -= t * _logdet3_grad(l3)
+            H = Js.T @ Js - slack_hess(theta, 1.0 / s)
+            H[shape_slice, shape_slice] -= t * _logdet3_hess(l3)
             try:
                 step = np.linalg.solve(H, -g)
             except np.linalg.LinAlgError:
                 step = -g
             lam2 = float(-g @ step)
-            if not np.all(np.isfinite(step)):
+            if not np.all(np.isfinite(step)) or lam2 <= 2.0 * t * dec_tol:
                 break
-            if lam2 <= 2.0 * t * dec_tol:
-                break
+            base = -t * _logdet3(l3) - log_s
             alpha = 1.0
-            base = _phi(theta, t, slack_fn, shape_slice)
-            moved = False
             while alpha > 1e-14:
                 cand = theta + alpha * step
-                if _is_pd(cand[shape_slice]) and np.all(slack_fn(cand) > 0.0):
-                    val = _phi(cand, t, slack_fn, shape_slice)
-                    if val < base:
-                        theta = cand
-                        moved = True
-                        break
+                if _is_pd(cand[shape_slice]):
+                    sc = slack_fn(cand)
+                    if np.all(sc > 0.0):
+                        lc = float(np.log(sc).sum())
+                        if -t * _logdet3(cand[shape_slice]) - lc < base:
+                            theta, s, log_s = cand, sc, lc
+                            steps += 1
+                            break
                 alpha *= 0.5
-            if not moved:
+            else:
                 break
         if n_con / t < gap:
-            return theta
-        t *= mu
+            return theta, steps, n_con / t
+        t *= 10.0
 
 
 def max_area_reaches(P: Polygon, x, target: float, warm=None):
@@ -161,7 +163,7 @@ def max_area_reaches(P: Polygon, x, target: float, warm=None):
     x = np.asarray(x, dtype=float)
     if interior_margin(P, x) <= 1e-13 * P.diameter:
         return target <= 0.0, None
-    theta0, slacks, jac, hess, ss, m, d, g, _ = _john_theta(P, center=x)
+    theta0, slacks, jac, hess, ss, m, d, g = _john_theta(P, center=x)
     theta = np.asarray(theta0, dtype=float).copy()
     if warm is not None:
         cand = np.asarray(warm, dtype=float).copy()
@@ -172,8 +174,8 @@ def max_area_reaches(P: Polygon, x, target: float, warm=None):
             cand = cand * 0.8
     t = 10.0
     while True:
-        theta = _barrier_maxlogdet(theta, slacks, jac, hess, ss, m,
-                                   gap=m / t * 1.01, t_start=t, dec_tol=1e-7)
+        theta, _, _ = _barrier_maxlogdet(theta, slacks, jac, hess, ss, m,
+                                         gap=m / t * 1.01, t_start=t, dec_tol=1e-7)
         det = theta[0] * theta[2] - theta[1] ** 2
         area = math.pi * det * d * d
         if area >= target:
@@ -183,11 +185,6 @@ def max_area_reaches(P: Polygon, x, target: float, warm=None):
         if m / t < 1e-12:
             return area >= target, theta.copy()
         t *= 10.0
-
-
-def _phi(theta, t, slack_fn, shape_slice):
-    s = slack_fn(theta)
-    return -t * _logdet3(theta[shape_slice]) - float(np.log(s).sum())
 
 
 def _normalize(P: Polygon) -> tuple[np.ndarray, float, np.ndarray]:
@@ -210,22 +207,16 @@ def _john_theta(P: Polygon, center=None):
     if center is not None:
         fixed = (np.asarray(center, dtype=float) - g) / d
 
+    def parts(theta):
+        return (theta[:2], theta[2:]) if fixed is None else (fixed, theta)
+
     def slacks(theta):
-        if fixed is None:
-            c, l3 = theta[:2], theta[2:]
-        else:
-            c, l3 = fixed, theta
-        L = _sym(l3)
-        w = A @ L
-        return b - A @ c - np.linalg.norm(w, axis=1)
+        c, l3 = parts(theta)
+        return b - A @ c - np.linalg.norm(A @ _sym(l3), axis=1)
 
     def jac(theta):
-        if fixed is None:
-            c, l3 = theta[:2], theta[2:]
-        else:
-            c, l3 = fixed, theta
-        L = _sym(l3)
-        w = A @ L
+        c, l3 = parts(theta)
+        w = A @ _sym(l3)
         wn = w / np.linalg.norm(w, axis=1)[:, None]
         dl = np.column_stack([
             -wn[:, 0] * A[:, 0],
@@ -236,25 +227,20 @@ def _john_theta(P: Polygon, center=None):
             return np.hstack([-A, dl])
         return dl
 
-    def hess(theta):
-        l3 = theta[2:] if fixed is None else theta
-        L = _sym(l3)
-        w = A @ L
-        wn = np.linalg.norm(w, axis=1)
-        wh = w / wn[:, None]
-        k = 5 if fixed is None else 3
-        off = 2 if fixed is None else 0
-        out = np.zeros((len(b), k, k))
-        # d w / d(l11,l12,l22) rows for each constraint: (a1,0),(a2,a1),(0,a2)
-        Jw = np.zeros((len(b), 2, 3))
-        Jw[:, 0, 0] = A[:, 0]
-        Jw[:, 0, 1] = A[:, 1]
-        Jw[:, 1, 1] = A[:, 0]
-        Jw[:, 1, 2] = A[:, 1]
-        proj = np.eye(2)[None] - np.einsum("ia,ib->iab", wh, wh)
-        # Hessian of -|w|: -J^T (I - ww^T)/|w| J
-        Hl = -np.einsum("ica,icd,idb->iab", Jw, proj, Jw) / wn[:, None, None]
-        out[:, off:, off:] = Hl
+    def hess(theta, wts):
+        # w = L a is linear in (l11, l12, l22), and in 2D the Hessian of |w|
+        # over w is tau tau^T / |w|, with tau the unit w turned by 90 degrees;
+        # so the Hessian of s = ... - |w| is -q q^T / |w|, with q = dw^T tau
+        _, l3 = parts(theta)
+        w = A @ _sym(l3)
+        wl = np.linalg.norm(w, axis=1)
+        t1, t2 = -w[:, 1] / wl, w[:, 0] / wl
+        q = np.column_stack([A[:, 0] * t1, A[:, 1] * t1 + A[:, 0] * t2, A[:, 1] * t2])
+        Hl = -(q.T * (wts / wl)) @ q
+        if fixed is not None:
+            return Hl
+        out = np.zeros((5, 5))
+        out[2:, 2:] = Hl
         return out
 
     c0 = fixed if fixed is not None else Q.centroid
@@ -267,16 +253,16 @@ def _john_theta(P: Polygon, center=None):
     else:
         theta0 = np.array([r0, 0.0, r0])
         shape_slice = slice(0, 3)
-    return theta0, slacks, jac, hess, shape_slice, len(b), d, g, fixed
+    return theta0, slacks, jac, hess, shape_slice, len(b), d, g
 
 
 def john_ellipse(P: Polygon) -> Ellipse:
     """Maximum-area ellipse inscribed in the polygon."""
-    theta0, slacks, jac, hess, ss, m, d, g, _ = _john_theta(P)
-    theta = _barrier_maxlogdet(theta0, slacks, jac, hess, ss, m)
+    theta0, slacks, jac, hess, ss, m, d, g = _john_theta(P)
+    theta, steps, gap = _barrier_maxlogdet(theta0, slacks, jac, hess, ss, m)
     c = g + d * theta[:2]
     L = d * _sym(theta[2:])
-    return Ellipse(c, _spd_factor(L @ L.T))
+    return Ellipse(c, _spd_factor(L @ L.T), iterations=steps, residual=gap)
 
 
 def max_centered_area(P: Polygon, x) -> float:
@@ -284,8 +270,8 @@ def max_centered_area(P: Polygon, x) -> float:
     x = np.asarray(x, dtype=float)
     if interior_margin(P, x) <= 1e-13 * P.diameter:
         return 0.0
-    theta0, slacks, jac, hess, ss, m, d, g, _ = _john_theta(P, center=x)
-    l3 = _barrier_maxlogdet(theta0, slacks, jac, hess, ss, m)
+    theta0, slacks, jac, hess, ss, m, d, g = _john_theta(P, center=x)
+    l3, _, _ = _barrier_maxlogdet(theta0, slacks, jac, hess, ss, m)
     det = l3[0] * l3[2] - l3[1] ** 2
     return math.pi * det * d * d
 
@@ -295,106 +281,67 @@ def max_centered_area(P: Polygon, x) -> float:
 # vertex (v_i - c)^T M (v_i - c) <= 1; area is pi / sqrt(det M).
 
 
-def _khachiyan(points: np.ndarray, tol: float = 1e-3, max_iter: int = 20000):
-    """Lifted Khachiyan barycentric ascent; returns (center, M)."""
-    n, d = points.shape
-    Q = np.column_stack([points, np.ones(n)])
-    u = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        V = Q.T @ (u[:, None] * Q)
-        Minv = np.linalg.solve(V, Q.T).T
-        mdist = np.einsum("ij,ij->i", Q, Minv)
-        j = int(np.argmax(mdist))
-        excess = mdist[j]
-        if excess <= (d + 1) * (1.0 + tol):
-            break
-        step = (excess - d - 1.0) / ((d + 1.0) * (excess - 1.0))
-        u *= 1.0 - step
-        u[j] += step
-    c = points.T @ u
-    S = points.T @ (u[:, None] * points) - np.outer(c, c)
-    M = np.linalg.inv(S) / d
-    return c, M
-
-
 def _loewner_theta(P: Polygon, center=None):
     verts, d, g = _normalize(P)
     fixed = None
     if center is not None:
         fixed = (np.asarray(center, dtype=float) - g) / d
 
+    def parts(theta):
+        return (theta[:2], theta[2:]) if fixed is None else (fixed, theta)
+
     def slacks(theta):
-        if fixed is None:
-            c, m3 = theta[:2], theta[2:]
-        else:
-            c, m3 = fixed, theta
+        c, m3 = parts(theta)
         y = verts - c
-        M = _sym(m3)
-        return 1.0 - np.einsum("ij,jk,ik->i", y, M, y)
+        return 1.0 - ((y @ _sym(m3)) * y).sum(axis=1)
 
     def jac(theta):
-        if fixed is None:
-            c, m3 = theta[:2], theta[2:]
-        else:
-            c, m3 = fixed, theta
+        c, m3 = parts(theta)
         y = verts - c
         dm = np.column_stack([-y[:, 0] ** 2, -2.0 * y[:, 0] * y[:, 1], -y[:, 1] ** 2])
         if fixed is None:
-            M = _sym(m3)
-            return np.hstack([2.0 * (y @ M), dm])
+            return np.hstack([2.0 * (y @ _sym(m3)), dm])
         return dm
 
-    def hess(theta):
-        n = len(verts)
-        if fixed is None:
-            c, m3 = theta[:2], theta[2:]
-            y = verts - c
-            M = _sym(m3)
-            out = np.zeros((n, 5, 5))
-            out[:, :2, :2] = -2.0 * M  # d2s/dc2
-            # cross terms d2s/(dc dm_a): 2 * E_a y
-            out[:, 0, 2] = out[:, 2, 0] = 2.0 * y[:, 0]
-            out[:, 1, 2] = out[:, 2, 1] = 0.0
-            out[:, 0, 3] = out[:, 3, 0] = 2.0 * y[:, 1]
-            out[:, 1, 3] = out[:, 3, 1] = 2.0 * y[:, 0]
-            out[:, 0, 4] = out[:, 4, 0] = 0.0
-            out[:, 1, 4] = out[:, 4, 1] = 2.0 * y[:, 1]
-            return out
-        return np.zeros((n, 3, 3))
+    def hess(theta, wts):
+        # s is linear in M, its centre block is -2M, and its cross terms
+        # d2s / (dc dm_a) = 2 E_a y are linear in y, so they sum to 2 E_a Y
+        if fixed is not None:
+            return np.zeros((3, 3))
+        y0, y1 = wts @ (verts - theta[:2])
+        out = np.zeros((5, 5))
+        out[:2, :2] = -2.0 * wts.sum() * _sym(theta[2:])
+        out[:2, 2:] = [[2.0 * y0, 2.0 * y1, 0.0], [0.0, 2.0 * y0, 2.0 * y1]]
+        out[2:, :2] = out[:2, 2:].T
+        return out
 
+    # a disk twice the circumradius about c0: every slack is >= 3/4
     c0 = fixed if fixed is not None else np.zeros(2)
     R = float(np.linalg.norm(verts - c0, axis=1).max())
     m0 = 1.0 / (2.0 * R) ** 2
     if fixed is None:
-        # Khachiyan warm start, slightly inflated to stay strictly feasible.
-        try:
-            ck, Mk = _khachiyan(verts)
-            theta0 = np.array([ck[0], ck[1], Mk[0, 0] * 0.9, Mk[0, 1] * 0.9, Mk[1, 1] * 0.9])
-            if np.any(slacks(theta0) <= 0.0):
-                theta0 = np.array([c0[0], c0[1], m0, 0.0, m0])
-        except np.linalg.LinAlgError:
-            theta0 = np.array([c0[0], c0[1], m0, 0.0, m0])
+        theta0 = np.array([c0[0], c0[1], m0, 0.0, m0])
         shape_slice = slice(2, 5)
     else:
         theta0 = np.array([m0, 0.0, m0])
         shape_slice = slice(0, 3)
-    return theta0, slacks, jac, hess, shape_slice, len(verts), d, g, fixed
+    return theta0, slacks, jac, hess, shape_slice, len(verts), d, g
 
 
 def loewner_ellipse(P: Polygon) -> Ellipse:
     """Minimum-area ellipse enclosing the polygon."""
-    theta0, slacks, jac, hess, ss, m, d, g, _ = _loewner_theta(P)
-    theta = _barrier_maxlogdet(theta0, slacks, jac, hess, ss, m)
+    theta0, slacks, jac, hess, ss, m, d, g = _loewner_theta(P)
+    theta, steps, gap = _barrier_maxlogdet(theta0, slacks, jac, hess, ss, m)
     c = g + d * theta[:2]
     M = _sym(theta[2:])
     L = d * np.linalg.inv(_spd_factor(M))
-    return Ellipse(c, L)
+    return Ellipse(c, L, iterations=steps, residual=gap)
 
 
-def min_centered_inverse_area(P: Polygon, x, gap: float = 1e-10) -> float:
+def min_centered_inverse_area(P: Polygon, x) -> float:
     """lambda_K(x): inverse area of the smallest ellipse x + E containing P."""
-    theta0, slacks, jac, hess, ss, m, d, g, _ = _loewner_theta(P, center=x)
-    theta = _barrier_maxlogdet(theta0, slacks, jac, hess, ss, m, gap=gap)
+    theta0, slacks, jac, hess, ss, m, d, g = _loewner_theta(P, center=x)
+    theta, _, _ = _barrier_maxlogdet(theta0, slacks, jac, hess, ss, m)
     det_m = theta[0] * theta[2] - theta[1] ** 2
     # area = pi d^2 / sqrt(det M)
     return math.sqrt(det_m) / (math.pi * d * d)

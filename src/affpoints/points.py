@@ -59,10 +59,9 @@ def eval_point(pf: PointFunction, P: Polygon) -> PointResult:
         return PointResult(P.centroid)
     if pf.id == "santalo":
         return santalo_point(P)
-    if pf.id == "john":
-        return PointResult(john_ellipse(P).center)
-    if pf.id == "loewner":
-        return PointResult(loewner_ellipse(P).center)
+    if pf.id in ("john", "loewner"):
+        E = john_ellipse(P) if pf.id == "john" else loewner_ellipse(P)
+        return PointResult(E.center, iterations=E.iterations, residual=E.residual)
     if pf.id == "symcore":
         return symcore_point(P)
     eps, delta = pf.params

@@ -7,6 +7,7 @@ are pure functions; the hot kernels live in ``_polyops_py``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ EPS_GEOM = 1e-10
 # Empty-polygon threshold, scaled by diam^2 at the call sites that need it.
 EPS_AREA = 1e-14
 HAUSDORFF_GRID = 4096
+DIAMETER_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -46,9 +48,20 @@ class Polygon:
 
     @property
     def diameter(self) -> float:
-        v = self.vertices
-        d = v[:, None, :] - v[None, :, :]
-        return float(np.sqrt((d * d).sum(axis=2)).max())
+        """Largest vertex distance, computed once per polygon (the vertices
+        are read-only) over blocks of rows, so no n x n x 2 array is built."""
+        d = self.__dict__.get("_diameter")
+        if d is None:
+            v = self.vertices
+            sq = 0.0
+            for i in range(0, len(v), DIAMETER_BLOCK):
+                e = v[i:i + DIAMETER_BLOCK, None, :] - v[None, :, :]
+                sq = max(sq, float((e * e).sum(axis=2).max()))
+            # sqrt is correctly rounded, so monotone: the root of the largest
+            # square is the largest root
+            d = math.sqrt(sq)
+            object.__setattr__(self, "_diameter", d)
+        return d
 
     def contains(self, x, tol: float = 0.0) -> bool:
         normals, offsets = edge_normals(self)
@@ -188,7 +201,7 @@ def interior_margin(P: Polygon, z) -> float:
 def polar_about(P: Polygon, z, translate: bool = False) -> Polygon:
     """The polar (P - z)°; with ``translate=True`` returns P^z = (P - z)° + z."""
     z = np.asarray(z, dtype=float)
-    if interior_margin(P, z) <= EPS_GEOM:
+    if interior_margin(P, z) <= EPS_GEOM * P.diameter:
         raise PointNotInterior(f"point {z} not interior to polygon with margin")
     dual = kernels.polar_vertices(P.vertices, float(z[0]), float(z[1]))
     Q = canonicalize(dual)

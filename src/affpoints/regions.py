@@ -13,7 +13,7 @@ import numpy as np
 from . import _polyops_py as kernels
 from .ellipses import john_ellipse, max_area_reaches, max_centered_area
 from .errors import BadParams, EmptyResult
-from .points import overlap_area, santalo_point, symcore_point
+from .points import _overlap_model, santalo_point, symcore_point
 from .polygons import (
     Polygon,
     canonicalize,
@@ -189,10 +189,14 @@ def symcore_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:
     if not 0.0 < c < 1.0:
         raise BadParams(f"need 0 < c < 1, got {c}")
     m0 = symcore_point(P).value
-    target = c * overlap_area(P, m0)
+    # the overlap model of P moved to centroid 0 and diameter 1, built once:
+    # A and the target scale alike, so the comparison is that of P's areas
+    g = P.centroid
     d = P.diameter
+    f, _ = _overlap_model(Polygon((P.vertices - g) / d))
+    target = c * f((m0 - g) / d)[0]
 
     def crossed(x):
-        return overlap_area(P, x) < target
+        return f((x - g) / d)[0] < target
 
     return _ray_region(P, m0, m, crossed, 1e-9 * d)

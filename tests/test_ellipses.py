@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from affpoints.bodies import random_body, random_map
+from affpoints.duality import random_polygons
 from affpoints.ellipses import (
     Ellipse,
+    _john_theta,
+    _loewner_theta,
     _nnls,
     john_ellipse,
     loewner_ellipse,
@@ -64,6 +67,12 @@ class TestLoewner:
             Minv = np.linalg.inv(E.shape)
             y = (P.vertices - E.center) @ Minv.T
             assert np.linalg.norm(y, axis=1).max() <= 1.0 + 1e-9
+
+    def test_certified_on_stream_bodies(self):
+        for seed in (1, 7, 11):
+            for P in random_polygons(50, seed):
+                # raises unless the contact conditions hold to CERT_RESIDUAL_TOL
+                verify_john_conditions(P, loewner_ellipse(P), "enclosing")
 
     def test_random_triangle_certified(self):
         rng = np.random.default_rng(55)
@@ -192,3 +201,25 @@ class TestNNLS:
         self._assert_kkt(A, b, w)
         assert np.linalg.norm(A @ w - b) < 1e-14
         assert np.allclose(w[:4] + w[4:], 0.5, atol=1e-14)
+
+
+class TestSlackHessians:
+    @pytest.mark.parametrize("setup", [_john_theta, _loewner_theta],
+                             ids=["john", "loewner"])
+    @pytest.mark.parametrize("fixed", [False, True], ids=["free", "fixed"])
+    def test_matches_jacobian_differences(self, setup, fixed):
+        # slack_hess(theta, w) = sum_i w_i hess(s_i), against central
+        # differences of the w-weighted constraint Jacobian
+        rng = np.random.default_rng(59)
+        h = 1e-6
+        for P in random_bodies(8, 60):
+            center = P.centroid + 0.05 * P.diameter * rng.normal(size=2) \
+                if fixed else None
+            theta0, _, jac, hess, *_ = setup(P, center=center)
+            theta = theta0 + 0.1 * np.abs(theta0).max() * rng.normal(size=len(theta0))
+            wts = rng.uniform(0.5, 2.0, size=len(jac(theta)))
+            H = hess(theta, wts)
+            fd = np.column_stack([wts @ (jac(theta + e) - jac(theta - e))
+                                  for e in np.eye(len(theta)) * h]) / (2.0 * h)
+            assert np.abs(H - H.T).max() <= 1e-14 * np.abs(H).max()
+            assert np.abs(H - fd).max() <= 1e-6 * max(np.abs(H).max(), 1.0)

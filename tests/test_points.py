@@ -39,6 +39,13 @@ def test_eval_dispatch(square, triangle):
                        (1 / 3, 1 / 3), atol=1e-7)
 
 
+def test_ellipse_points_report_the_solve(triangle):
+    for pid in ("john", "loewner"):
+        res = eval_point(PointFunction(pid), triangle)
+        assert res.iterations > 0
+        assert 0.0 < res.residual < 1e-10
+
+
 def test_bad_point_function():
     with pytest.raises(BadParams):
         PointFunction("frobnicate")

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from affpoints.bodies import body_kab, random_body
+from affpoints import _polyops_py as kernels
+from affpoints.bodies import body_kab, ngon, random_body, random_map
+from affpoints.duality import random_polygons
 from affpoints.errors import (
     DegenerateInput,
     PointNotInterior,
@@ -198,6 +200,34 @@ class TestSupportHausdorff:
 
     def test_square_vs_cross(self, square, cross):
         assert hausdorff(square, cross) == pytest.approx(1 / np.sqrt(2), abs=1e-6)
+
+
+class TestDiameterSupports:
+    @staticmethod
+    def _brute_diameter(v):
+        d = v[:, None, :] - v[None, :, :]
+        return float(np.sqrt((d * d).sum(axis=2)).max())
+
+    def test_diameter_matches_brute_force(self):
+        rng = np.random.default_rng(61)
+        t = 2.0 * np.pi * np.arange(1024) / 1024
+        r = 1.0 + 0.2 * np.cos(t)
+        limacon = canonicalize(np.column_stack([r * np.cos(t), r * np.sin(t)]))
+        bodies = [*random_polygons(20, 62), ngon(4), ngon(6), ngon(8)]
+        bodies += [affine_apply(random_map(rng), limacon) for _ in range(3)]
+        for P in bodies:
+            d = P.diameter
+            assert d == self._brute_diameter(P.vertices)
+            assert P.diameter is d  # computed once per polygon
+
+    def test_supports_matches_one_product(self):
+        rng = np.random.default_rng(63)
+        for m in (1, 2, 255, 256, 257, 513, 4097, 8192):
+            for n in (3, 7, 1024):
+                dirs = rng.normal(size=(m, 2))
+                verts = rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-4, 4)
+                assert np.array_equal(kernels.supports(verts, dirs),
+                                      np.max(dirs @ verts.T, axis=1))
 
 
 class TestShift:

@@ -3,15 +3,16 @@ import pytest
 
 from affpoints.bodies import random_body, random_map
 from affpoints.errors import BadParams
-from affpoints.points import santalo_point, symcore_point
+from affpoints.points import _overlap_model, overlap_area, santalo_point, symcore_point
 from affpoints.regions import (
+    _ray_region,
     floating_body,
     illumination_body,
     john_region,
     santalo_region,
     symcore_region,
 )
-from affpoints.polygons import affine_apply, canonicalize, hausdorff, support
+from affpoints.polygons import Polygon, affine_apply, canonicalize, hausdorff, support
 from conftest import random_bodies
 
 
@@ -82,6 +83,14 @@ class TestSantaloRegion:
         for x in mids:
             assert polar_about(triangle, x).area <= target * (1 + 1e-6)
 
+    def test_scale_relative(self):
+        # ray points of a small body are interior points, not boundary ones
+        P = random_body(8, 3)
+        R = santalo_region(P, 1.2, 16)
+        for s in (1e-4, 1e4):
+            Rs = santalo_region(Polygon(P.vertices * s), 1.2, 16)
+            assert hausdorff(canonicalize(Rs.vertices / s), R) <= 1e-9 * P.diameter
+
 
 class TestJohnRegion:
     def test_square_symmetric(self, square):
@@ -105,6 +114,22 @@ class TestSymcoreRegion:
         m0 = symcore_point(triangle).value
         assert M.contains(m0, tol=1e-6)
         assert M.diameter < 0.15 * triangle.diameter
+
+    def test_predicate_matches_clipping(self):
+        # the region's overlap model against the clipping overlap_area: the
+        # areas at its ray points, and the region the clipping predicate gives
+        for P in random_bodies(3, 91):
+            g, d = P.centroid, P.diameter
+            f, _ = _overlap_model(Polygon((P.vertices - g) / d))
+            m0 = symcore_point(P).value
+            R = symcore_region(P, 0.5, 16)
+            for x in np.vstack([R.vertices, m0]):
+                assert abs(f((x - g) / d)[0] * d * d - overlap_area(P, x)) \
+                    <= 1e-12 * P.area
+            target = 0.5 * overlap_area(P, m0)
+            ref = _ray_region(P, m0, 16, lambda x: overlap_area(P, x) < target,
+                              1e-9 * d)
+            assert hausdorff(R, ref) <= 1e-8 * d
 
 
 class TestEquivariance:
