@@ -90,6 +90,33 @@ def polar_vertices(verts: np.ndarray, zx: float, zy: float) -> np.ndarray:
     return np.column_stack([ux, uy])
 
 
+def polar_areas(verts: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Area V of the polar (P - x)° at each row x of X (k, 2), and grad V.
+
+    Edge i lies on {y : <a_i, y> = b_i}, a_i its edge vector turned by
+    -90 degrees, so the polar about x has the vertex a_i / s_i, with the
+    slack s_i = b_i - <a_i, x>, and
+    V = 1/2 sum_i det(a_i, a_i+1) / (s_i s_i+1).  Each term's gradient in
+    x is the term times (a_i / s_i + a_i+1 / s_i+1).  Any scaling of a_i
+    cancels.  The sums run along the rows of (k, n) arrays, so a row's
+    result does not depend on the other rows.  A row with a slack <= 0
+    (x not interior) gets V = inf.
+    """
+    e = np.roll(verts, -1, axis=0) - verts
+    a0, a1 = e[:, 1], -e[:, 0]
+    b = a0 * verts[:, 0] + a1 * verts[:, 1]
+    det = a0 * np.roll(a1, -1) - a1 * np.roll(a0, -1)
+    s = b - (X[:, :1] * a0 + X[:, 1:] * a1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = det / (s * np.roll(s, -1, axis=1))
+        # term i holds s_i and s_i+1, so s_i sits in terms i - 1 and i
+        c = (q + np.roll(q, 1, axis=1)) / s
+        V = 0.5 * q.sum(axis=1)
+        grad = 0.5 * np.column_stack([(c * a0).sum(axis=1), (c * a1).sum(axis=1)])
+    V[(s <= 0.0).any(axis=1)] = np.inf
+    return V, grad
+
+
 def shift_vertices(verts: np.ndarray, zx: float, zy: float) -> np.ndarray:
     """Projective image x -> x / (1 - <x, z>), vertex-wise."""
     denom = 1.0 - (verts[:, 0] * zx + verts[:, 1] * zy)

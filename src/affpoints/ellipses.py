@@ -4,7 +4,9 @@ ellipse solvers for convex polygons.
 Both solvers run a damped-Newton log-barrier path on a small parameter vector
 (center + symmetric 2x2 shape), with the constraint Hessians summed in closed
 form, which keeps them certificate-checkable via the John contact conditions.
-Fixed-center variants back the scalar fields ``max_centered_area`` and
+The fixed-center John field f_K runs one barrier over many centers at once
+(``_centered_john``, which also gives its gradient); ``max_centered_area`` is
+its one-row call.  A fixed-center Loewner variant backs
 ``min_centered_inverse_area``.
 """
 
@@ -20,6 +22,8 @@ from .polygons import AffineMap, Polygon, edge_normals, interior_margin
 
 CONTACT_TOL = 1e-6
 CERT_RESIDUAL_TOL = 1e-6
+# the log-det barriers stop at this duality gap n_con / t
+BARRIER_GAP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -100,9 +104,10 @@ def _logdet3_hess(t3: np.ndarray) -> np.ndarray:
     return _LOGDET3_M / det - np.outer(v, v) / det**2
 
 
-def _barrier_maxlogdet(theta0, slack_fn, slack_jac, slack_hess, shape_slice,
-                       n_con, gap=1e-10, t_start=1.0, dec_tol=1e-13):
-    """Minimize -t*logdet(shape) - sum log(slacks) along an increasing-t path.
+def _barrier_maxlogdet(theta0, slack_fn, slack_jac, slack_hess, shape_slice, n_con):
+    """Minimize -t*logdet(shape) - sum log(slacks) along an increasing-t path,
+    from t = 1 up by tenfold steps until the gap n_con / t is below
+    BARRIER_GAP.
 
     ``shape_slice`` picks the (l11, l12, l22) entries out of theta;
     ``slack_hess(theta, wts)`` returns the weighted sum of the constraint
@@ -117,7 +122,7 @@ def _barrier_maxlogdet(theta0, slack_fn, slack_jac, slack_hess, shape_slice,
     # the next Newton step nor its line search evaluates them again
     log_s = float(np.log(s).sum())
     steps = 0
-    t = t_start
+    t = 1.0
     while True:
         for _ in range(60):
             l3 = theta[shape_slice]
@@ -131,7 +136,7 @@ def _barrier_maxlogdet(theta0, slack_fn, slack_jac, slack_hess, shape_slice,
             except np.linalg.LinAlgError:
                 step = -g
             lam2 = float(-g @ step)
-            if not np.all(np.isfinite(step)) or lam2 <= 2.0 * t * dec_tol:
+            if not np.all(np.isfinite(step)) or lam2 <= 2.0 * t * 1e-13:
                 break
             base = -t * _logdet3(l3) - log_s
             alpha = 1.0
@@ -148,42 +153,8 @@ def _barrier_maxlogdet(theta0, slack_fn, slack_jac, slack_hess, shape_slice,
                 alpha *= 0.5
             else:
                 break
-        if n_con / t < gap:
+        if n_con / t < BARRIER_GAP:
             return theta, steps, n_con / t
-        t *= 10.0
-
-
-def max_area_reaches(P: Polygon, x, target: float, warm=None):
-    """Decide whether f_K(x) >= target without solving to optimality.
-
-    Walks the same barrier path as ``max_centered_area`` but stops as soon
-    as the current inscribed area passes the target, or the duality bound
-    area * exp(n_con / t) falls below it.  Returns (decision, shape params).
-    """
-    x = np.asarray(x, dtype=float)
-    if interior_margin(P, x) <= 1e-13 * P.diameter:
-        return target <= 0.0, None
-    theta0, slacks, jac, hess, ss, m, d, g = _john_theta(P, center=x)
-    theta = np.asarray(theta0, dtype=float).copy()
-    if warm is not None:
-        cand = np.asarray(warm, dtype=float).copy()
-        for _ in range(40):
-            if _is_pd(cand) and np.all(slacks(cand) > 0.0):
-                theta = cand
-                break
-            cand = cand * 0.8
-    t = 10.0
-    while True:
-        theta, _, _ = _barrier_maxlogdet(theta, slacks, jac, hess, ss, m,
-                                         gap=m / t * 1.01, t_start=t, dec_tol=1e-7)
-        det = theta[0] * theta[2] - theta[1] ** 2
-        area = math.pi * det * d * d
-        if area >= target:
-            return True, theta.copy()
-        if area * math.exp(m / t) < target:
-            return False, theta.copy()
-        if m / t < 1e-12:
-            return area >= target, theta.copy()
         t *= 10.0
 
 
@@ -198,62 +169,51 @@ def _normalize(P: Polygon) -> tuple[np.ndarray, float, np.ndarray]:
 # <a_i, c> + |L a_i| <= b_i.
 
 
-def _john_theta(P: Polygon, center=None):
+def _john_theta(P: Polygon):
     verts, d, g = _normalize(P)
     Q = Polygon(verts)
     A, b = edge_normals(Q)
+    # slacks, jac and hess all read w = A L and its row norms; the barrier
+    # asks for them at the same theta (the accepted line-search candidate),
+    # so they are computed once per theta
+    last = {"theta": None}
 
-    fixed = None
-    if center is not None:
-        fixed = (np.asarray(center, dtype=float) - g) / d
-
-    def parts(theta):
-        return (theta[:2], theta[2:]) if fixed is None else (fixed, theta)
+    def rows(theta):
+        if last["theta"] is None or not np.array_equal(last["theta"], theta):
+            w = A @ _sym(theta[2:])
+            last.update(theta=theta.copy(), w=w, wl=np.linalg.norm(w, axis=1))
+        return last["w"], last["wl"]
 
     def slacks(theta):
-        c, l3 = parts(theta)
-        return b - A @ c - np.linalg.norm(A @ _sym(l3), axis=1)
+        return b - A @ theta[:2] - rows(theta)[1]
 
     def jac(theta):
-        c, l3 = parts(theta)
-        w = A @ _sym(l3)
-        wn = w / np.linalg.norm(w, axis=1)[:, None]
+        w, wl = rows(theta)
+        wn = w / wl[:, None]
         dl = np.column_stack([
             -wn[:, 0] * A[:, 0],
             -(wn[:, 0] * A[:, 1] + wn[:, 1] * A[:, 0]),
             -wn[:, 1] * A[:, 1],
         ])
-        if fixed is None:
-            return np.hstack([-A, dl])
-        return dl
+        return np.hstack([-A, dl])
 
     def hess(theta, wts):
         # w = L a is linear in (l11, l12, l22), and in 2D the Hessian of |w|
         # over w is tau tau^T / |w|, with tau the unit w turned by 90 degrees;
         # so the Hessian of s = ... - |w| is -q q^T / |w|, with q = dw^T tau
-        _, l3 = parts(theta)
-        w = A @ _sym(l3)
-        wl = np.linalg.norm(w, axis=1)
+        w, wl = rows(theta)
         t1, t2 = -w[:, 1] / wl, w[:, 0] / wl
         q = np.column_stack([A[:, 0] * t1, A[:, 1] * t1 + A[:, 0] * t2, A[:, 1] * t2])
-        Hl = -(q.T * (wts / wl)) @ q
-        if fixed is not None:
-            return Hl
         out = np.zeros((5, 5))
-        out[2:, 2:] = Hl
+        out[2:, 2:] = -(q.T * (wts / wl)) @ q
         return out
 
-    c0 = fixed if fixed is not None else Q.centroid
+    c0 = Q.centroid
     r0 = 0.45 * interior_margin(Q, c0)
     if r0 <= 0.0:
         raise ConvergenceFailure("center not interior")
-    if fixed is None:
-        theta0 = np.array([c0[0], c0[1], r0, 0.0, r0])
-        shape_slice = slice(2, 5)
-    else:
-        theta0 = np.array([r0, 0.0, r0])
-        shape_slice = slice(0, 3)
-    return theta0, slacks, jac, hess, shape_slice, len(b), d, g
+    theta0 = np.array([c0[0], c0[1], r0, 0.0, r0])
+    return theta0, slacks, jac, hess, slice(2, 5), len(b), d, g
 
 
 def john_ellipse(P: Polygon) -> Ellipse:
@@ -265,15 +225,141 @@ def john_ellipse(P: Polygon) -> Ellipse:
     return Ellipse(c, _spd_factor(L @ L.T), iterations=steps, residual=gap)
 
 
+def _sum_btcb(aa: np.ndarray, c00, c01, c11) -> np.ndarray:
+    """sum_i B_i^T C_i B_i as a (k, 3, 3) stack.
+
+    B_i = [[a0, a1, 0], [0, a0, a1]] maps l = (l11, l12, l22) to L a_i for
+    the edge normal a_i = (a0, a1), and C_i is the symmetric 2 x 2 matrix
+    [[c00, c01], [c01, c11]], each entry a (k, n) array.  ``aa`` (3, n)
+    holds a0^2, a0 a1 and a1^2 per edge, and each entry of the sum
+    combines sums over i of an entry of C_i times one of them.  Those are
+    row sums of elementwise products, not matrix products, so a row's
+    result does not depend on how many rows there are.
+    """
+    p0, p1, p2 = ((c[:, None, :] * aa).sum(axis=2) for c in (c00, c01, c11))
+    H = np.empty((len(p0), 3, 3))
+    H[:, 0, 0] = p0[:, 0]
+    H[:, 0, 1] = H[:, 1, 0] = p0[:, 1] + p1[:, 0]
+    H[:, 0, 2] = H[:, 2, 0] = p1[:, 1]
+    H[:, 1, 1] = p0[:, 2] + 2.0 * p1[:, 1] + p2[:, 0]
+    H[:, 1, 2] = H[:, 2, 1] = p1[:, 2] + p2[:, 1]
+    H[:, 2, 2] = p2[:, 2]
+    return H
+
+
+def _centered_john(A: np.ndarray, b: np.ndarray, X, gap: float = BARRIER_GAP):
+    """The fixed-center John field of {y : A y <= b} at every row x of X.
+
+    For each x the unknowns are l = (l11, l12, l22), the shape L of the
+    ellipse x + L (unit disk), under the constraints
+    s_i = b_i - a_i.x - |L a_i| >= 0 (A has unit rows).  One log-det barrier
+    path runs for all rows at once: params (k, 3), slacks (k, n) and
+    (k, 3, 3) Newton systems.  Inside the quadratic region
+    (lambda^2 < 1/16) a row takes the full step once it is feasible,
+    because at large t rounding hides the decrease the line search looks
+    for.  A row leaves a t-stage after its first full step; in the last
+    stage, after the full step at which its decrement no longer falls
+    fourfold (there it falls far faster until rounding stops it), so the
+    last stage is centered as well as rounding allows.  Expects a body of
+    diameter about 1; a row whose center has margin at most 1e-13 gets
+    det 0.  Each row's result depends on that row alone.
+
+    Returns (det L, grad_x log det L) per row at the final gap n / t.  The
+    gradient is the envelope theorem's -sum_i mu_i a_i, with the barrier
+    multipliers mu_i = 1 / (t s_i).  How well rounding lets the last stage
+    center falls as t grows: at a gap of 1e-8 the gradient matched central
+    differences of log f to 1e-5 relative on bodies of 6 to 256 edges, at
+    1e-10 only to 9e-2.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    k, n = len(X), len(b)
+    det = np.zeros(k)
+    grad = np.full((k, 2), np.nan)
+    a0, a1 = A[:, 0], A[:, 1]
+    r = b - (X[:, :1] * a0 + X[:, 1:] * a1)
+    rows = np.flatnonzero(r.min(axis=1) > 1e-13)
+    r = r[rows]
+    # w_i = L a_i = B_i l (see _sum_btcb); grad s_i is -B_i^T n and hess s_i
+    # is -B_i^T tau tau^T B_i / |w_i|, with n the unit w_i and
+    # tau = (-n1, n0).  So the slack part of the barrier Hessian is
+    # sum_i B_i^T C_i B_i with C_i = n n^T / s^2 + (I - n n^T) / (s |w|)
+    aa = np.array([a0 * a0, a0 * a1, a1 * a1])
+
+    def norm_w(l):
+        w0 = l[:, :1] * a0 + l[:, 1:2] * a1
+        w1 = l[:, 1:2] * a0 + l[:, 2:] * a1
+        return w0, w1, np.sqrt(w0 * w0 + w1 * w1)
+
+    l = np.zeros((len(rows), 3))
+    l[:, 0] = l[:, 2] = 0.45 * r.min(axis=1)
+    s = r - norm_w(l)[2]
+    log_s = np.log(s).sum(axis=1)
+    t = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            last = n / t < gap
+            live = np.arange(len(rows))
+            prev = np.full(len(rows), np.inf)
+            for _ in range(60):
+                if not live.size:
+                    break
+                ll, sl = l[live], s[live]
+                w0, w1, wl = norm_w(ll)
+                n0, n1 = w0 / wl, w1 / wl
+                e0, e1 = n0 / sl, n1 / sl
+                isw = 1.0 / (sl * wl)
+                cn = e0 * e0 + e1 * e1 - isw
+                dd = ll[:, 0] * ll[:, 2] - ll[:, 1] ** 2
+                v = np.column_stack([ll[:, 2], -2.0 * ll[:, 1], ll[:, 0]]) / dd[:, None]
+                H = _sum_btcb(aa, cn * n0 * n0 + isw, cn * n0 * n1, cn * n1 * n1 + isw)
+                H += t * (v[:, :, None] * v[:, None, :] - _LOGDET3_M / dd[:, None, None])
+                g = np.column_stack([(e0 * a0).sum(axis=1), (e0 * a1 + e1 * a0).sum(axis=1),
+                                     (e1 * a1).sum(axis=1)]) - t * v
+                try:
+                    step = np.linalg.solve(H, -g[:, :, None])[:, :, 0]
+                except np.linalg.LinAlgError:
+                    step = -g
+                lam2 = -(g * step).sum(axis=1)
+                go = np.isfinite(step).all(axis=1)
+                live, step, lam2 = live[go], step[go], lam2[go]
+                # a row takes this step, and leaves the stage if it is a full
+                # step (in the last stage, one whose decrement no longer
+                # falls fourfold)
+                full = lam2 < 1.0 / 16.0
+                more = ~full | ((lam2 > 0.0) & (lam2 < 0.25 * prev[live])) if last else ~full
+                prev[live] = lam2
+                base = -t * np.log(dd[go]) - log_s[live]
+                pend = np.arange(len(live))
+                alpha = 1.0
+                while pend.size and alpha > 1e-14:
+                    cand = l[live[pend]] + alpha * step[pend]
+                    sc = r[live[pend]] - norm_w(cand)[2]
+                    lc = np.log(sc).sum(axis=1)
+                    fc = -t * np.log(cand[:, 0] * cand[:, 2] - cand[:, 1] ** 2) - lc
+                    ok = (cand[:, 0] > 0.0) & np.isfinite(fc) & (sc > 0.0).all(axis=1)
+                    ok &= (full[pend] & (alpha == 1.0)) | (fc < base[pend])
+                    hit = live[pend[ok]]
+                    l[hit], s[hit], log_s[hit] = cand[ok], sc[ok], lc[ok]
+                    pend = pend[~ok]
+                    alpha *= 0.5
+                # so does a row whose line search found no step
+                more[pend] = False
+                live = live[more]
+            if last:
+                break
+            t *= 10.0
+    det[rows] = l[:, 0] * l[:, 2] - l[:, 1] ** 2
+    mu = 1.0 / (t * s)
+    grad[rows] = -np.column_stack([(mu * a0).sum(axis=1), (mu * a1).sum(axis=1)])
+    return det, grad
+
+
 def max_centered_area(P: Polygon, x) -> float:
     """f_K(x): largest area of a centrally placed ellipse x + E inside P."""
-    x = np.asarray(x, dtype=float)
-    if interior_margin(P, x) <= 1e-13 * P.diameter:
-        return 0.0
-    theta0, slacks, jac, hess, ss, m, d, g = _john_theta(P, center=x)
-    l3, _, _ = _barrier_maxlogdet(theta0, slacks, jac, hess, ss, m)
-    det = l3[0] * l3[2] - l3[1] ** 2
-    return math.pi * det * d * d
+    verts, d, g = _normalize(P)
+    A, b = edge_normals(Polygon(verts))
+    det, _ = _centered_john(A, b, (np.asarray(x, dtype=float) - g) / d)
+    return math.pi * float(det[0]) * d * d
 
 
 # ---------------------------------------------------------------------------

@@ -271,7 +271,7 @@ def hausdorff(P: Polygon, Q: Polygon) -> float:
 def k_sub_z(P: Polygon, z) -> Polygon:
     """Projective shift {x / (1 - <x, z>) : x in P}; requires z in int(P°)."""
     z = np.asarray(z, dtype=float)
-    if interior_margin(P, np.zeros(2)) <= EPS_GEOM:
+    if interior_margin(P, np.zeros(2)) <= EPS_GEOM * P.diameter:
         raise PointNotInterior("origin must be interior to the polygon")
     if support(P, z) >= 1.0 - EPS_GEOM:
         raise ShiftOutOfRange(f"<x, z> reaches {support(P, z)} on the polygon")

@@ -5,7 +5,11 @@ from affpoints.bodies import random_body, random_map
 from affpoints.duality import random_polygons
 from affpoints.ellipses import (
     Ellipse,
+    _barrier_maxlogdet,
+    _centered_john,
     _john_theta,
+    _normalize,
+    _sum_btcb,
     _loewner_theta,
     _nnls,
     john_ellipse,
@@ -15,7 +19,7 @@ from affpoints.ellipses import (
     verify_john_conditions,
 )
 from affpoints.errors import CertificationFailure, NoContacts
-from affpoints.polygons import AffineMap, affine_apply, canonicalize
+from affpoints.polygons import Polygon, affine_apply, canonicalize, edge_normals
 from conftest import random_bodies
 
 
@@ -129,6 +133,34 @@ class TestCenteredFields:
                                           T(np.asarray(x)))
             assert w * det == pytest.approx(v, rel=1e-7)
 
+    def test_one_row_matches_scalar_barrier(self):
+        # max_centered_area is the one-row call of the batched solver; the
+        # scalar barrier path on the same fixed-center constraints is the
+        # oracle
+        for P in random_polygons(100, 5):
+            x = P.centroid
+            theta0, slacks, jac, hess, ss, n, d, _ = _john_setup(P, center=x)
+            l, _, _ = _barrier_maxlogdet(theta0, slacks, jac, hess, ss, n)
+            expect = np.pi * (l[0] * l[2] - l[1] ** 2) * d * d
+            assert abs(max_centered_area(P, x) - expect) <= 1e-12 * expect
+
+    def test_envelope_slope(self):
+        # the batched solver's gradient of log f at a gap of 1e-8, along a
+        # random direction, against central differences of log f
+        rng = np.random.default_rng(61)
+        for P in random_bodies(6, 62):
+            verts, d, g = _normalize(P)
+            A, b = edge_normals(Polygon(verts))
+            X = g + 0.5 * (P.vertices[:3] - g)
+            U = rng.normal(size=(3, 2))
+            U /= np.linalg.norm(U, axis=1)[:, None]
+            _, grad = _centered_john(A, b, (X - g) / d, gap=1e-8)
+            h = 1e-5 * d
+            for x, u, gr in zip(X, U, grad):
+                fd = (np.log(max_centered_area(P, x + h * u))
+                      - np.log(max_centered_area(P, x - h * u))) / (2.0 * h)
+                assert abs(gr @ u / d - fd) <= 1e-4 * abs(fd)
+
     def test_sqrt_concavity(self, triangle):
         rng = np.random.default_rng(57)
         for _ in range(25):
@@ -203,8 +235,42 @@ class TestNNLS:
         assert np.allclose(w[:4] + w[4:], 0.5, atol=1e-14)
 
 
+def _john_setup(P, center=None):
+    """``_john_theta`` for a free center.  For a fixed one, the constraints
+    s_i = b_i - a_i.x - |L a_i| of ``_centered_john`` over l = (l11, l12,
+    l22), with their Jacobian, and their Hessians summed by its
+    ``_sum_btcb``: hess s_i = -B_i^T tau tau^T B_i / |L a_i|, tau the unit
+    L a_i turned by 90 degrees."""
+    if center is None:
+        return _john_theta(P)
+    verts, d, g = _normalize(P)
+    A, b = edge_normals(Polygon(verts))
+    r = b - A @ ((np.asarray(center) - g) / d)
+    aa = np.array([A[:, 0] ** 2, A[:, 0] * A[:, 1], A[:, 1] ** 2])
+
+    def unit_w(l):
+        w = A @ np.array([[l[0], l[1]], [l[1], l[2]]])
+        wl = np.linalg.norm(w, axis=1)
+        return w[:, 0] / wl, w[:, 1] / wl, wl
+
+    def jac(l):
+        n0, n1, _ = unit_w(l)
+        return -np.column_stack([n0 * A[:, 0], n0 * A[:, 1] + n1 * A[:, 0], n1 * A[:, 1]])
+
+    def hess(l, wts):
+        n0, n1, wl = unit_w(l)
+        c = -wts / wl
+        return _sum_btcb(aa, (c * n1 * n1)[None], (-c * n0 * n1)[None], (c * n0 * n0)[None])[0]
+
+    def slacks(l):
+        return r - unit_w(l)[2]
+
+    r0 = 0.45 * r.min()
+    return np.array([r0, 0.0, r0]), slacks, jac, hess, slice(0, 3), len(b), d, g
+
+
 class TestSlackHessians:
-    @pytest.mark.parametrize("setup", [_john_theta, _loewner_theta],
+    @pytest.mark.parametrize("setup", [_john_setup, _loewner_theta],
                              ids=["john", "loewner"])
     @pytest.mark.parametrize("fixed", [False, True], ids=["free", "fixed"])
     def test_matches_jacobian_differences(self, setup, fixed):

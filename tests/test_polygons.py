@@ -101,6 +101,31 @@ class TestPolar:
         with pytest.raises(PointNotInterior):
             polar_about(square, (1.0, 0.0))
 
+    def test_closed_form_area(self):
+        # kernels.polar_areas on a batch of points, a third of them at 1e-3
+        # to 1e-2 of the way from the boundary, against the area of the
+        # polar polygon, and its gradient against grad V = 3 V g((P - x)°).
+        # Both sides lose digits like 1 / margin (at 1e-4 of the way they
+        # differ by about 1e-12)
+        rng = np.random.default_rng(17)
+        for P in random_bodies(20, 18):
+            g = P.centroid
+            w = rng.uniform(0.0, 1.0, size=12)
+            w[:4] = 1.0 - 10.0 ** rng.uniform(-3, -2, size=4)
+            X = g + w[:, None] * (P.vertices[rng.integers(P.n, size=12)] - g)
+            V, grad = kernels.polar_areas(P.vertices, X)
+            for x, v, dv in zip(X, V, grad):
+                D = polar_about(P, x)
+                assert abs(v - D.area) <= 1e-12 * D.area
+                expect = 3.0 * D.area * D.centroid
+                assert np.linalg.norm(dv - expect) <= 1e-10 * np.linalg.norm(expect)
+
+    def test_closed_form_area_outside(self, square):
+        V, _ = kernels.polar_areas(square.vertices, np.array([[0.0, 0.0], [1.0, 0.0],
+                                                             [2.0, 0.5]]))
+        assert V[0] == pytest.approx(2.0, rel=1e-15)
+        assert np.isinf(V[1:]).all()
+
 
 class TestClipIntersect:
     def test_half_square(self, square):
@@ -242,6 +267,17 @@ class TestShift:
     def test_out_of_range(self, square):
         with pytest.raises(ShiftOutOfRange):
             k_sub_z(square, (1.0, 0.0))
+
+    def test_scale_relative(self):
+        # K_z of s K with z / s is s K_z: the interiority test of the origin
+        # must not depend on s
+        P = random_body(8, 3, affine=False)
+        P = Polygon(P.vertices - P.centroid)
+        z = np.array([0.1, -0.05])
+        Q = k_sub_z(P, z)
+        for s in (1e-12, 1e12):
+            Qs = k_sub_z(Polygon(P.vertices * s), z / s)
+            assert hausdorff(Polygon(Qs.vertices / s), Q) <= 1e-12 * Q.diameter
 
     def test_semigroup(self):
         rng = np.random.default_rng(9)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from affpoints import regions
 from affpoints.bodies import random_body, random_map
+from affpoints.ellipses import john_ellipse, max_centered_area
 from affpoints.errors import BadParams
 from affpoints.points import _overlap_model, overlap_area, santalo_point, symcore_point
 from affpoints.regions import (
-    _ray_region,
+    _ray_exit,
+    _unit_grid,
     floating_body,
     illumination_body,
     john_region,
@@ -14,6 +17,40 @@ from affpoints.regions import (
 )
 from affpoints.polygons import Polygon, affine_apply, canonicalize, hausdorff, support
 from conftest import random_bodies
+
+
+# the per-ray bisection the batched root-finder replaced, kept as an oracle
+def _ray_region(P: Polygon, origin: np.ndarray, m: int, crossed, t_tol: float,
+                t_max=None) -> Polygon:
+    """Hull of per-ray bisection roots of a monotone level predicate.
+
+    ``crossed(x)`` is False at the origin and True past the region boundary.
+    """
+    out = np.empty((m, 2))
+    prev = None
+    for i, u in enumerate(_unit_grid(m)):
+        exit_t = _ray_exit(P, origin, u) if t_max is None else t_max(u)
+        lo, hi = 0.0, exit_t
+        if prev is not None:
+            # the boundary moves slowly between adjacent rays; try a narrow
+            # bracket around the previous root before the full range
+            a = max(0.0, prev * 0.8)
+            b = min(exit_t, prev * 1.25 + t_tol)
+            if b > a and crossed(origin + b * u) and not (a > 0.0 and crossed(origin + a * u)):
+                lo, hi = a, b
+        if hi == exit_t and not crossed(origin + hi * u):
+            out[i] = origin + hi * u
+            prev = hi
+            continue
+        while hi - lo > t_tol:
+            mid = 0.5 * (lo + hi)
+            if crossed(origin + mid * u):
+                hi = mid
+            else:
+                lo = mid
+        prev = 0.5 * (lo + hi)
+        out[i] = origin + prev * u
+    return canonicalize(out)
 
 
 class TestFloating:
@@ -102,6 +139,21 @@ class TestJohnRegion:
         J = john_region(square, 0.999, 64)
         assert J.diameter < 0.1 * square.diameter
 
+    def test_vertices_on_level_set(self):
+        # every ray crossing lies on {f = c f(j)}, with f evaluated in full
+        for P in random_bodies(2, 84):
+            target = 0.5 * max_centered_area(P, john_ellipse(P).center)
+            J = john_region(P, 0.5, 16)
+            for v in J.vertices:
+                assert abs(max_centered_area(P, v) / target - 1.0) <= 1e-6
+
+    def test_scale_relative(self):
+        P = random_body(8, 3)
+        R = john_region(P, 0.5, 16)
+        for s in (1e-4, 1e4):
+            Rs = john_region(Polygon(P.vertices * s), 0.5, 16)
+            assert hausdorff(canonicalize(Rs.vertices / s), R) <= 1e-9 * P.diameter
+
 
 class TestSymcoreRegion:
     def test_square_symmetric(self, square):
@@ -114,6 +166,13 @@ class TestSymcoreRegion:
         m0 = symcore_point(triangle).value
         assert M.contains(m0, tol=1e-6)
         assert M.diameter < 0.15 * triangle.diameter
+
+    def test_scale_relative(self):
+        P = random_body(8, 3)
+        R = symcore_region(P, 0.5, 16)
+        for s in (1e-4, 1e4):
+            Rs = symcore_region(Polygon(P.vertices * s), 0.5, 16)
+            assert hausdorff(canonicalize(Rs.vertices / s), R) <= 1e-9 * P.diameter
 
     def test_predicate_matches_clipping(self):
         # the region's overlap model against the clipping overlap_area: the
@@ -130,6 +189,20 @@ class TestSymcoreRegion:
             ref = _ray_region(P, m0, 16, lambda x: overlap_area(P, x) < target,
                               1e-9 * d)
             assert hausdorff(R, ref) <= 1e-8 * d
+
+
+class TestRayRoots:
+    def test_blocks_match_one_block(self, monkeypatch):
+        # each ray's root depends on that ray alone: blocks of 1 and 5 rays
+        # give the very output of one block
+        P = random_body(9, 85)
+        maps = [lambda: santalo_region(P, 0.3, 12), lambda: john_region(P, 0.5, 12),
+                lambda: symcore_region(P, 0.5, 12)]
+        whole = [fn().vertices for fn in maps]
+        for rows in (1, 5):
+            monkeypatch.setattr(regions, "RAY_BLOCK", rows * P.n)
+            for fn, ref in zip(maps, whole):
+                assert np.array_equal(fn().vertices, ref)
 
 
 class TestEquivariance:
