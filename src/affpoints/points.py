@@ -21,10 +21,10 @@ from .polygons import (
     Polygon,
     area_centroid,
     canonicalize,
+    clip_halfplane,
     edge_normals,
     intersect,
     interior_margin,
-    polar_about,
     support,
 )
 
@@ -305,42 +305,52 @@ def symcore_point(P: Polygon) -> PointResult:
     return PointResult(g + d * x, iterations=steps, residual=res)
 
 
-def caps(P: Polygon, eps: float, delta: float):
-    """Two opposite caps of P in the polar-centroid direction.
-
-    Returns (A, B, G) with G the centroid of (P - g(P)) polar, A the cap
-    where <x, G> is within eps of its maximum over P, and B the cap where
-    it is within delta of its minimum.  When G vanishes (symmetric bodies)
-    both caps degenerate to P itself.
-    """
+def _caps(P: Polygon, eps: float, delta: float):
+    """``caps``, plus the halfplane that cuts B from P (None when G
+    vanishes)."""
     if eps <= 0.0 or delta <= 0.0:
         raise BadParams("cap widths must be positive")
-    g = P.centroid
-    G = polar_about(P, g).centroid
-    scale = P.diameter
+    G = _polar_centroid(P, P.centroid)
     gn = float(np.linalg.norm(G))
-    if gn <= EPS_GEOM * scale:
-        return P, P, G
+    # G scales as 1 / length, so gn * diameter is a test of shape alone
+    if gn * P.diameter <= EPS_GEOM:
+        return P, P, G, None
     u = G / gn
     hi = support(P, u)
     lo = -support(P, -u)
-    from .polygons import clip_halfplane
-
+    cut = Halfplane(u, lo + delta / gn)
     A = clip_halfplane(P, Halfplane(-u, -(hi - eps / gn)))
-    B = clip_halfplane(P, Halfplane(u, lo + delta / gn))
+    B = clip_halfplane(P, cut)
     if A is None or B is None:
         raise BadParams("cap width exceeds the body extent")
-    return A, B, G
+    return A, B, G, cut
+
+
+def caps(P: Polygon, eps: float, delta: float):
+    """Two opposite caps of P in the polar-centroid direction.
+
+    Returns (A, B, G) with G the centroid of (P - g(P)) polar, read off the
+    polar vertices with no hull, A the cap where <x, G> is within eps of
+    its maximum over P, and B the cap where it is within delta of its
+    minimum.  When G vanishes (symmetric bodies) both caps degenerate to P
+    itself.
+    """
+    return _caps(P, eps, delta)[:3]
 
 
 def cap_point(P: Polygon, eps: float, delta: float) -> np.ndarray:
-    """Centroid of the union of the two caps."""
-    A, B, G = caps(P, eps, delta)
-    if A is B:
+    """Centroid of the union of the two caps, by inclusion-exclusion.
+
+    A ⊆ P, so the overlap A ∩ B is A clipped by the one halfplane that cuts
+    B from P: one kernel clip, where ``intersect(A, B)`` clips by every
+    edge of B.
+    """
+    A, B, G, cut = _caps(P, eps, delta)
+    if cut is None:
         return P.centroid
     aA, gA = area_centroid(A)
     aB, gB = area_centroid(B)
-    W = intersect(A, B)
+    W = clip_halfplane(A, cut)
     if W is None:
         return (aA * gA + aB * gB) / (aA + aB)
     aW, gW = area_centroid(W)

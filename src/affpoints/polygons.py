@@ -49,13 +49,19 @@ class Polygon:
     @property
     def diameter(self) -> float:
         """Largest vertex distance, computed once per polygon (the vertices
-        are read-only) over blocks of rows, so no n x n x 2 array is built."""
+        are read-only) over blocks of rows, so no n x n x 2 array is built.
+
+        Above one block only the rows that ``_diameter_rows`` keeps are
+        scanned.  Each pair is computed as in the full scan, so the result
+        is the full scan's to the bit.
+        """
         d = self.__dict__.get("_diameter")
         if d is None:
             v = self.vertices
+            rows = v if len(v) <= DIAMETER_BLOCK else v[_diameter_rows(v)]
             sq = 0.0
-            for i in range(0, len(v), DIAMETER_BLOCK):
-                e = v[i:i + DIAMETER_BLOCK, None, :] - v[None, :, :]
+            for i in range(0, len(rows), DIAMETER_BLOCK):
+                e = rows[i:i + DIAMETER_BLOCK, None, :] - v[None, :, :]
                 sq = max(sq, float((e * e).sum(axis=2).max()))
             # sqrt is correctly rounded, so monotone: the root of the largest
             # square is the largest root
@@ -125,6 +131,9 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     pts = pts[keep]
     if len(pts) < 3:
         return pts
+    # the loop runs on Python floats, which round as float64 does, but
+    # without numpy's cost per scalar
+    pts = pts.tolist()
 
     def half(seq):
         out: list[np.ndarray] = []
@@ -143,29 +152,104 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     return np.asarray(lower[:-1] + upper[:-1])
 
 
-def _drop_collinear(verts: np.ndarray, scale: float) -> np.ndarray:
-    tol = EPS_GEOM * scale * scale
-    n = len(verts)
-    prev = np.roll(verts, 1, axis=0)
-    nxt = np.roll(verts, -1, axis=0)
-    a = verts - prev
-    b = nxt - verts
-    cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    keep = cross > tol
+def _diameter_rows(v: np.ndarray) -> np.ndarray:
+    """Indices of the rows of v that can hold its largest squared distance.
+
+    L is the largest squared distance met on a few farthest-vertex hops,
+    each computed as in the full scan, so no pair above L is missed.  With
+    r_i the distance of vertex i from the bounding-box centre and R the
+    largest r_i, no pair of row i is longer than r_i + R, so row i is
+    dropped when (r_i + R)^2 (1 + 1e-9) < L; the margin covers the rounding
+    of both sides.  Bodies near a disk keep every row.
+    """
+    r = np.hypot(*(v - 0.5 * (v.min(axis=0) + v.max(axis=0))).T)
+    i = int(np.argmax(r))
+    L = 0.0
+    for _ in range(3):
+        e = v - v[i]
+        sq = (e * e).sum(axis=1)
+        i = int(np.argmax(sq))
+        L = max(L, float(sq[i]))
+    return np.flatnonzero((r + r.max()) ** 2 * (1.0 + 1e-9) >= L)
+
+
+def _turns(verts: np.ndarray):
+    """Edges e_i = v_i+1 - v_i, and the cross product of e_i-1 and e_i at
+    each vertex."""
+    e = np.concatenate((verts[1:], verts[:1])) - verts
+    a = np.concatenate((e[-1:], e[:-1]))
+    return e, a[:, 0] * e[:, 1] - a[:, 1] * e[:, 0]
+
+
+def _keep_bound(e: np.ndarray, floor: float) -> np.ndarray:
+    """The keep test's bound on the cross at each vertex, floor times the
+    summed length of its two edges.
+
+    The cross over |e_i-1| + |e_i| is the height of the vertex over the
+    chord of its neighbours to within a factor sqrt(2), for turns up to 90
+    degrees: the test keeps a vertex that stands off that chord by more
+    than about ``floor``, whatever the placement of the body or the number
+    of its edges.  A turn at an edge a few ulps long, as a clip through a
+    vertex leaves, fails it.
+    """
+    lengths = np.hypot(e[:, 0], e[:, 1])
+    return floor * (np.concatenate((lengths[-1:], lengths[:-1])) + lengths)
+
+
+def _drop_collinear(verts: np.ndarray, floor: float) -> np.ndarray:
+    e, cross = _turns(verts)
+    keep = cross > _keep_bound(e, floor)
     return verts[keep] if keep.sum() >= 3 else verts
 
 
+def _convex_cycle(pts: np.ndarray, floor: float) -> np.ndarray | None:
+    """pts in CCW order if they are a cycle whose every turn passes the
+    keep test, all one way, and that winds once; otherwise None.
+
+    Reversing the cycle negates each cross product exactly, so a clockwise
+    cycle passes the test as its reversal would.
+    """
+    e, cross = _turns(pts)
+    if cross.max() < 0.0:
+        cross, pts = -cross, pts[::-1]
+    elif not cross.min() > 0.0:
+        return None
+    if not (cross > _keep_bound(e, floor)).all():
+        return None
+    a = np.concatenate((e[-1:], e[:-1]))
+    # the turns, all one way and each below pi, add up to 2 pi times the
+    # winding number
+    if np.arctan2(cross, a[:, 0] * e[:, 0] + a[:, 1] * e[:, 1]).sum() >= 3.0 * np.pi:
+        return None
+    return pts
+
+
 def canonicalize(points) -> Polygon:
-    """Convex hull in canonical form; idempotent on canonical polygons."""
+    """Convex hull in canonical form; idempotent on canonical polygons.
+
+    A strictly convex cycle that winds once, in either orientation, is only
+    reversed if clockwise and rolled to its first vertex; ``affine_apply``
+    and the polar, clip and shift kernels give such cycles.  Each turn of
+    it passes the keep test, whose bound lies some 1e5 times above the
+    rounding of the monotone chain's cross products, so the chain would
+    keep every vertex in the same order: the result is the chain's to the
+    bit.  Any other input goes through the monotone chain, and then loses
+    each vertex that fails the keep test.  The keep test's floor is
+    EPS_GEOM of the extent of the points.
+    """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) < 3:
         raise DegenerateInput("need at least 3 points")
     if not np.isfinite(pts).all():
         raise DegenerateInput("coordinates must be finite")
     scale = max(float(np.abs(pts).max()), 1e-300)
-    hull = _convex_hull(pts)
-    if len(hull) >= 3:
-        hull = _drop_collinear(hull, scale)
+    # the hull has the extent of pts
+    floor = EPS_GEOM * float(np.ptp(pts, axis=0).max())
+    hull = _convex_cycle(pts, floor)
+    if hull is None:
+        hull = _convex_hull(pts)
+        if len(hull) >= 3:
+            hull = _drop_collinear(hull, floor)
     if len(hull) < 3 or abs(kernels.area_centroid(hull)[0]) <= EPS_AREA * scale * scale:
         raise DegenerateInput("points are collinear or coincident")
     start = int(np.lexsort((hull[:, 1], hull[:, 0]))[0])
@@ -255,7 +339,7 @@ def _hausdorff_directions(P: Polygon, Q: Polygon) -> np.ndarray:
         parts.append(normals)
         v = body.vertices
         norms = np.linalg.norm(v, axis=1)
-        good = norms > EPS_GEOM
+        good = norms > EPS_GEOM * body.diameter
         if good.any():
             parts.append(v[good] / norms[good, None])
     return np.vstack(parts)

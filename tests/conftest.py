@@ -27,3 +27,11 @@ def random_bodies(count, seed, affine=True):
         k = int(rng.integers(5, 31))
         out.append(random_body(k, int(rng.integers(0, 2**32)), affine=affine))
     return out
+
+
+def limacon(n):
+    """n points on the convex limacon r = 1 + 0.2 cos t: a smooth,
+    asymmetric body."""
+    t = 2.0 * np.pi * np.arange(n) / n
+    r = 1.0 + 0.2 * np.cos(t)
+    return np.column_stack([r * np.cos(t), r * np.sin(t)])

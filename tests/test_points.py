@@ -13,6 +13,7 @@ from affpoints.points import (
     santalo_point,
     symcore_point,
 )
+from affpoints.duality import random_polygons
 from affpoints.polygons import (
     Halfplane,
     Polygon,
@@ -23,8 +24,9 @@ from affpoints.polygons import (
     hausdorff,
     intersect,
     polar_about,
+    support,
 )
-from conftest import random_bodies
+from conftest import limacon, random_bodies
 
 ALL_IDS = ["centroid", "santalo", "john", "loewner", "symcore"]
 
@@ -197,6 +199,17 @@ class TestCaps:
             assert A.area == pytest.approx(expA, abs=1e-10)
             assert B.area == pytest.approx(expB, abs=1e-10)
 
+    def test_symmetry_test_is_scale_free(self):
+        # G scales as 1 / length: tested against an absolute multiple of the
+        # diameter, a body at scale 1e6 passed for symmetric
+        P = random_body(8, 3, affine=False)
+        x = cap_point(P, 0.1, 0.05)
+        for s in (1e-6, 1e6):
+            A, B, _ = caps(Polygon(s * P.vertices), 0.1, 0.05)
+            assert A is not B
+            xs = cap_point(Polygon(s * P.vertices), 0.1, 0.05)
+            assert np.linalg.norm(xs / s - x) <= 1e-13 * P.diameter
+
 
 class TestCapPoint:
     def test_symmetric_zero(self, square):
@@ -234,6 +247,76 @@ class TestCapPoint:
         if A is not B:
             assert intersect(A, B) is not None
         assert np.allclose(val, P.centroid, atol=1e-12)
+
+
+def _cap_point_by_intersect(P, eps, delta):
+    # the two-cap point as first written: G from the polar's hull, and the
+    # overlap of the caps by clipping A with every edge of B
+    G = polar_about(P, P.centroid).centroid
+    gn = np.linalg.norm(G)
+    u = G / gn
+    A = clip_halfplane(P, Halfplane(-u, -(support(P, u) - eps / gn)))
+    B = clip_halfplane(P, Halfplane(u, -support(P, -u) + delta / gn))
+    aA, gA = area_centroid(A)
+    aB, gB = area_centroid(B)
+    W = intersect(A, B)
+    if W is None:
+        return (aA * gA + aB * gB) / (aA + aB)
+    aW, gW = area_centroid(W)
+    return (aA * gA + aB * gB - aW * gW) / (aA + aB - aW)
+
+
+class TestCapOverlap:
+    PARAMS = [(0.1, 0.05), (0.02, 0.3), (0.5, 0.5)]
+
+    def test_matches_intersect_on_stream_bodies(self):
+        for P in random_polygons(100, 72):
+            for eps, delta in self.PARAMS:
+                got = cap_point(P, eps, delta)
+                expect = _cap_point_by_intersect(P, eps, delta)
+                assert np.linalg.norm(got - expect) <= 1e-13 * P.diameter
+
+    def test_matches_intersect_on_a_1024_gon(self):
+        rng = np.random.default_rng(73)
+        base = canonicalize(limacon(1024))
+        for _ in range(2):
+            P = affine_apply(random_map(rng), base)
+            for eps, delta in self.PARAMS:
+                got = cap_point(P, eps, delta)
+                expect = _cap_point_by_intersect(P, eps, delta)
+                assert np.linalg.norm(got - expect) <= 1e-13 * P.diameter
+
+    def test_overlap_is_one_clip(self, monkeypatch):
+        from affpoints import _polyops_py as kernels
+
+        calls = []
+        clip = kernels.clip_halfplane
+
+        def counted(*args):
+            calls.append(args)
+            return clip(*args)
+
+        monkeypatch.setattr(kernels, "clip_halfplane", counted)
+        cap_point(canonicalize(limacon(1024)), 0.5, 0.5)
+        # the two caps, and their overlap
+        assert len(calls) == 3
+
+
+def test_squashed_limacon_points_are_equivariant():
+    # maps of condition number up to 50, among them one with singular values
+    # 0.59 and 0.0124 under which the hull once lost half its vertices
+    base = canonicalize(limacon(1024))
+    ids = [PointFunction(i) for i in ("santalo", "john", "loewner")]
+    ids.append(PointFunction("capfamily", (0.1, 0.05)))
+    ref = [eval_point(pf, base).value for pf in ids]
+    rng = np.random.default_rng(53)
+    for _ in range(5):
+        T = random_map(rng)
+        K = affine_apply(T, base)
+        assert K.n == 1024
+        for pf, x in zip(ids, ref):
+            back = T.inverse()(eval_point(pf, K).value)
+            assert np.linalg.norm(back - x) <= 1e-8 * base.diameter, pf.id
 
 
 class TestPointInvariants:

@@ -11,9 +11,15 @@ from affpoints.errors import (
     SingularMap,
 )
 from affpoints.polygons import (
+    DIAMETER_BLOCK,
+    EPS_GEOM,
     AffineMap,
     Halfplane,
     Polygon,
+    _convex_cycle,
+    _convex_hull,
+    _diameter_rows,
+    _drop_collinear,
     affine_apply,
     area_centroid,
     canonicalize,
@@ -24,7 +30,7 @@ from affpoints.polygons import (
     polar_about,
     support,
 )
-from conftest import random_bodies
+from conftest import limacon, random_bodies
 
 
 class TestCanonicalize:
@@ -58,6 +64,61 @@ class TestCanonicalize:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateInput):
             canonicalize([(0, 0), (1, 1), (2, 2)])
+
+    def test_keeps_vertices_of_a_squashed_limacon(self):
+        # the fifth map has singular values 0.59 and 0.0124; an absolute
+        # collinearity tolerance kept 515 of the 1024 vertices here
+        rng = np.random.default_rng(53)
+        T = [random_map(rng) for _ in range(5)][-1]
+        assert canonicalize(T(limacon(1024))).n == 1024
+
+    @staticmethod
+    def _floor(pts):
+        return EPS_GEOM * np.ptp(pts, axis=0).max()
+
+    def _chain(self, pts):
+        hull = _drop_collinear(_convex_hull(pts), self._floor(pts))
+        return np.roll(hull, -int(np.lexsort((hull[:, 1], hull[:, 0]))[0]), axis=0)
+
+    def test_convex_cycle_matches_monotone_chain(self):
+        rng = np.random.default_rng(54)
+        v = affine_apply(random_map(rng), canonicalize(limacon(256))).vertices
+        e = v[1] - v[0]
+        bent = [np.insert(v, 1, v[0] + 0.5 * e + h * np.array([e[1], -e[0]]), axis=0)
+                for h in (1e-6, 1e-11)]
+        # a clip through a vertex leaves an edge a few ulps long
+        u = np.array([0.6, 0.8])
+        clipped = kernels.clip_halfplane(v, *u, float(v[7] @ u) * (1.0 + 2e-16))
+        cases = [(v[::-1], True), (np.roll(v, 77, axis=0), True),
+                 (np.roll(v[::-1], 5, axis=0), True), (bent[0], True),
+                 (bent[1], False), (clipped, False)]
+        for pts, fast in cases:
+            assert (_convex_cycle(pts, self._floor(pts)) is not None) == fast
+            got = canonicalize(pts).vertices
+            assert np.array_equal(got, self._chain(pts))
+        assert canonicalize(bent[0]).n == 257
+        assert canonicalize(bent[1]).n == 256
+
+    def test_stream_producers_match_monotone_chain(self):
+        rng = np.random.default_rng(55)
+        for P in random_polygons(200, 56):
+            g = P.centroid
+            u = rng.normal(size=2)
+            u /= np.linalg.norm(u)
+            outputs = [random_map(rng)(P.vertices),
+                       kernels.polar_vertices(P.vertices, *g),
+                       kernels.clip_halfplane(P.vertices, *u, float(g @ u)),
+                       kernels.shift_vertices(P.vertices - g, *(0.2 * u / P.diameter))]
+            for pts in outputs:
+                assert np.array_equal(canonicalize(pts).vertices, self._chain(pts))
+
+    def test_doubly_wound_star_falls_back_to_hull(self):
+        t = 2.0 * np.pi * np.arange(5) / 5
+        pentagon = np.column_stack([np.cos(t), np.sin(t)])
+        for pts in (pentagon[[0, 2, 4, 1, 3]], np.vstack([pentagon, pentagon])):
+            assert _convex_cycle(pts, self._floor(pts)) is None
+            assert np.array_equal(canonicalize(pts).vertices,
+                                  canonicalize(pentagon).vertices)
 
 
 class TestAreaCentroid:
@@ -226,24 +287,53 @@ class TestSupportHausdorff:
     def test_square_vs_cross(self, square, cross):
         assert hausdorff(square, cross) == pytest.approx(1 / np.sqrt(2), abs=1e-6)
 
+    def test_hausdorff_scale_equivariant(self):
+        # each body has a vertex 1e-3 of its diameter from the origin, whose
+        # direction must count at every scale
+        for P, Q in zip(random_bodies(4, 57), random_bodies(4, 58)):
+            P, Q = P.translate(-P.vertices[0] * (1.0 - 1e-3)), Q.translate(-Q.centroid)
+            h = hausdorff(P, Q)
+            for s in 10.0 ** np.arange(-12, 13, 3):
+                hs = hausdorff(Polygon(s * P.vertices), Polygon(s * Q.vertices))
+                assert abs(hs / s - h) <= 1e-12 * max(P.diameter, Q.diameter)
+
 
 class TestDiameterSupports:
     @staticmethod
-    def _brute_diameter(v):
-        d = v[:, None, :] - v[None, :, :]
+    def _brute_diameter(v, rows=None):
+        rows = v if rows is None else rows
+        d = rows[:, None, :] - v[None, :, :]
         return float(np.sqrt((d * d).sum(axis=2)).max())
 
     def test_diameter_matches_brute_force(self):
         rng = np.random.default_rng(61)
-        t = 2.0 * np.pi * np.arange(1024) / 1024
-        r = 1.0 + 0.2 * np.cos(t)
-        limacon = canonicalize(np.column_stack([r * np.cos(t), r * np.sin(t)]))
+        lim = canonicalize(limacon(1024))
         bodies = [*random_polygons(20, 62), ngon(4), ngon(6), ngon(8)]
-        bodies += [affine_apply(random_map(rng), limacon) for _ in range(3)]
+        bodies += [affine_apply(random_map(rng), lim) for _ in range(3)]
         for P in bodies:
             d = P.diameter
             assert d == self._brute_diameter(P.vertices)
             assert P.diameter is d  # computed once per polygon
+
+    def test_pruned_diameter_is_exact(self):
+        # above one block only some rows are scanned; the result must be
+        # the full scan's to the bit, whether rows are dropped or not
+        rng = np.random.default_rng(64)
+        sliver = canonicalize(limacon(512))
+        bodies = [(ngon(4096), False)]
+        for _ in range(3):
+            U, _, Vt = np.linalg.svd(rng.normal(size=(2, 2)))
+            T = AffineMap(U @ np.diag([1.0, 1e-3]) @ Vt, rng.normal(size=2))
+            bodies.append((affine_apply(T, sliver), True))
+        lim = canonicalize(limacon(1024))
+        bodies.append((polar_about(lim, lim.centroid), True))
+        for P, pruned in bodies:
+            v = P.vertices
+            assert P.n > DIAMETER_BLOCK
+            assert (len(_diameter_rows(v)) < P.n) == pruned
+            brute = max(self._brute_diameter(v, v[i:i + 256])
+                        for i in range(0, P.n, 256))
+            assert P.diameter == brute
 
     def test_supports_matches_one_product(self):
         rng = np.random.default_rng(63)
