@@ -1,9 +1,12 @@
 """Analytic ellipses plus the John (max inscribed) and Loewner (min enclosing)
 ellipse solvers for convex polygons.
 
-Both solvers run a damped-Newton log-barrier path on a small parameter vector
-(center + symmetric 2x2 shape), with the constraint Hessians summed in closed
-form, which keeps them certificate-checkable via the John contact conditions.
+Both solvers run one damped-Newton log-barrier driver on a small parameter
+vector (center + symmetric 2x2 shape).  Each problem gives its slacks, their
+Jacobian and the closed-form sum of their Hessians from one pass over its
+constraints, and the Loewner problem runs on the vertices whitened to unit
+scatter, so its conditioning does not depend on the body's.  The results
+are certificate-checkable via the John contact conditions.
 The fixed-center John field f_K runs one barrier over many centers at once
 (``_centered_john``, which also gives its gradient); ``max_centered_area`` is
 its one-row call.  A fixed-center Loewner variant backs
@@ -81,73 +84,72 @@ def _sym(t3: np.ndarray) -> np.ndarray:
     return np.array([[t3[0], t3[1]], [t3[1], t3[2]]])
 
 
-def _is_pd(t3: np.ndarray) -> bool:
-    return t3[0] > 0.0 and t3[0] * t3[2] - t3[1] ** 2 > 0.0
-
-
-def _logdet3(t3: np.ndarray) -> float:
-    return math.log(t3[0] * t3[2] - t3[1] ** 2)
-
-
-def _logdet3_grad(t3: np.ndarray) -> np.ndarray:
-    det = t3[0] * t3[2] - t3[1] ** 2
-    return np.array([t3[2], -2.0 * t3[1], t3[0]]) / det
-
-
+# logdet over l = (l11, l12, l22) has the gradient v = (l22, -2 l12, l11) / det
+# and the Hessian _LOGDET3_M / det - v v^T
 _LOGDET3_M = np.array([[0.0, 0.0, 1.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
 
 
-def _logdet3_hess(t3: np.ndarray) -> np.ndarray:
-    """Hessian of logdet over the (l11, l12, l22) parameterization."""
-    det = t3[0] * t3[2] - t3[1] ** 2
-    v = np.array([t3[2], -2.0 * t3[1], t3[0]])
-    return _LOGDET3_M / det - np.outer(v, v) / det**2
-
-
-def _barrier_maxlogdet(theta0, slack_fn, slack_jac, slack_hess, shape_slice, n_con):
+def _barrier_maxlogdet(theta0, slack_fn, slack_terms, shape_slice, n_con):
     """Minimize -t*logdet(shape) - sum log(slacks) along an increasing-t path,
     from t = 1 up by tenfold steps until the gap n_con / t is below
     BARRIER_GAP.
 
-    ``shape_slice`` picks the (l11, l12, l22) entries out of theta;
-    ``slack_hess(theta, wts)`` returns the weighted sum of the constraint
-    Hessians, sum_i wts_i * hess(s_i), as one (k, k) matrix.  Returns
-    (theta, Newton steps taken, final gap n_con / t).
+    ``shape_slice`` picks the (l11, l12, l22) entries out of theta.  A
+    problem evaluates its constraints in one pass, split over two calls:
+    ``slack_fn(theta)`` returns the slacks and an ``aux`` of what their
+    derivatives reuse, and ``slack_terms(theta, aux, wts)`` returns the
+    slack Jacobian (n_con, k) and the weighted sum of the constraint
+    Hessians, sum_i wts_i * hess(s_i), as one (k, k) matrix, both in
+    buffers that its next call overwrites.  The log-det terms are added
+    from Python scalars.  Returns (theta, Newton steps taken, final gap
+    n_con / t).
     """
-    theta = np.asarray(theta0, dtype=float).copy()
-    s = slack_fn(theta)
-    if np.any(s <= 0.0) or not _is_pd(theta[shape_slice]):
+    theta = np.array(theta0, dtype=float)
+    s, aux = slack_fn(theta)
+    l11, l12, l22 = theta[shape_slice].tolist()
+    if not (s.min() > 0.0 and l11 > 0.0 and l11 * l22 - l12 * l12 > 0.0):
         raise ConvergenceFailure("infeasible barrier start")
-    # the accepted iterate carries its slacks and their log sum, so neither
-    # the next Newton step nor its line search evaluates them again
+    # the accepted iterate carries its slacks, their log sum and aux, so
+    # neither the next Newton step nor its line search evaluates them again
     log_s = float(np.log(s).sum())
     steps = 0
     t = 1.0
     while True:
         for _ in range(60):
-            l3 = theta[shape_slice]
-            Js = slack_jac(theta) / s[:, None]
-            g = -Js.sum(axis=0)
-            g[shape_slice] -= t * _logdet3_grad(l3)
-            H = Js.T @ Js - slack_hess(theta, 1.0 / s)
-            H[shape_slice, shape_slice] -= t * _logdet3_hess(l3)
+            l11, l12, l22 = theta[shape_slice].tolist()
+            det = l11 * l22 - l12 * l12
+            wts = 1.0 / s
+            J, Hs = slack_terms(theta, aux, wts)
+            Js = J * wts[:, None]
+            g = -(wts @ J)
+            H = Js.T @ Js
+            H -= Hs
+            v0, v1, v2 = l22 / det, -2.0 * l12 / det, l11 / det
+            h02, h11 = v0 * v2 - 1.0 / det, v1 * v1 + 2.0 / det
+            g[shape_slice] -= (t * v0, t * v1, t * v2)
+            H[shape_slice, shape_slice] += ((t * v0 * v0, t * v0 * v1, t * h02),
+                                            (t * v0 * v1, t * h11, t * v1 * v2),
+                                            (t * h02, t * v1 * v2, t * v2 * v2))
             try:
                 step = np.linalg.solve(H, -g)
             except np.linalg.LinAlgError:
                 step = -g
+            # lam2 is finite only if the step is
             lam2 = float(-g @ step)
-            if not np.all(np.isfinite(step)) or lam2 <= 2.0 * t * 1e-13:
+            if not (math.isfinite(lam2) and lam2 > 2.0 * t * 1e-13):
                 break
-            base = -t * _logdet3(l3) - log_s
+            base = -t * math.log(det) - log_s
             alpha = 1.0
             while alpha > 1e-14:
                 cand = theta + alpha * step
-                if _is_pd(cand[shape_slice]):
-                    sc = slack_fn(cand)
-                    if np.all(sc > 0.0):
+                c11, c12, c22 = cand[shape_slice].tolist()
+                dc = c11 * c22 - c12 * c12
+                if c11 > 0.0 and dc > 0.0:
+                    sc, ac = slack_fn(cand)
+                    if sc.min() > 0.0:
                         lc = float(np.log(sc).sum())
-                        if -t * _logdet3(cand[shape_slice]) - lc < base:
-                            theta, s, log_s = cand, sc, lc
+                        if -t * math.log(dc) - lc < base:
+                            theta, s, aux, log_s = cand, sc, ac, lc
                             steps += 1
                             break
                 alpha *= 0.5
@@ -164,62 +166,69 @@ def _normalize(P: Polygon) -> tuple[np.ndarray, float, np.ndarray]:
     return (P.vertices - g) / d, d, g
 
 
+def _whiten(P: Polygon) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P's vertices as S^-1 (v - g), with g the centroid and S S^T the
+    scatter of the vertices about it, so that their scatter is the
+    identity; returns (vertices, S, g).
+
+    The vertices of an affine image T P come out as those of P under an
+    orthogonal map, so an affine invariant solve in this frame does not see
+    how T is conditioned.
+    """
+    g = P.centroid
+    Y = P.vertices - g
+    S = np.linalg.cholesky(Y.T @ Y / len(Y))
+    return np.linalg.solve(S, Y.T).T, S, g
+
+
 # ---------------------------------------------------------------------------
 # Inscribed (John) side: variables (cx, cy, l11, l12, l22), constraints per edge
 # <a_i, c> + |L a_i| <= b_i.
 
 
-def _john_theta(P: Polygon):
+def _john_problem(P: Polygon):
     verts, d, g = _normalize(P)
     Q = Polygon(verts)
     A, b = edge_normals(Q)
-    # slacks, jac and hess all read w = A L and its row norms; the barrier
-    # asks for them at the same theta (the accepted line-search candidate),
-    # so they are computed once per theta
-    last = {"theta": None}
-
-    def rows(theta):
-        if last["theta"] is None or not np.array_equal(last["theta"], theta):
-            w = A @ _sym(theta[2:])
-            last.update(theta=theta.copy(), w=w, wl=np.linalg.norm(w, axis=1))
-        return last["w"], last["wl"]
+    n = len(b)
+    # w_i = L a_i = B_i l with B_i = [[a0, a1, 0], [0, a0, a1]] (see
+    # _sum_btcb); NB holds -B_i
+    NB = np.zeros((n, 2, 3))
+    NB[:, 0, :2] = NB[:, 1, 1:] = -A
+    J = np.empty((n, 5))
+    J[:, :2] = -A
+    Hs = np.zeros((5, 5))
 
     def slacks(theta):
-        return b - A @ theta[:2] - rows(theta)[1]
+        # one product gives a_i.c, w_i and w_i turned by 90 degrees
+        cx, cy, l11, l12, l22 = theta.tolist()
+        W = A @ np.array([[cx, l11, l12, -l12, l11], [cy, l12, l22, -l22, l12]])
+        wl = np.hypot(W[:, 1], W[:, 2])
+        return b - W[:, 0] - wl, (W, wl)
 
-    def jac(theta):
-        w, wl = rows(theta)
-        wn = w / wl[:, None]
-        dl = np.column_stack([
-            -wn[:, 0] * A[:, 0],
-            -(wn[:, 0] * A[:, 1] + wn[:, 1] * A[:, 0]),
-            -wn[:, 1] * A[:, 1],
-        ])
-        return np.hstack([-A, dl])
-
-    def hess(theta, wts):
-        # w = L a is linear in (l11, l12, l22), and in 2D the Hessian of |w|
-        # over w is tau tau^T / |w|, with tau the unit w turned by 90 degrees;
-        # so the Hessian of s = ... - |w| is -q q^T / |w|, with q = dw^T tau
-        w, wl = rows(theta)
-        t1, t2 = -w[:, 1] / wl, w[:, 0] / wl
-        q = np.column_stack([A[:, 0] * t1, A[:, 1] * t1 + A[:, 0] * t2, A[:, 1] * t2])
-        out = np.zeros((5, 5))
-        out[2:, 2:] = -(q.T * (wts / wl)) @ q
-        return out
+    def terms(theta, aux, wts):
+        # with nu the unit w_i and tau = (-nu1, nu0), grad s_i is
+        # -(a_i, B_i^T nu); and in 2D the Hessian of |w| over w is
+        # tau tau^T / |w|, so hess s_i = -q q^T / |w_i| with q = B_i^T tau
+        W, wl = aux
+        V = (W[:, 1:] / wl[:, None]).reshape(n, 2, 2) @ NB
+        J[:, 2:] = V[:, 0]
+        q = V[:, 1]
+        Hs[2:, 2:] = -(q.T * (wts / wl)) @ q
+        return J, Hs
 
     c0 = Q.centroid
     r0 = 0.45 * interior_margin(Q, c0)
     if r0 <= 0.0:
         raise ConvergenceFailure("center not interior")
     theta0 = np.array([c0[0], c0[1], r0, 0.0, r0])
-    return theta0, slacks, jac, hess, slice(2, 5), len(b), d, g
+    return theta0, slacks, terms, slice(2, 5), n, d, g
 
 
 def john_ellipse(P: Polygon) -> Ellipse:
     """Maximum-area ellipse inscribed in the polygon."""
-    theta0, slacks, jac, hess, ss, m, d, g = _john_theta(P)
-    theta, steps, gap = _barrier_maxlogdet(theta0, slacks, jac, hess, ss, m)
+    theta0, slacks, terms, ss, m, d, g = _john_problem(P)
+    theta, steps, gap = _barrier_maxlogdet(theta0, slacks, terms, ss, m)
     c = g + d * theta[:2]
     L = d * _sym(theta[2:])
     return Ellipse(c, _spd_factor(L @ L.T), iterations=steps, residual=gap)
@@ -367,70 +376,79 @@ def max_centered_area(P: Polygon, x) -> float:
 # vertex (v_i - c)^T M (v_i - c) <= 1; area is pi / sqrt(det M).
 
 
-def _loewner_theta(P: Polygon, center=None):
-    verts, d, g = _normalize(P)
-    fixed = None
-    if center is not None:
-        fixed = (np.asarray(center, dtype=float) - g) / d
+# y[:, _YY[0]] * y[:, _YY[1]] is (y0^2, y0 y1, y1^2), and times _YY[2] it
+# is the shape part of the Jacobian of the Loewner slack 1 - y^T M y
+_YY = (np.array([0, 0, 1]), np.array([0, 1, 1]), np.array([-1.0, -2.0, -1.0]))
 
-    def parts(theta):
-        return (theta[:2], theta[2:]) if fixed is None else (fixed, theta)
 
-    def slacks(theta):
-        c, m3 = parts(theta)
-        y = verts - c
-        return 1.0 - ((y @ _sym(m3)) * y).sum(axis=1)
+def _loewner_problem(P: Polygon, center=None):
+    # in the frame of _whiten: at a similarity's scale, the barrier's
+    # centring error grew with the body's conditioning, up to 3e-4 of the
+    # diameter in the equivariance of the center under maps of condition 1e3
+    verts, S, g = _whiten(P)
+    n = len(verts)
+    if center is None:
+        J = np.empty((n, 5))
+        Hs = np.zeros((5, 5))
 
-    def jac(theta):
-        c, m3 = parts(theta)
-        y = verts - c
-        dm = np.column_stack([-y[:, 0] ** 2, -2.0 * y[:, 0] * y[:, 1], -y[:, 1] ** 2])
-        if fixed is None:
-            return np.hstack([2.0 * (y @ _sym(m3)), dm])
-        return dm
+        def slacks(theta):
+            cx, cy, m11, m12, m22 = theta.tolist()
+            y = verts - (cx, cy)
+            z = y @ np.array([[m11, m12], [m12, m22]])
+            return 1.0 - (z * y).sum(axis=1), (y, z)
 
-    def hess(theta, wts):
-        # s is linear in M, its centre block is -2M, and its cross terms
-        # d2s / (dc dm_a) = 2 E_a y are linear in y, so they sum to 2 E_a Y
-        if fixed is not None:
-            return np.zeros((3, 3))
-        y0, y1 = wts @ (verts - theta[:2])
-        out = np.zeros((5, 5))
-        out[:2, :2] = -2.0 * wts.sum() * _sym(theta[2:])
-        out[:2, 2:] = [[2.0 * y0, 2.0 * y1, 0.0], [0.0, 2.0 * y0, 2.0 * y1]]
-        out[2:, :2] = out[:2, 2:].T
-        return out
+        def terms(theta, aux, wts):
+            # s is linear in M, its centre block is -2M, and its cross terms
+            # d2s / (dc dm_a) = 2 E_a y are linear in y, so they sum to 2 E_a Y
+            y, z = aux
+            J[:, :2] = 2.0 * z
+            J[:, 2:] = y[:, _YY[0]] * y[:, _YY[1]] * _YY[2]
+            sw = -2.0 * float(wts.sum())
+            y0, y1 = (2.0 * (wts @ y)).tolist()
+            _, _, m11, m12, m22 = theta.tolist()
+            Hs[:2] = ((sw * m11, sw * m12, y0, y1, 0.0),
+                      (sw * m12, sw * m22, 0.0, y0, y1))
+            Hs[2:, :2] = Hs[:2, 2:].T
+            return J, Hs
+
+        c0 = np.zeros(2)
+    else:
+        # at a fixed center c0, s = 1 - y^T M y is linear in (m11, m12, m22)
+        c0 = np.linalg.solve(S, np.asarray(center, dtype=float) - g)
+        y = verts - c0
+        J = y[:, _YY[0]] * y[:, _YY[1]] * _YY[2]
+        Hs = np.zeros((3, 3))
+
+        def slacks(theta):
+            return 1.0 + J @ theta, None
+
+        def terms(theta, aux, wts):
+            return J, Hs
 
     # a disk twice the circumradius about c0: every slack is >= 3/4
-    c0 = fixed if fixed is not None else np.zeros(2)
     R = float(np.linalg.norm(verts - c0, axis=1).max())
     m0 = 1.0 / (2.0 * R) ** 2
-    if fixed is None:
-        theta0 = np.array([c0[0], c0[1], m0, 0.0, m0])
-        shape_slice = slice(2, 5)
-    else:
-        theta0 = np.array([m0, 0.0, m0])
-        shape_slice = slice(0, 3)
-    return theta0, slacks, jac, hess, shape_slice, len(verts), d, g
+    if center is None:
+        return np.array([0.0, 0.0, m0, 0.0, m0]), slacks, terms, slice(2, 5), n, S, g
+    return np.array([m0, 0.0, m0]), slacks, terms, slice(0, 3), n, S, g
 
 
 def loewner_ellipse(P: Polygon) -> Ellipse:
     """Minimum-area ellipse enclosing the polygon."""
-    theta0, slacks, jac, hess, ss, m, d, g = _loewner_theta(P)
-    theta, steps, gap = _barrier_maxlogdet(theta0, slacks, jac, hess, ss, m)
-    c = g + d * theta[:2]
-    M = _sym(theta[2:])
-    L = d * np.linalg.inv(_spd_factor(M))
-    return Ellipse(c, L, iterations=steps, residual=gap)
+    theta0, slacks, terms, ss, m, S, g = _loewner_problem(P)
+    theta, steps, gap = _barrier_maxlogdet(theta0, slacks, terms, ss, m)
+    # {S y : y^T M y <= 1} has the shape factor of S M^-1 S^T
+    L = _spd_factor(S @ np.linalg.inv(_sym(theta[2:])) @ S.T)
+    return Ellipse(g + S @ theta[:2], L, iterations=steps, residual=gap)
 
 
 def min_centered_inverse_area(P: Polygon, x) -> float:
     """lambda_K(x): inverse area of the smallest ellipse x + E containing P."""
-    theta0, slacks, jac, hess, ss, m, d, g = _loewner_theta(P, center=x)
-    theta, _, _ = _barrier_maxlogdet(theta0, slacks, jac, hess, ss, m)
+    theta0, slacks, terms, ss, m, S, g = _loewner_problem(P, center=x)
+    theta, _, _ = _barrier_maxlogdet(theta0, slacks, terms, ss, m)
     det_m = theta[0] * theta[2] - theta[1] ** 2
-    # area = pi d^2 / sqrt(det M)
-    return math.sqrt(det_m) / (math.pi * d * d)
+    # area = pi |det S| / sqrt(det M)
+    return math.sqrt(det_m) / (math.pi * abs(float(np.linalg.det(S))))
 
 
 # ---------------------------------------------------------------------------

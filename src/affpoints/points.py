@@ -40,6 +40,8 @@ class PointFunction:
     proper: bool = True
 
     def __post_init__(self) -> None:
+        # a tuple, so that the point can key eval_point's memo
+        object.__setattr__(self, "params", tuple(self.params))
         if self.id not in POINT_IDS:
             raise BadParams(f"unknown point id {self.id!r}")
         if self.id == "capfamily":
@@ -55,6 +57,23 @@ class PointResult:
 
 
 def eval_point(pf: PointFunction, P: Polygon) -> PointResult:
+    """The point ``pf`` of P, solved once per polygon object.
+
+    The result is kept on P, keyed by ``pf``, as ``Polygon.diameter`` is
+    (P's vertices are read-only), so a second call with an equal ``pf``
+    returns the same object.  Its ``value`` is read-only, so no caller can
+    change what a later call returns.
+    """
+    memo = P.__dict__.setdefault("_points", {})
+    res = memo.get(pf)
+    if res is None:
+        res = _solve_point(pf, P)
+        res.value.setflags(write=False)
+        memo[pf] = res
+    return res
+
+
+def _solve_point(pf: PointFunction, P: Polygon) -> PointResult:
     if pf.id == "centroid":
         return PointResult(P.centroid)
     if pf.id == "santalo":
@@ -194,20 +213,32 @@ def _overlap_model(Q: Polygon):
     return f, lines
 
 
-def _newton_ascent(f, x: np.ndarray):
+def _newton_ascent(f, x: np.ndarray, lines=()):
     """Damped Newton ascent of log A from x, with a central-difference
     Jacobian of the exact gradient; f(x) returns (A, grad A).
 
     Returns (x, steps, |grad A|, converged).  A step is taken only if it
     raises A, except a step shorter than 1e-7: A cannot resolve it, and
     the quadratic model is trusted there.  It has converged once the
-    Newton step is below 1e-12, which it then takes.
+    Newton step is below 1e-12, which it then takes.  It gives up once its
+    iterate has crossed one of the midlines (u, c, ...) of ``lines`` twice:
+    A has a kink there, which the quadratic model does not see, so Newton
+    zigzags across it, and the search along the midline takes over.
     """
     # A is piecewise quadratic, and the stencil must stay in one piece: at
     # h = 1e-6 it straddled pieces on slivers, and Newton stalled there
     h = 1e-8
     a, g = f(x)
+    U = np.array([ln[0] for ln in lines]).reshape(-1, 2)
+    C = np.array([ln[1] for ln in lines])
+    side = U @ x >= C
+    crossed = np.zeros(len(C), dtype=int)
     for it in range(40):
+        now = U @ x >= C
+        crossed += now != side
+        side = now
+        if crossed.max(initial=0) >= 2:
+            return x, it, float(np.linalg.norm(g)), False
         if not g.any():
             return x, it, 0.0, True
         H = np.column_stack([f(x + e)[1] - f(x - e)[1]
@@ -286,7 +317,7 @@ def symcore_point(P: Polygon) -> PointResult:
     Q = Polygon((P.vertices - g) / d)
     f, lines = _overlap_model(Q)
 
-    x, steps, res, converged = _newton_ascent(f, np.zeros(2))
+    x, steps, res, converged = _newton_ascent(f, np.zeros(2), lines)
     cands = [(f(x)[0], x, res)] if converged else []
     for u, c, lo, hi in lines:
         t = np.array([-u[1], u[0]])

@@ -235,22 +235,24 @@ def canonicalize(points) -> Polygon:
     keep every vertex in the same order: the result is the chain's to the
     bit.  Any other input goes through the monotone chain, and then loses
     each vertex that fails the keep test.  The keep test's floor is
-    EPS_GEOM of the extent of the points.
+    EPS_GEOM of the extent of the points, and a hull whose area is at most
+    EPS_AREA times the squared extent is degenerate.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) < 3:
         raise DegenerateInput("need at least 3 points")
     if not np.isfinite(pts).all():
         raise DegenerateInput("coordinates must be finite")
-    scale = max(float(np.abs(pts).max()), 1e-300)
-    # the hull has the extent of pts
-    floor = EPS_GEOM * float(np.ptp(pts, axis=0).max())
+    # the hull has the extent of pts; the keep and degeneracy tests are
+    # relative to it, so neither depends on where the points lie
+    extent = float(np.ptp(pts, axis=0).max())
+    floor = EPS_GEOM * extent
     hull = _convex_cycle(pts, floor)
     if hull is None:
         hull = _convex_hull(pts)
         if len(hull) >= 3:
             hull = _drop_collinear(hull, floor)
-    if len(hull) < 3 or abs(kernels.area_centroid(hull)[0]) <= EPS_AREA * scale * scale:
+    if len(hull) < 3 or abs(kernels.area_centroid(hull)[0]) <= EPS_AREA * extent * extent:
         raise DegenerateInput("points are collinear or coincident")
     start = int(np.lexsort((hull[:, 1], hull[:, 0]))[0])
     return Polygon(np.roll(hull, -start, axis=0))

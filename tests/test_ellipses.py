@@ -4,13 +4,16 @@ import pytest
 from affpoints.bodies import random_body, random_map
 from affpoints.duality import random_polygons
 from affpoints.ellipses import (
+    BARRIER_GAP,
     Ellipse,
     _barrier_maxlogdet,
     _centered_john,
-    _john_theta,
+    _john_problem,
     _normalize,
+    _spd_factor,
     _sum_btcb,
-    _loewner_theta,
+    _sym,
+    _loewner_problem,
     _nnls,
     john_ellipse,
     loewner_ellipse,
@@ -19,7 +22,14 @@ from affpoints.ellipses import (
     verify_john_conditions,
 )
 from affpoints.errors import CertificationFailure, NoContacts
-from affpoints.polygons import Polygon, affine_apply, canonicalize, edge_normals
+from affpoints.polygons import (
+    AffineMap,
+    Polygon,
+    affine_apply,
+    canonicalize,
+    edge_normals,
+    polar_about,
+)
 from conftest import random_bodies
 
 
@@ -71,6 +81,21 @@ class TestLoewner:
             Minv = np.linalg.inv(E.shape)
             y = (P.vertices - E.center) @ Minv.T
             assert np.linalg.norm(y, axis=1).max() <= 1.0 + 1e-9
+
+    def test_equivariance_under_ill_conditioned_maps(self):
+        # maps of condition 1e3: solved at a similarity's scale, the center
+        # was off by up to 3e-4 of the diameter here
+        rng = np.random.default_rng(63)
+        for P in random_bodies(12, 64, affine=False):
+            t1, t2 = rng.uniform(0.0, 2.0 * np.pi, 2)
+            R1 = np.array([[np.cos(t1), -np.sin(t1)], [np.sin(t1), np.cos(t1)]])
+            R2 = np.array([[np.cos(t2), -np.sin(t2)], [np.sin(t2), np.cos(t2)]])
+            T = AffineMap(R1 @ np.diag([1.0, 1e-3]) @ R2, rng.normal(size=2))
+            Q = affine_apply(T, P)
+            E1, E2 = loewner_ellipse(Q), loewner_ellipse(P).affine_image(T)
+            assert np.linalg.norm(E1.center - E2.center) <= 1e-10 * Q.diameter
+            assert np.abs(E1.shape @ E1.shape.T - E2.shape @ E2.shape.T).max() \
+                <= 1e-10 * Q.diameter ** 2
 
     def test_certified_on_stream_bodies(self):
         for seed in (1, 7, 11):
@@ -139,8 +164,8 @@ class TestCenteredFields:
         # oracle
         for P in random_polygons(100, 5):
             x = P.centroid
-            theta0, slacks, jac, hess, ss, n, d, _ = _john_setup(P, center=x)
-            l, _, _ = _barrier_maxlogdet(theta0, slacks, jac, hess, ss, n)
+            theta0, slacks, terms, ss, n, d, _ = _john_setup(P, center=x)
+            l, _, _ = _barrier_maxlogdet(theta0, slacks, terms, ss, n)
             expect = np.pi * (l[0] * l[2] - l[1] ** 2) * d * d
             assert abs(max_centered_area(P, x) - expect) <= 1e-12 * expect
 
@@ -236,41 +261,36 @@ class TestNNLS:
 
 
 def _john_setup(P, center=None):
-    """``_john_theta`` for a free center.  For a fixed one, the constraints
+    """``_john_problem`` for a free center.  For a fixed one, the constraints
     s_i = b_i - a_i.x - |L a_i| of ``_centered_john`` over l = (l11, l12,
     l22), with their Jacobian, and their Hessians summed by its
     ``_sum_btcb``: hess s_i = -B_i^T tau tau^T B_i / |L a_i|, tau the unit
     L a_i turned by 90 degrees."""
     if center is None:
-        return _john_theta(P)
+        return _john_problem(P)
     verts, d, g = _normalize(P)
     A, b = edge_normals(Polygon(verts))
     r = b - A @ ((np.asarray(center) - g) / d)
     aa = np.array([A[:, 0] ** 2, A[:, 0] * A[:, 1], A[:, 1] ** 2])
 
-    def unit_w(l):
+    def slacks(l):
         w = A @ np.array([[l[0], l[1]], [l[1], l[2]]])
         wl = np.linalg.norm(w, axis=1)
-        return w[:, 0] / wl, w[:, 1] / wl, wl
+        return r - wl, (w[:, 0] / wl, w[:, 1] / wl, wl)
 
-    def jac(l):
-        n0, n1, _ = unit_w(l)
-        return -np.column_stack([n0 * A[:, 0], n0 * A[:, 1] + n1 * A[:, 0], n1 * A[:, 1]])
-
-    def hess(l, wts):
-        n0, n1, wl = unit_w(l)
+    def terms(l, aux, wts):
+        n0, n1, wl = aux
+        jac = -np.column_stack([n0 * A[:, 0], n0 * A[:, 1] + n1 * A[:, 0], n1 * A[:, 1]])
         c = -wts / wl
-        return _sum_btcb(aa, (c * n1 * n1)[None], (-c * n0 * n1)[None], (c * n0 * n0)[None])[0]
-
-    def slacks(l):
-        return r - unit_w(l)[2]
+        hess = _sum_btcb(aa, (c * n1 * n1)[None], (-c * n0 * n1)[None], (c * n0 * n0)[None])[0]
+        return jac, hess
 
     r0 = 0.45 * r.min()
-    return np.array([r0, 0.0, r0]), slacks, jac, hess, slice(0, 3), len(b), d, g
+    return np.array([r0, 0.0, r0]), slacks, terms, slice(0, 3), len(b), d, g
 
 
 class TestSlackHessians:
-    @pytest.mark.parametrize("setup", [_john_setup, _loewner_theta],
+    @pytest.mark.parametrize("setup", [_john_setup, _loewner_problem],
                              ids=["john", "loewner"])
     @pytest.mark.parametrize("fixed", [False, True], ids=["free", "fixed"])
     def test_matches_jacobian_differences(self, setup, fixed):
@@ -281,11 +301,148 @@ class TestSlackHessians:
         for P in random_bodies(8, 60):
             center = P.centroid + 0.05 * P.diameter * rng.normal(size=2) \
                 if fixed else None
-            theta0, _, jac, hess, *_ = setup(P, center=center)
+            theta0, slacks, terms, *_ = setup(P, center=center)
+
+            def jac(theta):
+                # the problem's buffers are overwritten by its next call
+                s, aux = slacks(theta)
+                return terms(theta, aux, np.ones_like(s))[0].copy()
+
             theta = theta0 + 0.1 * np.abs(theta0).max() * rng.normal(size=len(theta0))
             wts = rng.uniform(0.5, 2.0, size=len(jac(theta)))
-            H = hess(theta, wts)
+            H = terms(theta, slacks(theta)[1], wts)[1].copy()
             fd = np.column_stack([wts @ (jac(theta + e) - jac(theta - e))
                                   for e in np.eye(len(theta)) * h]) / (2.0 * h)
             assert np.abs(H - H.T).max() <= 1e-14 * np.abs(H).max()
             assert np.abs(H - fd).max() <= 1e-6 * max(np.abs(H).max(), 1.0)
+
+
+# The barrier path as it stood before the lean step: a generic driver over
+# separate slack, Jacobian and Hessian-sum closures, with the log-det terms
+# as arrays, and both problems at the diameter's scale.  It is kept as the
+# oracle of the lean driver and problems, and of the Loewner solve in the
+# whitened frame.
+
+def _oracle_barrier(theta0, slack_fn, slack_jac, slack_hess, ss, n_con):
+    def logdet(t3):
+        return np.log(t3[0] * t3[2] - t3[1] ** 2)
+
+    def is_pd(t3):
+        return t3[0] > 0.0 and t3[0] * t3[2] - t3[1] ** 2 > 0.0
+
+    theta = np.asarray(theta0, dtype=float).copy()
+    s = slack_fn(theta)
+    log_s = float(np.log(s).sum())
+    M = np.array([[0.0, 0.0, 1.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
+    t = 1.0
+    while True:
+        for _ in range(60):
+            l3 = theta[ss]
+            det = l3[0] * l3[2] - l3[1] ** 2
+            v = np.array([l3[2], -2.0 * l3[1], l3[0]])
+            Js = slack_jac(theta) / s[:, None]
+            g = -Js.sum(axis=0)
+            g[ss] -= t * v / det
+            H = Js.T @ Js - slack_hess(theta, 1.0 / s)
+            H[ss, ss] -= t * (M / det - np.outer(v, v) / det**2)
+            try:
+                step = np.linalg.solve(H, -g)
+            except np.linalg.LinAlgError:
+                step = -g
+            lam2 = float(-g @ step)
+            if not np.all(np.isfinite(step)) or lam2 <= 2.0 * t * 1e-13:
+                break
+            base = -t * logdet(l3) - log_s
+            alpha = 1.0
+            while alpha > 1e-14:
+                cand = theta + alpha * step
+                if is_pd(cand[ss]):
+                    sc = slack_fn(cand)
+                    if np.all(sc > 0.0):
+                        lc = float(np.log(sc).sum())
+                        if -t * logdet(cand[ss]) - lc < base:
+                            theta, s, log_s = cand, sc, lc
+                            break
+                alpha *= 0.5
+            else:
+                break
+        if n_con / t < BARRIER_GAP:
+            return theta
+        t *= 10.0
+
+
+def _oracle_john(P):
+    verts, d, g = _normalize(P)
+    Q = Polygon(verts)
+    A, b = edge_normals(Q)
+
+    def slacks(theta):
+        return b - A @ theta[:2] - np.linalg.norm(A @ _sym(theta[2:]), axis=1)
+
+    def jac(theta):
+        w = A @ _sym(theta[2:])
+        wn = w / np.linalg.norm(w, axis=1)[:, None]
+        return np.hstack([-A, -np.column_stack([
+            wn[:, 0] * A[:, 0], wn[:, 0] * A[:, 1] + wn[:, 1] * A[:, 0], wn[:, 1] * A[:, 1]])])
+
+    def hess(theta, wts):
+        w = A @ _sym(theta[2:])
+        wl = np.linalg.norm(w, axis=1)
+        t1, t2 = -w[:, 1] / wl, w[:, 0] / wl
+        q = np.column_stack([A[:, 0] * t1, A[:, 1] * t1 + A[:, 0] * t2, A[:, 1] * t2])
+        out = np.zeros((5, 5))
+        out[2:, 2:] = -(q.T * (wts / wl)) @ q
+        return out
+
+    c0 = Q.centroid
+    r0 = 0.45 * min(b - A @ c0)
+    theta = _oracle_barrier([c0[0], c0[1], r0, 0.0, r0], slacks, jac, hess,
+                            slice(2, 5), len(b))
+    L = d * _sym(theta[2:])
+    return g + d * theta[:2], _spd_factor(L @ L.T)
+
+
+def _oracle_loewner(P):
+    verts, d, g = _normalize(P)
+
+    def slacks(theta):
+        y = verts - theta[:2]
+        return 1.0 - ((y @ _sym(theta[2:])) * y).sum(axis=1)
+
+    def jac(theta):
+        y = verts - theta[:2]
+        dm = np.column_stack([-y[:, 0] ** 2, -2.0 * y[:, 0] * y[:, 1], -y[:, 1] ** 2])
+        return np.hstack([2.0 * (y @ _sym(theta[2:])), dm])
+
+    def hess(theta, wts):
+        y0, y1 = wts @ (verts - theta[:2])
+        out = np.zeros((5, 5))
+        out[:2, :2] = -2.0 * wts.sum() * _sym(theta[2:])
+        out[:2, 2:] = [[2.0 * y0, 2.0 * y1, 0.0], [0.0, 2.0 * y0, 2.0 * y1]]
+        out[2:, :2] = out[:2, 2:].T
+        return out
+
+    m0 = 1.0 / (2.0 * np.linalg.norm(verts, axis=1).max()) ** 2
+    theta = _oracle_barrier([0.0, 0.0, m0, 0.0, m0], slacks, jac, hess,
+                            slice(2, 5), len(verts))
+    return g + d * theta[:2], d * np.linalg.inv(_spd_factor(_sym(theta[2:])))
+
+
+def _oracle_bodies():
+    stream = list(random_polygons(300, 71))
+    return stream + [polar_about(P, P.centroid) for P in stream[:100]]
+
+
+class TestLeanBarrier:
+    @pytest.mark.parametrize("solve, oracle, tol", [
+        (john_ellipse, _oracle_john, 1e-12),
+        (loewner_ellipse, _oracle_loewner, 1e-9),
+    ], ids=["john", "loewner"])
+    def test_matches_oracle(self, solve, oracle, tol):
+        # the lean step against the barrier path it replaced, on 300
+        # stream bodies and the polars of 100 of them
+        for P in _oracle_bodies():
+            E = solve(P)
+            c, S = oracle(P)
+            assert np.linalg.norm(E.center - c) <= tol * P.diameter
+            assert np.abs(E.shape - S).max() <= tol * P.diameter

@@ -5,6 +5,7 @@ from affpoints.bodies import b_eta, parse_spec, random_body, random_map
 from affpoints.errors import BadParams
 from affpoints.points import (
     PointFunction,
+    _newton_ascent,
     _overlap_model,
     cap_point,
     caps,
@@ -53,6 +54,47 @@ def test_bad_point_function():
         PointFunction("frobnicate")
     with pytest.raises(BadParams):
         PointFunction("capfamily", (0.1,))
+
+
+class TestMemo:
+    def test_second_call_is_the_cached_result(self):
+        P = random_body(9, 81)
+        for pid in ALL_IDS:
+            pf = PointFunction(pid)
+            assert eval_point(pf, P) is eval_point(PointFunction(pid), P)
+
+    def test_value_is_read_only(self):
+        P = random_body(9, 82)
+        for pid in ALL_IDS:
+            res = eval_point(PointFunction(pid), P)
+            assert not res.value.flags.writeable
+            with pytest.raises(ValueError):
+                res.value[0] = 0.0
+
+    def test_cap_params_are_not_conflated(self):
+        P = random_body(9, 83)
+        values = []
+        for eps, delta in ((0.01, 0.005), (0.02, 0.005), (0.01, 0.01)):
+            res = eval_point(PointFunction("capfamily", (eps, delta)), P)
+            assert np.array_equal(res.value, cap_point(P, eps, delta))
+            values.append(tuple(res.value))
+        assert len(set(values)) == 3
+        # params given as a list key the same entry as the tuple
+        pf = PointFunction("capfamily", [0.02, 0.005])
+        assert eval_point(pf, P) is eval_point(PointFunction("capfamily", (0.02, 0.005)), P)
+
+    def test_cached_equals_fresh(self):
+        for P in random_bodies(4, 84):
+            for pf in [PointFunction(pid) for pid in ALL_IDS] + \
+                    [PointFunction("capfamily", (0.1, 0.05))]:
+                first = eval_point(pf, P)
+                again = eval_point(pf, P)
+                fresh = eval_point(pf, Polygon(P.vertices.copy()))
+                assert fresh is not again
+                assert np.array_equal(again.value, fresh.value)
+                assert (again.iterations, again.residual) == \
+                    (fresh.iterations, fresh.residual)
+                assert again is first
 
 
 class TestSantalo:
@@ -161,6 +203,23 @@ class TestSymcoreOnMidlines:
             Q = affine_apply(T, P)
             dev = np.linalg.norm(symcore_point(Q).value - T(m))
             assert dev <= 1e-10 * Q.diameter
+
+    def test_newton_phase_hands_over_at_the_kink(self, spec):
+        # Newton zigzags across the kink of a midline; it stops once it has
+        # crossed one twice (it ran all 40 of its steps here), and the
+        # midline search finds the maximizer, so no step raises A
+        P = parse_spec(spec)
+        Q = Polygon((P.vertices - P.centroid) / P.diameter)
+        f, lines = _overlap_model(Q)
+        _, steps, _, _ = _newton_ascent(f, np.zeros(2), lines)
+        assert steps <= 8
+        m = symcore_point(P)
+        if spec.startswith("kab"):
+            assert m.iterations <= 10
+        top = overlap_area(P, m.value)
+        for t in np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False):
+            x = m.value + 1e-6 * P.diameter * np.array([np.cos(t), np.sin(t)])
+            assert overlap_area(P, x) <= top
 
     def test_rescaling(self, spec):
         P = parse_spec(spec)

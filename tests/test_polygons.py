@@ -65,6 +65,16 @@ class TestCanonicalize:
         with pytest.raises(DegenerateInput):
             canonicalize([(0, 0), (1, 1), (2, 2)])
 
+    def test_far_from_the_origin(self):
+        # the degeneracy test is relative to the extent of the points, not
+        # to their largest coordinate
+        P = random_body(8, 3, affine=False)
+        for off in (1e4, 1e5, 1e6, 1e7):
+            shifted = P.vertices + off
+            assert np.array_equal(canonicalize(shifted).vertices, shifted)
+            with pytest.raises(DegenerateInput):
+                canonicalize(off + np.array([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]))
+
     def test_keeps_vertices_of_a_squashed_limacon(self):
         # the fifth map has singular values 0.59 and 0.0124; an absolute
         # collinearity tolerance kept 515 of the 1024 vertices here

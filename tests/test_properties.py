@@ -1,0 +1,59 @@
+"""Property tests: affine equivariance of the john and loewner points.
+
+The spec of an affine invariant point is p(T K) = T p(K) for every
+nonsingular affine T.  Hypothesis draws the body, the scale (1e-8 to 1e8),
+the conditioning of T (up to 1e3) and a placement, and the point of the
+image must be the image of the point, to a tolerance relative to the
+image's diameter.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from affpoints.bodies import random_body
+from affpoints.points import PointFunction, eval_point
+from affpoints.polygons import AffineMap, affine_apply
+
+TOL = 1e-8
+
+
+def _rotation(t):
+    return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+
+@st.composite
+def bodies_and_maps(draw):
+    k = draw(st.integers(4, 14))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = 10.0 ** draw(st.floats(-8.0, 8.0))
+    cond = 10.0 ** draw(st.floats(0.0, 3.0))
+    t1, t2 = (draw(st.floats(0.0, 2.0 * math.pi)) for _ in range(2))
+    shift = [draw(st.floats(-10.0, 10.0)) for _ in range(2)]
+    # T = R1 diag(scale, scale / cond) R2, placed within ten scales of 0
+    M = _rotation(t1) @ np.diag([scale, scale / cond]) @ _rotation(t2)
+    return random_body(k, seed, affine=False), AffineMap(M, scale * np.array(shift))
+
+
+PROPERTY = settings(max_examples=30, derandomize=True, deadline=None)
+
+
+@PROPERTY
+@given(bodies_and_maps())
+def test_john_point_is_affine_equivariant(case):
+    P, T = case
+    Q = affine_apply(T, P)
+    pf = PointFunction("john")
+    dev = np.linalg.norm(eval_point(pf, Q).value - T(eval_point(pf, P).value))
+    assert dev <= TOL * Q.diameter
+
+
+@PROPERTY
+@given(bodies_and_maps())
+def test_loewner_point_is_affine_equivariant(case):
+    P, T = case
+    Q = affine_apply(T, P)
+    pf = PointFunction("loewner")
+    dev = np.linalg.norm(eval_point(pf, Q).value - T(eval_point(pf, P).value))
+    assert dev <= TOL * Q.diameter
