@@ -11,18 +11,20 @@ import numpy as np
 
 
 def area_centroid(verts: np.ndarray) -> tuple[float, float, float]:
-    """Shoelace area and centroid.  Returns (area, cx, cy)."""
-    x = verts[:, 0]
-    y = verts[:, 1]
-    xn = np.roll(x, -1)
-    yn = np.roll(y, -1)
+    """Shoelace area and centroid, summed about the centre of the bounding
+    box: the rounding does not grow with the distance from the origin, and
+    a body symmetric about an axis stays so.  Returns (area, cx, cy)."""
+    w = np.ascontiguousarray(verts.T)
+    o = 0.5 * (w.min(axis=1) + w.max(axis=1))
+    v = w - o[:, None]
+    (x, y), (xn, yn) = v, np.concatenate((v[:, 1:], v[:, :1]), axis=1)
     cross = x * yn - xn * y
     area = 0.5 * float(cross.sum())
     if area == 0.0:
         return 0.0, 0.0, 0.0
     cx = float(((x + xn) * cross).sum()) / (6.0 * area)
     cy = float(((y + yn) * cross).sum()) / (6.0 * area)
-    return area, cx, cy
+    return area, float(o[0]) + cx, float(o[1]) + cy
 
 
 def support(verts: np.ndarray, ux: float, uy: float) -> float:
@@ -67,14 +69,6 @@ def clip_halfplane(verts: np.ndarray, nx: float, ny: float, off: float) -> np.nd
     if len(out) < 3:
         return np.empty((0, 2))
     return np.asarray(out)
-
-
-def cap_area(verts: np.ndarray, nx: float, ny: float, off: float) -> float:
-    """Area of {x : <n, x> >= off} intersected with the polygon."""
-    cap = clip_halfplane(verts, -nx, -ny, -off)
-    if len(cap) == 0:
-        return 0.0
-    return area_centroid(cap)[0]
 
 
 def polar_vertices(verts: np.ndarray, zx: float, zy: float) -> np.ndarray:

@@ -197,6 +197,13 @@ def _keep_bound(e: np.ndarray, floor: float) -> np.ndarray:
 
 
 def _drop_collinear(verts: np.ndarray, floor: float) -> np.ndarray:
+    # a clip through a vertex leaves an edge a few ulps long, and both its
+    # ends would fail the turn test: first merge each vertex that lies
+    # within the floor of its predecessor into it
+    e, _ = _turns(verts)
+    near = np.hypot(e[:, 0], e[:, 1]) <= floor
+    if len(verts) - near.sum() >= 3:
+        verts = verts[~np.roll(near, 1)]
     e, cross = _turns(verts)
     keep = cross > _keep_bound(e, floor)
     return verts[keep] if keep.sum() >= 3 else verts
@@ -233,8 +240,9 @@ def canonicalize(points) -> Polygon:
     it passes the keep test, whose bound lies some 1e5 times above the
     rounding of the monotone chain's cross products, so the chain would
     keep every vertex in the same order: the result is the chain's to the
-    bit.  Any other input goes through the monotone chain, and then loses
-    each vertex that fails the keep test.  The keep test's floor is
+    bit.  Any other input goes through the monotone chain; then each vertex
+    within the floor of its predecessor merges into it, and each vertex
+    that fails the keep test is dropped.  The keep test's floor is
     EPS_GEOM of the extent of the points, and a hull whose area is at most
     EPS_AREA times the squared extent is degenerate.
     """

@@ -3,12 +3,12 @@
 Floating body (chord cuts of fixed relative area), illumination body
 (sublevel set of the added-hull area), and the sublevel regions of the
 Santalo, John, and symmetric-core objective functions.  Every map returns
-a polygon built from m directions or rays; errors scale like O(1/m).  The
-last three find their ray crossings with one batched root-finder: each map
-gives its level function and its slope along the rays, and safeguarded
-Newton runs on all rays at once.  Each crossing is within 1e-10 diam of
-the level set of the field as computed; the John field is solved to a
-barrier gap of 1e-8, so there log f is within 1e-8 of its level.
+a polygon built from m directions or rays; errors scale like O(1/m).  All
+five find their roots with one batched root-finder: each map gives its
+level function and its slope along the rays, and safeguarded Newton runs
+on all rays at once.  Each root is within 1e-10 diam of the level set of
+the field as computed; the John field is solved to a barrier gap of 1e-8,
+so there log f is within 1e-8 of its level.
 """
 
 from __future__ import annotations
@@ -17,15 +17,14 @@ import numpy as np
 
 from . import _polyops_py as kernels
 from .ellipses import _centered_john, _normalize, john_ellipse
-from .errors import BadParams, EmptyResult
+from .errors import BadParams, DegenerateInput, EmptyResult
 from .points import _overlap_model, santalo_point, symcore_point
 from .polygons import Polygon, canonicalize, edge_normals
 
 DEFAULT_RAYS = 256
 # the ray root-finder: ray-vertex pairs per block (a block's (k, n) arrays
 # take 0.5 MB however many rays there are), the step that freezes a ray,
-# relative to the diameter, and the step budget (bisection alone needs
-# about 35)
+# relative to the diameter, and the step budget (bisection needs about 35)
 RAY_BLOCK = 1 << 16
 RAY_TOL = 1e-10
 RAY_STEPS = 100
@@ -39,106 +38,107 @@ def _unit_grid(m: int) -> np.ndarray:
     return np.column_stack([np.cos(t), np.sin(t)])
 
 
-def _ray_exit(P: Polygon, x: np.ndarray, u: np.ndarray) -> float:
-    """Distance from interior x to the boundary along direction u."""
-    normals, offsets = edge_normals(P)
-    num = offsets - normals @ x
-    den = normals @ u
-    mask = den > 1e-14
-    return float(np.min(num[mask] / den[mask]))
-
-
 def floating_body(P: Polygon, delta: float, m: int = DEFAULT_RAYS) -> Polygon:
-    """Intersection over m directions of halfplanes whose chords cut off
-    exactly delta * area(P); an outer approximation of the floating body."""
+    """Intersection of P and the m halfplanes {<u, x> <= beta} whose chords
+    cut off delta * area(P); an outer approximation of the floating body.
+
+    On P moved to centroid 0 and diameter 1, beta is the root on (0, h(u))
+    of delta * area - C, with C the area of the cap {<u, x> >= beta} by
+    Green's formula and the chord length as the slope.  The halfplanes meet
+    in the polar of the hull of the points u / beta and of P's polar.
+    """
     if not 0.0 <= delta < 4.0 / 9.0:
         raise BadParams(f"floating body needs 0 <= delta < 4/9, got {delta}")
     if m < 64:
         raise BadParams("need at least 64 directions")
     if delta == 0.0:
         return P
-    target = delta * P.area
-    tol = 1e-12 * P.diameter
-    verts = P.vertices
-    pv = P.vertices
-    for ux, uy in _unit_grid(m):
-        lo = -kernels.support(pv, -ux, -uy)
-        hi = kernels.support(pv, ux, uy)
-        # cap {<u, x> >= beta} shrinks as beta grows; find the delta-area chord
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if kernels.cap_area(pv, ux, uy, mid) > target:
-                lo = mid
-            else:
-                hi = mid
-        verts = kernels.clip_halfplane(verts, ux, uy, 0.5 * (lo + hi))
-        if len(verts) < 3:
-            raise EmptyResult(f"floating body empty at delta={delta}")
+    verts, d, g = _normalize(P)
+    vx, vy = verts.T
+    ex, ey = (np.roll(verts, -1, axis=0) - verts).T
+    # edge i adds cross(v_i, v_i+1) times its share in the cap
+    cross = vx * ey - vy * ex
+    target = delta * 0.5 * cross.sum()
+
+    def field(X, U):
+        ux, uy = U[:, :1], U[:, 1:]
+        beta = X[:, :1] * ux + X[:, 1:] * uy
+        h = vx * ux + vy * uy - beta
+        inside = h >= 0.0
+        into = np.roll(inside, -1, axis=1)
+        # the chord runs from where the boundary leaves the cap to where it
+        # enters, along -u turned by 90 degrees, and adds -beta * L
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = h / (h - np.roll(h, -1, axis=1))
+            share = np.where(inside, np.where(into, 1.0, t), np.where(into, 1.0 - t, 0.0))
+            s = np.where(inside != into, (vy + t * ey) * ux - (vx + t * ex) * uy, 0.0)
+        L = np.where(inside, s, -s).sum(axis=1)
+        return target - 0.5 * ((cross * share).sum(axis=1) - beta[:, 0] * L), L
+
+    dirs = _unit_grid(m)
+    beta = _ray_crossings(field, np.zeros(2), dirs, len(verts),
+                          lambda U: (vx * U[:, :1] + vy * U[:, 1:]).max(axis=1))
     try:
-        return canonicalize(verts)
-    except Exception as exc:
+        hull = canonicalize(np.vstack([dirs / beta[:, None],
+                                       kernels.polar_vertices(verts, 0.0, 0.0)]))
+        return canonicalize(g + d * kernels.polar_vertices(hull.vertices, 0.0, 0.0))
+    except DegenerateInput as exc:
         raise EmptyResult(f"floating body degenerate at delta={delta}") from exc
 
 
 def illumination_body(P: Polygon, delta: float, m: int = DEFAULT_RAYS) -> Polygon:
-    """Hull of the m ray crossings of |conv(x, P)| = (1 + delta) area(P)."""
-    if delta < 0.0:
-        raise BadParams(f"illumination body needs delta >= 0, got {delta}")
+    """Hull of the ray crossings of |conv(x, P)| = (1 + delta) area(P), on m
+    grid rays and one ray through each vertex from the centroid.
+
+    On P moved to centroid 0 and diameter 1, x adds a triangle of area
+    s_i / 2 over each edge i it sees, s_i = <a_i, x> - b_i > 0, a_i the
+    edge turned by -90 degrees: affine in x while the seen edges stay.
+    """
+    if not 0.0 <= delta < np.inf:
+        raise BadParams(f"illumination body needs a finite delta >= 0, got {delta}")
     if m < 64:
         raise BadParams("need at least 64 rays")
     if delta == 0.0:
         return P
-    g = P.centroid
-    area = P.area
-    target = (1.0 + delta) * area
-    tol = 1e-12 * P.diameter
-    pv = P.vertices
-    nxt = np.roll(pv, -1, axis=0)
-    normals, offsets = edge_normals(P)
+    verts, d, g = _normalize(P)
+    ex, ey = (np.roll(verts, -1, axis=0) - verts).T
+    b = ey * verts[:, 0] - ex * verts[:, 1]
+    target = delta * 0.5 * b.sum()
 
-    def hull_area(x):
-        # area added by an outside apex: triangles over the visible edges
-        vis = normals @ x > offsets
-        tri = 0.5 * ((pv[vis, 0] - x[0]) * (nxt[vis, 1] - x[1])
-                     - (nxt[vis, 0] - x[0]) * (pv[vis, 1] - x[1]))
-        return area + float(np.abs(tri).sum())
+    def field(X, U):
+        s = X[:, :1] * ey - X[:, 1:] * ex - b
+        slope = np.where(s > 0.0, U[:, :1] * ey - U[:, 1:] * ex, 0.0)
+        return 0.5 * np.maximum(s, 0.0).sum(axis=1) - target, 0.5 * slope.sum(axis=1)
 
-    # rays through the vertices guarantee K inside the output hull
-    vdirs = pv - g
-    vdirs /= np.linalg.norm(vdirs, axis=1)[:, None]
-    dirs = np.vstack([_unit_grid(m), vdirs])
-    out = np.empty((len(dirs), 2))
-    for i, u in enumerate(dirs):
-        lo = _ray_exit(P, g, u)
-        hi = lo + P.diameter
-        while hull_area(g + hi * u) < target:
-            hi += P.diameter
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if hull_area(g + mid * u) < target:
-                lo = mid
-            else:
-                hi = mid
-        out[i] = g + 0.5 * (lo + hi) * u
-    return canonicalize(out)
+    def upper(U):
+        # the diameter reaches past the boundary; double it past the root
+        hi = np.ones(len(U))
+        while (low := field(hi[:, None] * U, U)[0] < 0.0).any():
+            hi[low] *= 2.0
+        return hi
+
+    # rays through the vertices keep P inside the output hull
+    dirs = np.vstack([_unit_grid(m), verts / np.hypot(verts[:, :1], verts[:, 1:])])
+    tau = _ray_crossings(field, np.zeros(2), dirs, len(verts), upper)
+    return canonicalize(g + d * (tau[:, None] * dirs))
 
 
 def _ray_roots(field, origin: np.ndarray, dirs: np.ndarray,
-               exits: np.ndarray) -> np.ndarray:
+               upper: np.ndarray) -> np.ndarray:
     """Per-ray roots of a level function, by safeguarded Newton on all rays
     of a block at once.
 
     ``field(X, U)`` gets a (k, 2) batch of points X on rays with unit
     directions U and returns (phi, slope): a level function that is
     negative at ``origin``, increases along each ray and is positive (or
-    inf) at its exit, and its derivative along the ray.  Each ray keeps
-    its own bracket, starting at (0, exit).  A Newton step that leaves the
+    inf) at ``upper``, and its derivative along the ray.  Each ray keeps
+    its own bracket, starting at (0, upper).  A Newton step that leaves the
     bracket, or is more than half the step before, becomes bisection, so
     a ray converges at least as fast as bisection; a ray whose step is
     below RAY_TOL is frozen.  Returns the distance along each ray.
     """
     k = len(dirs)
-    lo, hi = np.zeros(k), exits.copy()
+    lo, hi = np.zeros(k), upper.copy()
     tau = 0.5 * hi
     dx = hi.copy()
     live = np.arange(k)
@@ -161,22 +161,28 @@ def _ray_roots(field, origin: np.ndarray, dirs: np.ndarray,
     return tau
 
 
-def _ray_crossings(Q: Polygon, origin: np.ndarray, m: int, field) -> np.ndarray:
-    """The m ray crossings of ``field``'s level set about ``origin`` in Q
-    (see ``_ray_roots``), over blocks of at most RAY_BLOCK ray-vertex pairs."""
-    dirs = _unit_grid(m)
+def _ray_crossings(field, origin: np.ndarray, dirs: np.ndarray, n: int, upper) -> np.ndarray:
+    """Distances from ``origin`` along the rays ``dirs`` to the roots of
+    ``field`` (see ``_ray_roots``) for a body of n vertices, over blocks of
+    at most RAY_BLOCK ray-vertex pairs; ``upper(U)`` gives the brackets."""
+    rows = max(1, RAY_BLOCK // n)
+    return np.concatenate([_ray_roots(field, origin, U, upper(U))
+                           for U in np.split(dirs, range(rows, len(dirs), rows))])
+
+
+def _region(Q: Polygon, origin: np.ndarray, m: int, field) -> np.ndarray:
+    """The m ray crossings of ``field``'s level set about ``origin`` in Q,
+    each bracketed by the boundary of Q."""
     normals, offsets = edge_normals(Q)
     room = offsets - normals @ origin
-    rows = max(1, RAY_BLOCK // Q.n)
-    out = np.empty((m, 2))
-    for i in range(0, m, rows):
-        U = dirs[i:i + rows]
+
+    def exits(U):
         den = U[:, :1] * normals[:, 0] + U[:, 1:] * normals[:, 1]
         with np.errstate(divide="ignore"):
-            exits = np.where(den > 1e-14, room / den, np.inf).min(axis=1)
-        tau = _ray_roots(field, origin, U, exits)
-        out[i:i + rows] = origin + tau[:, None] * U
-    return out
+            return np.where(den > 1e-14, room / den, np.inf).min(axis=1)
+
+    U = _unit_grid(m)
+    return origin + _ray_crossings(field, origin, U, Q.n, exits)[:, None] * U
 
 
 def santalo_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:
@@ -197,7 +203,7 @@ def santalo_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(V) - log_target, (grad * U).sum(axis=1) / V
 
-    return canonicalize(g + d * _ray_crossings(Q, s, m, field))
+    return canonicalize(g + d * _region(Q, s, m, field))
 
 
 def john_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:
@@ -220,7 +226,7 @@ def john_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:
         with np.errstate(divide="ignore"):
             return log_target - np.log(det), -(grad * U).sum(axis=1)
 
-    return canonicalize(g + d * _ray_crossings(Q, j, m, field))
+    return canonicalize(g + d * _region(Q, j, m, field))
 
 
 def symcore_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:
@@ -249,4 +255,4 @@ def symcore_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:
                 slope[i] = -(grad @ u) / area
         return phi, slope
 
-    return canonicalize(g + d * _ray_crossings(Q, m0, m, field))
+    return canonicalize(g + d * _region(Q, m0, m, field))

@@ -194,6 +194,8 @@ def test_usage_error_exit_2():
      "--rays", "2"],
     ["region", "floating", "--body", "square", "--param", "0.1",
      "--rays", "100000000000"],
+    ["region", "illumination", "--body", "square", "--param", "nan"],
+    ["region", "illumination", "--body", "square", "--param", "inf"],
 ])
 def test_bad_input_exit_2(argv, tmp_path, monkeypatch, capsys):
     from affpoints import cli
@@ -208,3 +210,38 @@ def test_bad_input_exit_2(argv, tmp_path, monkeypatch, capsys):
         cli.main()
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def _readme_examples():
+    import pathlib
+    import re
+    import shlex
+
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S)
+    return [shlex.split(line)[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("affpoints ")]
+
+
+def test_readme_lists_examples():
+    assert len(_readme_examples()) >= 10
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=" ".join)
+def test_readme_examples(argv, tmp_path, monkeypatch, capsys):
+    # each README example exits 0 and prints one JSON document, the same on
+    # a second run; the working directory takes the files they write
+    from affpoints import cli
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["affpoints", *argv])
+    outs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 0
+        outs.append(capsys.readouterr().out)
+    lines = outs[0].splitlines()
+    assert len(lines) == 1
+    json.loads(lines[0])
+    assert outs[0] == outs[1]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from affpoints import _polyops_py as kernels
-from affpoints.bodies import body_kab, ngon, random_body, random_map
+from affpoints.bodies import b_eta, body_kab, ngon, random_body, random_map
 from affpoints.duality import random_polygons
 from affpoints.errors import (
     DegenerateInput,
@@ -74,6 +74,18 @@ class TestCanonicalize:
             assert np.array_equal(canonicalize(shifted).vertices, shifted)
             with pytest.raises(DegenerateInput):
                 canonicalize(off + np.array([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]))
+
+    def test_clip_through_a_vertex_keeps_its_corner(self):
+        # the clip leaves an edge a few ulps long; its ends merge into one
+        # vertex before the turn test, which dropped both and cut off 1.2%
+        rng = np.random.default_rng(54)
+        v = affine_apply(random_map(rng), canonicalize(limacon(256))).vertices
+        u = np.array([0.6, 0.8])
+        clipped = kernels.clip_halfplane(v, *u, float(v[7] @ u) * (1.0 + 2e-16))
+        assert len(clipped) == 161
+        Q = canonicalize(clipped)
+        assert Q.n == 160
+        assert Q.area == pytest.approx(kernels.area_centroid(clipped)[0], rel=1e-14)
 
     def test_keeps_vertices_of_a_squashed_limacon(self):
         # the fifth map has singular values 0.59 and 0.0124; an absolute
@@ -148,6 +160,30 @@ class TestAreaCentroid:
                     (0.5, 0.0))
         _, g = area_centroid(P)
         assert np.allclose(g, (8.0 / 9.0, 0.0), atol=1e-13)
+
+
+    def test_far_from_the_origin(self):
+        # the sums run about the centre of the bounding box, so a move by
+        # 1e7 changes the area only by the rounding of the moved coordinates
+        # (a few 1e-9 apart): the area is that of the same vertices moved
+        # back, whose differences are exact
+        P = random_body(8, 3, affine=False)
+        for off in (1e7, 1e8):
+            moved = Polygon(P.vertices + off)
+            back = Polygon(moved.vertices - off)
+            assert moved.area == pytest.approx(back.area, rel=1e-12)
+            # the centroid, rounded to the spacing of the floats there
+            assert np.allclose(moved.centroid - off, back.centroid, rtol=0,
+                               atol=np.spacing(off))
+            assert canonicalize(moved.vertices).n == P.n
+        assert Polygon(P.vertices + 1e7).area == pytest.approx(P.area, rel=1e-9)
+
+    def test_mirror_symmetric_centroid_on_the_axis(self):
+        # about the bounding-box centre, the terms of mirrored edges cancel
+        # exactly; about the first vertex they did not, and the cap point of
+        # the non-injectivity certificate moved off zero by 3e-13
+        for eta in (0.25, 0.5, 0.7):
+            assert b_eta(eta).centroid[1] == 0.0
 
 
 class TestPolar:

@@ -1,10 +1,13 @@
-"""Property tests: affine equivariance of the john and loewner points.
+"""Property tests: affine equivariance of the john and loewner points, and
+of the floating and illumination bodies.
 
 The spec of an affine invariant point is p(T K) = T p(K) for every
 nonsingular affine T.  Hypothesis draws the body, the scale (1e-8 to 1e8),
 the conditioning of T (up to 1e3) and a placement, and the point of the
 image must be the image of the point, to a tolerance relative to the
-image's diameter.
+image's diameter.  A set mapping on m rays must commute with T to within
+acceptance criterion 8's budget of 2 (2 pi / m) diam, and the floating and
+illumination bodies must sandwich the body.
 """
 
 import math
@@ -14,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from affpoints.bodies import random_body
 from affpoints.points import PointFunction, eval_point
-from affpoints.polygons import AffineMap, affine_apply
+from affpoints.polygons import AffineMap, affine_apply, hausdorff
+from affpoints.regions import floating_body, illumination_body
 
 TOL = 1e-8
 
@@ -57,3 +61,29 @@ def test_loewner_point_is_affine_equivariant(case):
     pf = PointFunction("loewner")
     dev = np.linalg.norm(eval_point(pf, Q).value - T(eval_point(pf, P).value))
     assert dev <= TOL * Q.diameter
+
+
+RAYS = 64
+SET_MAPS = {"floating": lambda B: floating_body(B, 0.05, RAYS),
+            "illumination": lambda B: illumination_body(B, 0.05, RAYS)}
+
+
+@PROPERTY
+@given(bodies_and_maps())
+def test_floating_and_illumination_sandwich_the_body(case):
+    P, T = case
+    Q = affine_apply(T, P)
+    tol = 1e-9 * Q.diameter
+    assert all(Q.contains(v, tol=tol) for v in SET_MAPS["floating"](Q).vertices)
+    I = SET_MAPS["illumination"](Q)
+    assert all(I.contains(v, tol=tol) for v in Q.vertices)
+
+
+@PROPERTY
+@given(bodies_and_maps())
+def test_floating_and_illumination_are_affine_equivariant(case):
+    P, T = case
+    Q = affine_apply(T, P)
+    budget = 2 * (2 * math.pi / RAYS) * Q.diameter
+    for fn in SET_MAPS.values():
+        assert hausdorff(fn(Q), affine_apply(T, fn(P))) < budget

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from affpoints import regions
+from affpoints import _polyops_py as kernels
+from affpoints import duality, regions
 from affpoints.bodies import random_body, random_map
 from affpoints.ellipses import john_ellipse, max_centered_area
-from affpoints.errors import BadParams
+from affpoints.errors import BadParams, EmptyResult
 from affpoints.points import _overlap_model, overlap_area, santalo_point, symcore_point
 from affpoints.regions import (
-    _ray_exit,
+    DEFAULT_RAYS,
     _unit_grid,
     floating_body,
     illumination_body,
@@ -15,11 +16,110 @@ from affpoints.regions import (
     santalo_region,
     symcore_region,
 )
-from affpoints.polygons import Polygon, affine_apply, canonicalize, hausdorff, support
+from affpoints.polygons import (
+    Polygon,
+    affine_apply,
+    canonicalize,
+    edge_normals,
+    hausdorff,
+    support,
+)
 from conftest import random_bodies
 
 
-# the per-ray bisection the batched root-finder replaced, kept as an oracle
+# the per-ray loops the batched root-finder replaced, kept as oracles
+def _cap_area(verts: np.ndarray, nx: float, ny: float, off: float) -> float:
+    """Area of {x : <n, x> >= off} intersected with the polygon."""
+    cap = kernels.clip_halfplane(verts, -nx, -ny, -off)
+    if len(cap) == 0:
+        return 0.0
+    return kernels.area_centroid(cap)[0]
+
+
+def _ray_exit(P: Polygon, x: np.ndarray, u: np.ndarray) -> float:
+    """Distance from interior x to the boundary along direction u."""
+    normals, offsets = edge_normals(P)
+    num = offsets - normals @ x
+    den = normals @ u
+    mask = den > 1e-14
+    return float(np.min(num[mask] / den[mask]))
+
+
+def _floating_loop(P: Polygon, delta: float, m: int = DEFAULT_RAYS) -> Polygon:
+    """Intersection over m directions of halfplanes whose chords cut off
+    exactly delta * area(P); an outer approximation of the floating body."""
+    if not 0.0 <= delta < 4.0 / 9.0:
+        raise BadParams(f"floating body needs 0 <= delta < 4/9, got {delta}")
+    if m < 64:
+        raise BadParams("need at least 64 directions")
+    if delta == 0.0:
+        return P
+    target = delta * P.area
+    tol = 1e-12 * P.diameter
+    verts = P.vertices
+    pv = P.vertices
+    for ux, uy in _unit_grid(m):
+        lo = -kernels.support(pv, -ux, -uy)
+        hi = kernels.support(pv, ux, uy)
+        # cap {<u, x> >= beta} shrinks as beta grows; find the delta-area chord
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if _cap_area(pv, ux, uy, mid) > target:
+                lo = mid
+            else:
+                hi = mid
+        verts = kernels.clip_halfplane(verts, ux, uy, 0.5 * (lo + hi))
+        if len(verts) < 3:
+            raise EmptyResult(f"floating body empty at delta={delta}")
+    try:
+        return canonicalize(verts)
+    except Exception as exc:
+        raise EmptyResult(f"floating body degenerate at delta={delta}") from exc
+
+
+def _illumination_loop(P: Polygon, delta: float, m: int = DEFAULT_RAYS) -> Polygon:
+    """Hull of the m ray crossings of |conv(x, P)| = (1 + delta) area(P)."""
+    if delta < 0.0:
+        raise BadParams(f"illumination body needs delta >= 0, got {delta}")
+    if m < 64:
+        raise BadParams("need at least 64 rays")
+    if delta == 0.0:
+        return P
+    g = P.centroid
+    area = P.area
+    target = (1.0 + delta) * area
+    tol = 1e-12 * P.diameter
+    pv = P.vertices
+    nxt = np.roll(pv, -1, axis=0)
+    normals, offsets = edge_normals(P)
+
+    def hull_area(x):
+        # area added by an outside apex: triangles over the visible edges
+        vis = normals @ x > offsets
+        tri = 0.5 * ((pv[vis, 0] - x[0]) * (nxt[vis, 1] - x[1])
+                     - (nxt[vis, 0] - x[0]) * (pv[vis, 1] - x[1]))
+        return area + float(np.abs(tri).sum())
+
+    # rays through the vertices guarantee K inside the output hull
+    vdirs = pv - g
+    vdirs /= np.linalg.norm(vdirs, axis=1)[:, None]
+    dirs = np.vstack([_unit_grid(m), vdirs])
+    out = np.empty((len(dirs), 2))
+    for i, u in enumerate(dirs):
+        lo = _ray_exit(P, g, u)
+        hi = lo + P.diameter
+        while hull_area(g + hi * u) < target:
+            hi += P.diameter
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if hull_area(g + mid * u) < target:
+                lo = mid
+            else:
+                hi = mid
+        out[i] = g + 0.5 * (lo + hi) * u
+    return canonicalize(out)
+
+
 def _ray_region(P: Polygon, origin: np.ndarray, m: int, crossed, t_tol: float,
                 t_max=None) -> Polygon:
     """Hull of per-ray bisection roots of a monotone level predicate.
@@ -197,12 +297,32 @@ class TestRayRoots:
         # give the very output of one block
         P = random_body(9, 85)
         maps = [lambda: santalo_region(P, 0.3, 12), lambda: john_region(P, 0.5, 12),
-                lambda: symcore_region(P, 0.5, 12)]
+                lambda: symcore_region(P, 0.5, 12), lambda: floating_body(P, 0.1, 64),
+                # at delta = 1, 20 of the 64 grid rays double their bracket
+                lambda: illumination_body(P, 1.0, 64)]
         whole = [fn().vertices for fn in maps]
         for rows in (1, 5):
             monkeypatch.setattr(regions, "RAY_BLOCK", rows * P.n)
             for fn, ref in zip(maps, whole):
                 assert np.array_equal(fn().vertices, ref)
+
+
+# the two regions roster shapes, at the workload's parameters, and the
+# 20 bodies of acceptance criterion 8
+ORACLE_CASES = ([(P, 0.1, 64) for P in duality.random_polygons(2, 2013)]
+                + [(random_body(int(5 + i % 12), 2000 + i), 0.05, 128) for i in range(20)])
+
+
+class TestOracles:
+    @pytest.mark.parametrize("new, loop", [(floating_body, _floating_loop),
+                                           (illumination_body, _illumination_loop)],
+                             ids=["floating", "illumination"])
+    def test_matches_per_ray_loop(self, new, loop):
+        # the loops bisect to 1e-12 diam; Newton lands at rounding
+        for P, delta, m in ORACLE_CASES:
+            R, ref = new(P, delta, m), loop(P, delta, m)
+            assert R.n == ref.n
+            assert hausdorff(R, ref) <= 1e-11 * P.diameter
 
 
 class TestEquivariance:
