@@ -104,13 +104,17 @@ def invariance_check(pf: PointFunction, P: Polygon, trials: int,
 
 
 def polar_preimage(pf: PointFunction, C: Polygon, init=None) -> np.ndarray:
-    """A z in int(C) with p((C - z) polar) = 0, by damped Newton.
+    """A z in int(C) with p((C - z) polar) = 0, by damped Newton on C moved
+    to centroid 0 and diameter 1 (``points.polar_root``).
 
     Existence holds for every proper point; uniqueness does not, so the
     starting point selects which root is found.
     """
-    return polar_root(lambda Q, z: eval_point(pf, polar_about(Q, z)).value,
-                      C, init).value
+    g, d = C.centroid, C.diameter
+    z = np.zeros(2) if init is None else (np.asarray(init, dtype=float) - g) / d
+    z, _, _ = polar_root(lambda Q, z: eval_point(pf, polar_about(Q, z)).value,
+                         Polygon((C.vertices - g) / d), z, 1e-9)
+    return g + d * z
 
 
 def random_polygons(count: int, seed: int, k_range=(5, 30)):

@@ -4,6 +4,9 @@ Implemented points: centroid g, Santalo point s (minimizer of the polar
 area), John point j and Loewner point l (ellipse centers), symmetric-core
 point m (maximizer of the overlap area with the reflected body), and the
 two-cap family built from the polar-centroid direction.
+
+Symcore runs on the exact, batched overlap model ``_overlap_model``, and
+``_ray_roots`` is the one batched ray root-finder, here and in ``regions``.
 """
 
 from __future__ import annotations
@@ -13,17 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _polyops_py as kernels
-from .ellipses import john_ellipse, loewner_ellipse
+from .ellipses import _whiten, john_ellipse, loewner_ellipse
 from .errors import BadParams, ConvergenceFailure
 from .polygons import (
     EPS_GEOM,
     Halfplane,
     Polygon,
     area_centroid,
-    canonicalize,
     clip_halfplane,
     edge_normals,
-    intersect,
     interior_margin,
     support,
 )
@@ -45,8 +46,8 @@ class PointFunction:
         if self.id not in POINT_IDS:
             raise BadParams(f"unknown point id {self.id!r}")
         if self.id == "capfamily":
-            if len(self.params) != 2 or min(self.params) <= 0.0:
-                raise BadParams("capfamily needs parameters (eps, delta), both > 0")
+            if len(self.params) != 2 or not all(0.0 < p < np.inf for p in self.params):
+                raise BadParams("capfamily needs parameters (eps, delta), both finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -93,26 +94,23 @@ def _polar_centroid(Q: Polygon, x: np.ndarray) -> np.ndarray:
     return np.array([cx, cy])
 
 
-def polar_root(F, C: Polygon, init=None, tol: float = 1e-9) -> PointResult:
-    """A z in int(C) with F(Q, z) = 0, by damped Newton from ``init``
-    (an interior point of C; default its centroid).
+def polar_root(F, Q: Polygon, z: np.ndarray, tol: float):
+    """A z in int(Q) with F(Q, z) = 0, by damped Newton from the interior
+    point z, in Q's coordinates; returns (z, steps, |F|).
 
-    F gets C moved to centroid 0 and diameter 1 as Q, and z in Q's
-    coordinates, and returns an invariant point of the polar (Q - z)°,
-    such as its centroid.  The solve stops when |F| is below ``tol``
+    F returns an invariant point of the polar (Q - z)°, such as its
+    centroid.  Its step bound and difference step are absolute, so Q has
+    a size near 1: callers pass their body moved to centroid 0 and
+    diameter 1, or whitened.  The solve stops when |F| is below ``tol``
     times the circumradius 1/margin(Q, z) of that polar, so the stop rule
     does not depend on the scale of the polar.
     """
-    g = C.centroid
-    d = C.diameter
-    Q = Polygon((C.vertices - g) / d)
-    z = np.zeros(2) if init is None else (np.asarray(init, dtype=float) - g) / d
     fz = F(Q, z)
     margin = interior_margin(Q, z)
     for it in range(120):
         nrm = float(np.linalg.norm(fz))
         if nrm * margin < tol:
-            return PointResult(g + d * z, iterations=it, residual=nrm)
+            return z, it, nrm
         h = 1e-6
         J = np.empty((2, 2))
         for k in range(2):
@@ -145,33 +143,80 @@ def santalo_point(P: Polygon) -> PointResult:
     the centroid.
 
     The zero of that centroid map is exactly the minimizer of the polar
-    area, which is strictly log convex in x.
+    area, which is strictly log convex in x.  Solved in the frame of
+    ``ellipses._whiten``: in P's own frame it stalled under a map of
+    condition 1e3.
     """
-    return polar_root(_polar_centroid, P, tol=1e-12)
+    verts, S, g = _whiten(P)
+    z, steps, nrm = polar_root(_polar_centroid, Polygon(verts), np.zeros(2), 1e-12)
+    return PointResult(g + S @ z, iterations=steps, residual=nrm)
 
 
-def overlap_area(P: Polygon, x) -> float:
-    """Area of P intersected with its reflection through x."""
-    x = np.asarray(x, dtype=float)
-    R = Polygon(canonicalize(2.0 * x - P.vertices).vertices)
-    W = intersect(P, R)
-    return 0.0 if W is None else W.area
+# the ray root-finder: the step that freezes a ray, relative to the
+# diameter, and the step budget (bisection needs about 35)
+RAY_TOL = 1e-10
+RAY_STEPS = 100
+
+
+def _ray_roots(field, origins: np.ndarray, dirs: np.ndarray,
+               upper: np.ndarray) -> tuple[np.ndarray, int]:
+    """Per-ray roots of a level function, by safeguarded Newton on all rays
+    at once.
+
+    ``field(X, U)`` gets a (k, 2) batch of points X on rays with unit
+    directions U and returns (phi, slope): a level function that is
+    negative at the ray's origin, increases along each ray and is positive
+    (or inf) at ``upper``, and its derivative along the ray.  Each ray keeps
+    its own bracket, starting at (0, upper).  A Newton step that leaves the
+    bracket, or is more than half the step before, becomes bisection, so
+    a ray converges at least as fast as bisection; a ray whose step is
+    below RAY_TOL is frozen.  Returns the distance along each ray from its
+    origin, and the number of passes over the live rays.
+    """
+    k = len(dirs)
+    lo, hi = np.zeros(k), upper.copy()
+    tau = 0.5 * hi
+    dx = hi.copy()
+    live = np.arange(k)
+    for passes in range(1, RAY_STEPS + 1):
+        t = tau[live]
+        phi, slope = field(origins[live] + t[:, None] * dirs[live], dirs[live])
+        below = phi < 0.0
+        lo[live] = np.where(below, t, lo[live])
+        hi[live] = np.where(below, hi[live], t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(phi == 0.0, 0.0, -phi / slope)
+        a, b = lo[live], hi[live]
+        newton = (t + step >= a) & (t + step <= b) & (np.abs(2.0 * step) <= dx[live])
+        step = np.where(newton, step, 0.5 * (a + b) - t)
+        tau[live] = t + step
+        dx[live] = np.abs(step)
+        live = live[np.abs(step) > RAY_TOL]
+        if not live.size:
+            break
+    return tau, passes
 
 
 def _overlap_model(Q: Polygon):
-    """A(x) = |Q ∩ (2x - Q)| and its exact gradient, as one function of x.
+    """A(x) = |Q ∩ (2x - Q)| with its exact gradient and Hessian.
 
     The overlap W is symmetric about x, so A = Σ l_i h_i, where l_i is the
     length of reflected edge i, 2x - [v_i, v_i+1], inside Q (the face of W
     on that edge's line) and h_i = b_i - n_i·x its distance from x; and
-    grad A = -2 Σ l_i n_i.  On the midline of an antiparallel pair
-    (n_j = -n_i) reflected edge j lies on the line of edge i and the two
-    faces swap; there the pair's face is counted once, on the side of
-    sigma = n_i·x - (b_i - b_j)/2 >= 0.
+    grad A = -2 Σ l_i n_i.  l_i is the edge length times a span between
+    ratios alpha_ik / beta_ik, alpha affine in x and beta constant, so A is
+    piecewise quadratic and its Hessian -2 Σ n_i (grad l_i)^T comes from the
+    active argmax and argmin: grad (alpha_ik / beta_ik) = -2 n_k / beta_ik,
+    and a clamped bound or an empty span adds 0.  On the midline of an
+    antiparallel pair (n_j = -n_i) reflected edge j lies on the line of edge
+    i and the two faces swap; there the pair's face is counted once, on the
+    side of sigma = n_i·x - (b_i - b_j)/2 >= 0.
 
-    Returns (f, lines): f(x) -> (A, grad A), and each midline as
-    (u, c, lo, hi), its chord {c u + s t : lo < s < hi} in Q, with t the
-    unit tangent u turned by 90 degrees.
+    Returns (f, lines): f(X) -> (A, grad A, Hessian) of shapes (k,), (k, 2)
+    and (k, 2, 2) for a (k, 2) batch, by row sums of elementwise products,
+    so that a row does not depend on the others; and the midlines as arrays
+    (U, C, lo, hi), chord p being {C_p U_p + s t_p : lo_p < s < hi_p} in Q,
+    with t_p the unit U_p turned by 90 degrees.
     """
     V = Q.vertices
     N, b = edge_normals(Q)
@@ -188,49 +233,55 @@ def _overlap_model(Q: Polygon):
     U = N[i] - N[j]
     U /= np.linalg.norm(U, axis=1)[:, None]
     C = 0.5 * (b[i] - b[j])
-    lines = []
-    for u, c in zip(U, C):
-        nt = N @ np.array([-u[1], u[0]])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ends = (b - c * (N @ u)) / nt
-        lines.append((u, c, float(np.max(ends[nt < 0.0], initial=-np.inf)),
-                      float(np.min(ends[nt > 0.0], initial=np.inf))))
+    nt = np.column_stack([-U[:, 1], U[:, 0]]) @ N.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ends = (b - C[:, None] * (U @ N.T)) / nt
+        # [:, i, k]: grad (alpha_ik / beta_ik) = -2 n_k / beta_ik where ratio
+        # k can bound span i from below (rate_lo) or above (rate_hi), else 0
+        rate_lo = np.where(beta < 0.0, -2.0 / beta, 0.0) * N.T[:, None, :]
+        rate_hi = np.where(beta > 0.0, -2.0 / beta, 0.0) * N.T[:, None, :]
+    lines = (U, C, np.where(nt < 0.0, ends, -np.inf).max(axis=1),
+             np.where(nt > 0.0, ends, np.inf).min(axis=1))
+    rows = np.arange(len(V))
+    W = lengths * N.T
 
-    def f(x):
-        alpha = base - 2.0 * (N @ x)
-        below = U @ x < C
-        alpha[j, i] = np.where(below, 1.0, -1.0)
-        alpha[i, j] = np.where(below, -1.0, 1.0)
+    def f(X):
+        x, y = X[:, :1], X[:, 1:]
+        nx = x * N[:, 0] + y * N[:, 1]
+        alpha = base - 2.0 * nx[:, None, :]
+        below = x * U[:, 0] + y * U[:, 1] < C
+        alpha[:, j, i] = np.where(below, 1.0, -1.0)
+        alpha[:, i, j] = np.where(below, -1.0, 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             r = alpha / beta
-        lo = np.max(np.where(beta < 0.0, r, 0.0), axis=1)
-        hi = np.min(np.where(beta > 0.0, r, 1.0), axis=1)
-        span = np.maximum(hi - lo, 0.0)
-        span[((beta == 0.0) & (alpha < 0.0)).any(axis=1)] = 0.0
+        lows = np.where(beta < 0.0, r, 0.0)
+        lo, klo = lows.max(axis=2), lows.argmax(axis=2)
+        highs = np.where(beta > 0.0, r, 1.0)
+        hi, khi = highs.min(axis=2), highs.argmin(axis=2)
+        live = (hi > lo) & ~((beta == 0.0) & (alpha < 0.0)).any(axis=2)
+        span = np.where(live, hi - lo, 0.0)
+        d = np.where(live, rate_hi[:, rows, khi] - rate_lo[:, rows, klo], 0.0)
         ell = span * lengths
-        return float(ell @ (b - N @ x)), -2.0 * (ell @ N)
+        grad = (ell[:, None, :] * N.T).sum(axis=2)
+        hess = (W[:, None, None, :] * d).sum(axis=3).transpose(2, 0, 1)
+        return (ell * (b - nx)).sum(axis=1), -2.0 * grad, -2.0 * hess
 
     return f, lines
 
 
-def _newton_ascent(f, x: np.ndarray, lines=()):
-    """Damped Newton ascent of log A from x, with a central-difference
-    Jacobian of the exact gradient; f(x) returns (A, grad A).
+def _newton_ascent(f, x: np.ndarray, U: np.ndarray, C: np.ndarray):
+    """Damped Newton ascent of log A from x, with the exact gradient and
+    Hessian of A from f (see ``_overlap_model``).
 
     Returns (x, steps, |grad A|, converged).  A step is taken only if it
     raises A, except a step shorter than 1e-7: A cannot resolve it, and
     the quadratic model is trusted there.  It has converged once the
     Newton step is below 1e-12, which it then takes.  It gives up once its
-    iterate has crossed one of the midlines (u, c, ...) of ``lines`` twice:
+    iterate has crossed one of the midlines {U_p · x = C_p} twice:
     A has a kink there, which the quadratic model does not see, so Newton
     zigzags across it, and the search along the midline takes over.
     """
-    # A is piecewise quadratic, and the stencil must stay in one piece: at
-    # h = 1e-6 it straddled pieces on slivers, and Newton stalled there
-    h = 1e-8
-    a, g = f(x)
-    U = np.array([ln[0] for ln in lines]).reshape(-1, 2)
-    C = np.array([ln[1] for ln in lines])
+    (a,), (g,), (H,) = f(x[None])
     side = U @ x >= C
     crossed = np.zeros(len(C), dtype=int)
     for it in range(40):
@@ -241,8 +292,6 @@ def _newton_ascent(f, x: np.ndarray, lines=()):
             return x, it, float(np.linalg.norm(g)), False
         if not g.any():
             return x, it, 0.0, True
-        H = np.column_stack([f(x + e)[1] - f(x - e)[1]
-                             for e in np.eye(2) * h]) / (2.0 * h)
         Hf = 0.5 * (H + H.T) / a - np.outer(g, g) / a**2
         try:
             step = np.linalg.solve(Hf, -g / a)
@@ -254,7 +303,7 @@ def _newton_ascent(f, x: np.ndarray, lines=()):
             step, norm = 0.1 * g / np.linalg.norm(g), 0.1
         elif norm < 1e-7:
             x = x + step
-            a, g = f(x)
+            (a,), (g,), (H,) = f(x[None])
             if norm < 1e-12:
                 return x, it + 1, float(np.linalg.norm(g)), True
             continue
@@ -262,41 +311,14 @@ def _newton_ascent(f, x: np.ndarray, lines=()):
             step *= 0.25 / norm
         t = 1.0
         while t > 1e-9:
-            ac, gc = f(x + t * step)
+            (ac,), (gc,), (Hc,) = f((x + t * step)[None])
             if ac > a:
-                x, a, g = x + t * step, ac, gc
+                x, a, g, H = x + t * step, ac, gc, Hc
                 break
             t *= 0.5
         else:
             return x, it, float(np.linalg.norm(g)), False
     return x, 40, float(np.linalg.norm(g)), False
-
-
-def _slope_root(slope, lo: float, hi: float, s: float):
-    """Root of a decreasing slope on (lo, hi) by Newton steps safeguarded
-    by bisection: a step that leaves the bracket, or is more than half the
-    step before, is replaced by bisection, so a kink ends up bracketed to
-    1e-15.  Returns (s, steps, |slope(s)|)."""
-    h = 1e-7
-    dx = hi - lo
-    for it in range(200):
-        fs = slope(s)
-        if fs == 0.0:
-            return s, it, 0.0
-        if fs > 0.0:
-            lo = s
-        else:
-            hi = s
-        df = (slope(s + h) - slope(s - h)) / (2.0 * h)
-        dxold, dx = dx, (-fs / df if df < 0.0 else np.inf)
-        if not lo < s + dx < hi or abs(2.0 * dx) > abs(dxold):
-            dx = 0.5 * (hi - lo)
-            s = lo + dx
-        else:
-            s += dx
-        if abs(dx) < 1e-15:
-            return s, it + 1, abs(slope(s))
-    return s, 200, abs(fs)
 
 
 def symcore_point(P: Polygon) -> PointResult:
@@ -308,39 +330,53 @@ def symcore_point(P: Polygon) -> PointResult:
     the maximizer lies there.  So the candidates are the damped-Newton
     point (if it converged), the maximizer along each midline and each
     crossing of two midlines; the one with the largest A wins.  The
-    residual is that of the winner's own solve: |grad A|, the slope along
-    its midline, or the error of the crossing's 2x2 solve.  Runs on P
-    moved to centroid 0 and diameter 1.
+    midline maxima are the roots of -(log A)' along the chords, which rises
+    from -inf to +inf, all found by one ``_ray_roots`` call.  The residual
+    is that of the winner's own solve: |grad A|, the slope along its
+    midline, or the error of the crossing's 2x2 solve.  ``iterations``
+    counts the Newton steps and the root-finder's passes.  Runs on P moved
+    to centroid 0 and diameter 1.
     """
     g = P.centroid
     d = P.diameter
     Q = Polygon((P.vertices - g) / d)
-    f, lines = _overlap_model(Q)
+    f, (U, C, lo, hi) = _overlap_model(Q)
 
-    x, steps, res, converged = _newton_ascent(f, np.zeros(2), lines)
-    cands = [(f(x)[0], x, res)] if converged else []
-    for u, c, lo, hi in lines:
-        t = np.array([-u[1], u[0]])
-        s0 = float(t @ x) if lo < t @ x < hi else 0.5 * (lo + hi)
-        s, it, r = _slope_root(lambda s: float(t @ f(c * u + s * t)[1]),
-                               lo, hi, s0)
-        steps += it
-        cands.append((f(c * u + s * t)[0], c * u + s * t, r))
-    for k, (u1, c1, _, _) in enumerate(lines):
-        for u2, c2, _, _ in lines[k + 1:]:
-            M = np.array([u1, u2])
-            y = np.linalg.solve(M, [c1, c2])
-            cands.append((f(y)[0], y, float(np.linalg.norm(M @ y - [c1, c2]))))
-    if cands:
-        _, x, res = max(cands, key=lambda c: c[0])
+    x, steps, res, converged = _newton_ascent(f, np.zeros(2), U, C)
+    pts, resid = ([x[None]], [res]) if converged else ([], [])
+    if len(C):
+        t = np.column_stack([-U[:, 1], U[:, 0]])
+        start = C[:, None] * U + lo[:, None] * t
+
+        def field(X, T):
+            a, grad, H = f(X)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dlog = (grad * T).sum(axis=1) / a
+                curv = (H * T[:, :, None] * T[:, None, :]).sum(axis=(1, 2)) / a
+                return -dlog, dlog**2 - curv
+
+        s, passes = _ray_roots(field, start, t, hi - lo)
+        steps += passes
+        mid = start + s[:, None] * t
+        k, l = np.triu_indices(len(C), 1)
+        M = np.stack([U[k], U[l]], axis=1)
+        c = np.column_stack([C[k], C[l]])
+        cross = np.linalg.solve(M, c[..., None])[..., 0]
+        pts += [mid, cross]
+        resid += [np.abs((f(mid)[1] * t).sum(axis=1)),
+                  np.linalg.norm((M @ cross[..., None])[..., 0] - c, axis=1)]
+    if pts:
+        X = np.vstack(pts)
+        best = int(np.argmax(f(X)[0]))
+        x, res = X[best], float(np.hstack(resid)[best])
     return PointResult(g + d * x, iterations=steps, residual=res)
 
 
 def _caps(P: Polygon, eps: float, delta: float):
     """``caps``, plus the halfplane that cuts B from P (None when G
     vanishes)."""
-    if eps <= 0.0 or delta <= 0.0:
-        raise BadParams("cap widths must be positive")
+    if not (0.0 < eps < np.inf and 0.0 < delta < np.inf):
+        raise BadParams("cap widths must be finite and positive")
     G = _polar_centroid(P, P.centroid)
     gn = float(np.linalg.norm(G))
     # G scales as 1 / length, so gn * diameter is a test of shape alone

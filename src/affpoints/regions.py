@@ -4,11 +4,12 @@ Floating body (chord cuts of fixed relative area), illumination body
 (sublevel set of the added-hull area), and the sublevel regions of the
 Santalo, John, and symmetric-core objective functions.  Every map returns
 a polygon built from m directions or rays; errors scale like O(1/m).  All
-five find their roots with one batched root-finder: each map gives its
-level function and its slope along the rays, and safeguarded Newton runs
-on all rays at once.  Each root is within 1e-10 diam of the level set of
-the field as computed; the John field is solved to a barrier gap of 1e-8,
-so there log f is within 1e-8 of its level.
+five find their roots with one batched root-finder, ``points._ray_roots``:
+each map gives its level function and its slope along the rays, and
+safeguarded Newton runs on all rays of a block at once.  Each root is
+within 1e-10 diam of the level set of the field as computed; the John
+field is solved to a barrier gap of 1e-8, so there log f is within 1e-8
+of its level.
 """
 
 from __future__ import annotations
@@ -18,16 +19,13 @@ import numpy as np
 from . import _polyops_py as kernels
 from .ellipses import _centered_john, _normalize, john_ellipse
 from .errors import BadParams, DegenerateInput, EmptyResult
-from .points import _overlap_model, santalo_point, symcore_point
+from .points import _overlap_model, _ray_roots, santalo_point, symcore_point
 from .polygons import Polygon, canonicalize, edge_normals
 
 DEFAULT_RAYS = 256
-# the ray root-finder: ray-vertex pairs per block (a block's (k, n) arrays
-# take 0.5 MB however many rays there are), the step that freezes a ray,
-# relative to the diameter, and the step budget (bisection needs about 35)
+# array entries per block of the ray root-finder (``points._ray_roots``):
+# a block's arrays take 0.5 MB each however many rays there are
 RAY_BLOCK = 1 << 16
-RAY_TOL = 1e-10
-RAY_STEPS = 100
 # the John field's barrier stops at this gap, where its envelope gradient
 # is still accurate
 JOHN_FIELD_GAP = 1e-8
@@ -123,56 +121,20 @@ def illumination_body(P: Polygon, delta: float, m: int = DEFAULT_RAYS) -> Polygo
     return canonicalize(g + d * (tau[:, None] * dirs))
 
 
-def _ray_roots(field, origin: np.ndarray, dirs: np.ndarray,
-               upper: np.ndarray) -> np.ndarray:
-    """Per-ray roots of a level function, by safeguarded Newton on all rays
-    of a block at once.
-
-    ``field(X, U)`` gets a (k, 2) batch of points X on rays with unit
-    directions U and returns (phi, slope): a level function that is
-    negative at ``origin``, increases along each ray and is positive (or
-    inf) at ``upper``, and its derivative along the ray.  Each ray keeps
-    its own bracket, starting at (0, upper).  A Newton step that leaves the
-    bracket, or is more than half the step before, becomes bisection, so
-    a ray converges at least as fast as bisection; a ray whose step is
-    below RAY_TOL is frozen.  Returns the distance along each ray.
-    """
-    k = len(dirs)
-    lo, hi = np.zeros(k), upper.copy()
-    tau = 0.5 * hi
-    dx = hi.copy()
-    live = np.arange(k)
-    for _ in range(RAY_STEPS):
-        t = tau[live]
-        phi, slope = field(origin + t[:, None] * dirs[live], dirs[live])
-        below = phi < 0.0
-        lo[live] = np.where(below, t, lo[live])
-        hi[live] = np.where(below, hi[live], t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(phi == 0.0, 0.0, -phi / slope)
-        a, b = lo[live], hi[live]
-        newton = (t + step >= a) & (t + step <= b) & (np.abs(2.0 * step) <= dx[live])
-        step = np.where(newton, step, 0.5 * (a + b) - t)
-        tau[live] = t + step
-        dx[live] = np.abs(step)
-        live = live[np.abs(step) > RAY_TOL]
-        if not live.size:
-            break
-    return tau
-
-
 def _ray_crossings(field, origin: np.ndarray, dirs: np.ndarray, n: int, upper) -> np.ndarray:
     """Distances from ``origin`` along the rays ``dirs`` to the roots of
-    ``field`` (see ``_ray_roots``) for a body of n vertices, over blocks of
-    at most RAY_BLOCK ray-vertex pairs; ``upper(U)`` gives the brackets."""
+    ``field`` (see ``points._ray_roots``), whose arrays hold n entries per
+    ray, over blocks of at most RAY_BLOCK entries; ``upper(U)`` gives the
+    brackets."""
     rows = max(1, RAY_BLOCK // n)
-    return np.concatenate([_ray_roots(field, origin, U, upper(U))
+    return np.concatenate([_ray_roots(field, np.broadcast_to(origin, U.shape), U, upper(U))[0]
                            for U in np.split(dirs, range(rows, len(dirs), rows))])
 
 
-def _region(Q: Polygon, origin: np.ndarray, m: int, field) -> np.ndarray:
+def _region(Q: Polygon, origin: np.ndarray, m: int, field, n: int) -> np.ndarray:
     """The m ray crossings of ``field``'s level set about ``origin`` in Q,
-    each bracketed by the boundary of Q."""
+    each bracketed by the boundary of Q; ``field``'s arrays hold n entries
+    per ray."""
     normals, offsets = edge_normals(Q)
     room = offsets - normals @ origin
 
@@ -182,7 +144,7 @@ def _region(Q: Polygon, origin: np.ndarray, m: int, field) -> np.ndarray:
             return np.where(den > 1e-14, room / den, np.inf).min(axis=1)
 
     U = _unit_grid(m)
-    return origin + _ray_crossings(field, origin, U, Q.n, exits)[:, None] * U
+    return origin + _ray_crossings(field, origin, U, n, exits)[:, None] * U
 
 
 def santalo_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:
@@ -191,8 +153,8 @@ def santalo_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:
     Each ray's crossing is the root of log V - log target, from the closed
     form of the polar area V and its gradient (``kernels.polar_areas``).
     """
-    if c <= 0.0:
-        raise BadParams(f"need c > 0, got {c}")
+    if not 0.0 < c < np.inf:
+        raise BadParams(f"need a finite c > 0, got {c}")
     verts, d, g = _normalize(P)
     Q = Polygon(verts)
     s = (santalo_point(P).value - g) / d
@@ -203,7 +165,7 @@ def santalo_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(V) - log_target, (grad * U).sum(axis=1) / V
 
-    return canonicalize(g + d * _region(Q, s, m, field))
+    return canonicalize(g + d * _region(Q, s, m, field, Q.n))
 
 
 def john_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:
@@ -226,14 +188,15 @@ def john_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:
         with np.errstate(divide="ignore"):
             return log_target - np.log(det), -(grad * U).sum(axis=1)
 
-    return canonicalize(g + d * _region(Q, j, m, field))
+    return canonicalize(g + d * _region(Q, j, m, field, Q.n))
 
 
 def symcore_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:
     """Superlevel region of the reflected-overlap area at c times max.
 
     Each ray's crossing is the root of log target - log A, with A and its
-    exact gradient from ``points._overlap_model``, one point at a time.
+    exact gradient from ``points._overlap_model``, whose arrays hold n^2
+    entries per ray.
     """
     if not 0.0 < c < 1.0:
         raise BadParams(f"need 0 < c < 1, got {c}")
@@ -243,16 +206,11 @@ def symcore_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:
     Q = Polygon(verts)
     f, _ = _overlap_model(Q)
     m0 = (symcore_point(P).value - g) / d
-    log_target = np.log(c * f(m0)[0])
+    log_target = np.log(c * f(m0[None])[0][0])
 
     def field(X, U):
-        phi = np.full(len(X), np.inf)
-        slope = np.full(len(X), np.nan)
-        for i, (x, u) in enumerate(zip(X, U)):
-            area, grad = f(x)
-            if area > 0.0:
-                phi[i] = log_target - np.log(area)
-                slope[i] = -(grad @ u) / area
-        return phi, slope
+        area, grad, _ = f(X)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return log_target - np.log(area), -(grad * U).sum(axis=1) / area
 
-    return canonicalize(g + d * _region(Q, m0, m, field))
+    return canonicalize(g + d * _region(Q, m0, m, field, Q.n ** 2))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from affpoints.bodies import random_body
-from affpoints.polygons import canonicalize
+from affpoints.polygons import Polygon, canonicalize, intersect
 
 
 @pytest.fixture
@@ -35,3 +35,12 @@ def limacon(n):
     t = 2.0 * np.pi * np.arange(n) / n
     r = 1.0 + 0.2 * np.cos(t)
     return np.column_stack([r * np.cos(t), r * np.sin(t)])
+
+
+def overlap_area(P, x):
+    """Area of P intersected with its reflection through x, by clipping: the
+    oracle of the symcore solver's overlap model."""
+    x = np.asarray(x, dtype=float)
+    R = Polygon(canonicalize(2.0 * x - P.vertices).vertices)
+    W = intersect(P, R)
+    return 0.0 if W is None else W.area

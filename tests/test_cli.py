@@ -196,6 +196,9 @@ def test_usage_error_exit_2():
      "--rays", "100000000000"],
     ["region", "illumination", "--body", "square", "--param", "nan"],
     ["region", "illumination", "--body", "square", "--param", "inf"],
+    ["region", "santalo", "--body", "square", "--param", "nan", "--rays", "16"],
+    ["region", "santalo", "--body", "square", "--param", "inf", "--rays", "16"],
+    ["point", "--body", "random:9,4", "--id", "capfamily", "--delta", "inf"],
 ])
 def test_bad_input_exit_2(argv, tmp_path, monkeypatch, capsys):
     from affpoints import cli

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from affpoints.bodies import b_eta, parse_spec, random_body, random_map
+from affpoints.bodies import b_eta, body_kab, parse_spec, random_body, random_map
 from affpoints.errors import BadParams
 from affpoints.points import (
     PointFunction,
@@ -10,12 +10,12 @@ from affpoints.points import (
     cap_point,
     caps,
     eval_point,
-    overlap_area,
     santalo_point,
     symcore_point,
 )
 from affpoints.duality import random_polygons
 from affpoints.polygons import (
+    AffineMap,
     Halfplane,
     Polygon,
     affine_apply,
@@ -27,7 +27,7 @@ from affpoints.polygons import (
     polar_about,
     support,
 )
-from conftest import limacon, random_bodies
+from conftest import limacon, overlap_area, random_bodies
 
 ALL_IDS = ["centroid", "santalo", "john", "loewner", "symcore"]
 
@@ -54,6 +54,11 @@ def test_bad_point_function():
         PointFunction("frobnicate")
     with pytest.raises(BadParams):
         PointFunction("capfamily", (0.1,))
+    for widths in ((0.1, np.inf), (np.nan, 0.05)):
+        with pytest.raises(BadParams):
+            PointFunction("capfamily", widths)
+        with pytest.raises(BadParams):
+            cap_point(random_body(9, 4), *widths)
 
 
 class TestMemo:
@@ -129,6 +134,16 @@ class TestSantalo:
             assert np.allclose(grad, 3.0 * gc, rtol=1e-6,
                                atol=1e-6 * np.linalg.norm(grad))
 
+    def test_trapezoid_under_a_map_of_condition_1e3(self):
+        # solved in the trapezoid's own frame, the polar root stalled here
+        # at |F| = 4.1e-2
+        T = AffineMap(np.array([[0.540302306, -8.41470985e-4],
+                                [0.841470985, 5.40302306e-4]]), np.zeros(2))
+        P = body_kab(0.25, 0.375)
+        Q = affine_apply(T, P)
+        dev = np.linalg.norm(santalo_point(Q).value - T(santalo_point(P).value))
+        assert dev <= 1e-10 * Q.diameter
+
 
 class TestSymcore:
     def test_symmetric_center(self, square):
@@ -164,21 +179,26 @@ class TestSymcore:
 
 
     def test_overlap_model_matches_clipping(self):
-        # A and its exact gradient against the clipped overlap
+        # A and its exact gradient against the clipped overlap, and the
+        # exact Hessian against central differences of the exact gradient
         rng = np.random.default_rng(72)
         for P in random_bodies(10, 73, affine=False):
             f, _ = _overlap_model(P)
             g = P.centroid
             h = 1e-6 * P.diameter
+            k = 1e-7 * P.diameter
             for _ in range(3):
                 x = g + 0.1 * P.diameter * rng.normal(size=2)
                 if not P.contains(x, tol=-0.01 * P.diameter):
                     continue
-                a, grad = f(x)
+                a, grad, hess = (v[0] for v in f(x[None]))
                 assert a == pytest.approx(overlap_area(P, x), rel=1e-12)
                 fd = [(overlap_area(P, x + e) - overlap_area(P, x - e)) / (2 * h)
                       for e in np.eye(2) * h]
                 assert np.allclose(grad, fd, atol=1e-6 * P.diameter)
+                fd = np.column_stack([(f((x + e)[None])[1][0] - f((x - e)[None])[1][0])
+                                      / (2 * k) for e in np.eye(2) * k])
+                assert np.allclose(hess, fd, rtol=0.0, atol=1e-8)
 
     def test_converges_on_random_bodies(self):
         for P in random_bodies(20, 74):
@@ -211,7 +231,7 @@ class TestSymcoreOnMidlines:
         P = parse_spec(spec)
         Q = Polygon((P.vertices - P.centroid) / P.diameter)
         f, lines = _overlap_model(Q)
-        _, steps, _, _ = _newton_ascent(f, np.zeros(2), lines)
+        _, steps, _, _ = _newton_ascent(f, np.zeros(2), *lines[:2])
         assert steps <= 8
         m = symcore_point(P)
         if spec.startswith("kab"):

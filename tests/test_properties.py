@@ -1,5 +1,5 @@
-"""Property tests: affine equivariance of the john and loewner points, and
-of the floating and illumination bodies.
+"""Property tests: affine equivariance of the santalo, john, loewner and
+symcore points, and of the floating and illumination bodies.
 
 The spec of an affine invariant point is p(T K) = T p(K) for every
 nonsingular affine T.  Hypothesis draws the body, the scale (1e-8 to 1e8),
@@ -7,17 +7,19 @@ the conditioning of T (up to 1e3) and a placement, and the point of the
 image must be the image of the point, to a tolerance relative to the
 image's diameter.  A set mapping on m rays must commute with T to within
 acceptance criterion 8's budget of 2 (2 pi / m) diam, and the floating and
-illumination bodies must sandwich the body.
+illumination bodies must sandwich the body.  The santalo and symcore
+points are also drawn on trapezoids and centrally symmetric hulls, whose
+antiparallel edges put kinks into the symcore objective.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from affpoints.bodies import random_body
+from affpoints.bodies import body_kab, random_body
 from affpoints.points import PointFunction, eval_point
-from affpoints.polygons import AffineMap, affine_apply, hausdorff
+from affpoints.polygons import AffineMap, affine_apply, canonicalize, hausdorff
 from affpoints.regions import floating_body, illumination_body
 
 TOL = 1e-8
@@ -40,7 +42,28 @@ def bodies_and_maps(draw):
     return random_body(k, seed, affine=False), AffineMap(M, scale * np.array(shift))
 
 
+@st.composite
+def midline_bodies_and_maps(draw):
+    # a hull of bodies_and_maps, a trapezoid, or the hull of its points and
+    # their negatives
+    P, T = draw(bodies_and_maps())
+    kind = draw(st.sampled_from(["hull", "trapezoid", "symmetric"]))
+    if kind == "trapezoid":
+        a = draw(st.floats(0.05, 1.0))
+        P = body_kab(a, a * (1.0 + draw(st.floats(0.05, 3.0))))
+    elif kind == "symmetric":
+        P = canonicalize(np.vstack([P.vertices, -P.vertices]))
+    return P, T
+
+
 PROPERTY = settings(max_examples=30, derandomize=True, deadline=None)
+
+
+def _deviation(pid, P, T):
+    """|p(T P) - T p(P)| over the diameter of T P."""
+    Q = affine_apply(T, P)
+    pf = PointFunction(pid)
+    return np.linalg.norm(eval_point(pf, Q).value - T(eval_point(pf, P).value)) / Q.diameter
 
 
 @PROPERTY
@@ -61,6 +84,22 @@ def test_loewner_point_is_affine_equivariant(case):
     pf = PointFunction("loewner")
     dev = np.linalg.norm(eval_point(pf, Q).value - T(eval_point(pf, P).value))
     assert dev <= TOL * Q.diameter
+
+
+@PROPERTY
+@given(midline_bodies_and_maps())
+# condition 1e3: the polar root stalled here when it ran in the body's frame
+@example((body_kab(0.25, 0.375),
+          AffineMap(np.array([[0.540302306, -8.41470985e-4],
+                              [0.841470985, 5.40302306e-4]]), np.zeros(2))))
+def test_santalo_point_is_affine_equivariant(case):
+    assert _deviation("santalo", *case) <= TOL
+
+
+@PROPERTY
+@given(midline_bodies_and_maps())
+def test_symcore_point_is_affine_equivariant(case):
+    assert _deviation("symcore", *case) <= TOL
 
 
 RAYS = 64

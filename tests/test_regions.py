@@ -6,7 +6,7 @@ from affpoints import duality, regions
 from affpoints.bodies import random_body, random_map
 from affpoints.ellipses import john_ellipse, max_centered_area
 from affpoints.errors import BadParams, EmptyResult
-from affpoints.points import _overlap_model, overlap_area, santalo_point, symcore_point
+from affpoints.points import _overlap_model, santalo_point, symcore_point
 from affpoints.regions import (
     DEFAULT_RAYS,
     _unit_grid,
@@ -24,7 +24,7 @@ from affpoints.polygons import (
     hausdorff,
     support,
 )
-from conftest import random_bodies
+from conftest import overlap_area, random_bodies
 
 
 # the per-ray loops the batched root-finder replaced, kept as oracles
@@ -283,7 +283,7 @@ class TestSymcoreRegion:
             m0 = symcore_point(P).value
             R = symcore_region(P, 0.5, 16)
             for x in np.vstack([R.vertices, m0]):
-                assert abs(f((x - g) / d)[0] * d * d - overlap_area(P, x)) \
+                assert abs(f(((x - g) / d)[None])[0][0] * d * d - overlap_area(P, x)) \
                     <= 1e-12 * P.area
             target = 0.5 * overlap_area(P, m0)
             ref = _ray_region(P, m0, 16, lambda x: overlap_area(P, x) < target,
