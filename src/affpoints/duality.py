@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import random_body, random_map
+from .ellipses import _normalize
 from .points import PointFunction, eval_point, polar_root
 from .polygons import Polygon, affine_apply, polar_about
 
@@ -110,10 +111,10 @@ def polar_preimage(pf: PointFunction, C: Polygon, init=None) -> np.ndarray:
     Existence holds for every proper point; uniqueness does not, so the
     starting point selects which root is found.
     """
-    g, d = C.centroid, C.diameter
+    verts, d, g = _normalize(C)
     z = np.zeros(2) if init is None else (np.asarray(init, dtype=float) - g) / d
     z, _, _ = polar_root(lambda Q, z: eval_point(pf, polar_about(Q, z)).value,
-                         Polygon((C.vertices - g) / d), z, 1e-9)
+                         Polygon(verts), z, 1e-9)
     return g + d * z
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _polyops_py as kernels
-from .ellipses import _whiten, john_ellipse, loewner_ellipse
+from .ellipses import _normalize, _whiten, john_ellipse, loewner_ellipse
 from .errors import BadParams, ConvergenceFailure
 from .polygons import (
     EPS_GEOM,
@@ -152,48 +152,56 @@ def santalo_point(P: Polygon) -> PointResult:
     return PointResult(g + S @ z, iterations=steps, residual=nrm)
 
 
-# the ray root-finder: the step that freezes a ray, relative to the
-# diameter, and the step budget (bisection needs about 35)
+# the ray root-finder: array entries per block (a block's arrays take
+# 0.5 MB each however many rays there are), the step that freezes a ray,
+# relative to the diameter, and the step budget (bisection needs about 35)
+RAY_BLOCK = 1 << 16
 RAY_TOL = 1e-10
 RAY_STEPS = 100
 
 
-def _ray_roots(field, origins: np.ndarray, dirs: np.ndarray,
-               upper: np.ndarray) -> tuple[np.ndarray, int]:
+def _ray_roots(field, origins: np.ndarray, dirs: np.ndarray, upper,
+               per_ray: int) -> tuple[np.ndarray, int]:
     """Per-ray roots of a level function, by safeguarded Newton on all rays
-    at once.
+    of a block at once.
 
     ``field(X, U)`` gets a (k, 2) batch of points X on rays with unit
     directions U and returns (phi, slope): a level function that is
     negative at the ray's origin, increases along each ray and is positive
-    (or inf) at ``upper``, and its derivative along the ray.  Each ray keeps
-    its own bracket, starting at (0, upper).  A Newton step that leaves the
-    bracket, or is more than half the step before, becomes bisection, so
-    a ray converges at least as fast as bisection; a ray whose step is
-    below RAY_TOL is frozen.  Returns the distance along each ray from its
-    origin, and the number of passes over the live rays.
+    (or inf) at the upper bracket, and its derivative along the ray.  Its
+    arrays hold ``per_ray`` entries per ray, so the rays run in blocks of
+    at most RAY_BLOCK entries; ``upper(s)`` gives the upper brackets of the
+    rays in the slice s, one block at a time.  Each ray keeps its own bracket, starting at
+    (0, upper).  A Newton step that leaves the bracket, or is more than
+    half the step before, becomes bisection, so a ray converges at least
+    as fast as bisection; a ray whose step is below RAY_TOL is frozen.
+    Returns the distance along each ray from its origin, and the passes
+    that the slowest ray took, which do not depend on the blocks.
     """
-    k = len(dirs)
-    lo, hi = np.zeros(k), upper.copy()
-    tau = 0.5 * hi
-    dx = hi.copy()
-    live = np.arange(k)
-    for passes in range(1, RAY_STEPS + 1):
-        t = tau[live]
-        phi, slope = field(origins[live] + t[:, None] * dirs[live], dirs[live])
-        below = phi < 0.0
-        lo[live] = np.where(below, t, lo[live])
-        hi[live] = np.where(below, hi[live], t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(phi == 0.0, 0.0, -phi / slope)
-        a, b = lo[live], hi[live]
-        newton = (t + step >= a) & (t + step <= b) & (np.abs(2.0 * step) <= dx[live])
-        step = np.where(newton, step, 0.5 * (a + b) - t)
-        tau[live] = t + step
-        dx[live] = np.abs(step)
-        live = live[np.abs(step) > RAY_TOL]
-        if not live.size:
-            break
+    rows = max(1, RAY_BLOCK // per_ray)
+    blocks = range(0, len(dirs), rows)
+    hi = np.concatenate([upper(slice(r, r + rows)) for r in blocks])
+    lo, tau, dx = np.zeros(len(hi)), 0.5 * hi, hi.copy()
+    passes = 0
+    for r in blocks:
+        live = np.arange(r, min(r + rows, len(hi)))
+        for it in range(1, RAY_STEPS + 1):
+            t = tau[live]
+            phi, slope = field(origins[live] + t[:, None] * dirs[live], dirs[live])
+            below = phi < 0.0
+            lo[live] = np.where(below, t, lo[live])
+            hi[live] = np.where(below, hi[live], t)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(phi == 0.0, 0.0, -phi / slope)
+            a, b = lo[live], hi[live]
+            newton = (t + step >= a) & (t + step <= b) & (np.abs(2.0 * step) <= dx[live])
+            step = np.where(newton, step, 0.5 * (a + b) - t)
+            tau[live] = t + step
+            dx[live] = np.abs(step)
+            live = live[np.abs(step) > RAY_TOL]
+            if not live.size:
+                break
+        passes = max(passes, it)
     return tau, passes
 
 
@@ -337,39 +345,41 @@ def symcore_point(P: Polygon) -> PointResult:
     counts the Newton steps and the root-finder's passes.  Runs on P moved
     to centroid 0 and diameter 1.
     """
-    g = P.centroid
-    d = P.diameter
-    Q = Polygon((P.vertices - g) / d)
+    verts, d, g = _normalize(P)
+    Q = Polygon(verts)
     f, (U, C, lo, hi) = _overlap_model(Q)
 
     x, steps, res, converged = _newton_ascent(f, np.zeros(2), U, C)
-    pts, resid = ([x[None]], [res]) if converged else ([], [])
-    if len(C):
-        t = np.column_stack([-U[:, 1], U[:, 0]])
-        start = C[:, None] * U + lo[:, None] * t
+    if not len(C):
+        return PointResult(g + d * x, iterations=steps, residual=res)
+    t = np.column_stack([-U[:, 1], U[:, 0]])
+    start = C[:, None] * U + lo[:, None] * t
 
-        def field(X, T):
-            a, grad, H = f(X)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dlog = (grad * T).sum(axis=1) / a
-                curv = (H * T[:, :, None] * T[:, None, :]).sum(axis=(1, 2)) / a
-                return -dlog, dlog**2 - curv
+    def field(X, T):
+        a, grad, H = f(X)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dlog = (grad * T).sum(axis=1) / a
+            curv = (H * T[:, :, None] * T[:, None, :]).sum(axis=(1, 2)) / a
+            return -dlog, dlog**2 - curv
 
-        s, passes = _ray_roots(field, start, t, hi - lo)
-        steps += passes
-        mid = start + s[:, None] * t
-        k, l = np.triu_indices(len(C), 1)
-        M = np.stack([U[k], U[l]], axis=1)
-        c = np.column_stack([C[k], C[l]])
-        cross = np.linalg.solve(M, c[..., None])[..., 0]
-        pts += [mid, cross]
-        resid += [np.abs((f(mid)[1] * t).sum(axis=1)),
-                  np.linalg.norm((M @ cross[..., None])[..., 0] - c, axis=1)]
-    if pts:
-        X = np.vstack(pts)
-        best = int(np.argmax(f(X)[0]))
-        x, res = X[best], float(np.hstack(resid)[best])
-    return PointResult(g + d * x, iterations=steps, residual=res)
+    s, passes = _ray_roots(field, start, t, lambda r: (hi - lo)[r], Q.n ** 2)
+    k, l = np.triu_indices(len(C), 1)
+    M = np.stack([U[k], U[l]], axis=1)
+    c = np.column_stack([C[k], C[l]])
+    cross = np.linalg.solve(M, c[..., None])[..., 0]
+    # the candidates are scored in blocks, as the rays are, since each row
+    # of f holds n^2 entries
+    X = np.vstack([x[None], start + s[:, None] * t, cross])
+    rows = max(1, RAY_BLOCK // Q.n ** 2)
+    A = np.concatenate([f(X[r:r + rows])[0] for r in range(0, len(X), rows)])
+    A[0] = A[0] if converged else -np.inf
+    best = int(np.argmax(A))
+    if 0 < best <= len(C):
+        res = float(np.abs((f(X[best][None])[1] * t[best - 1]).sum(axis=1))[0])
+    elif best > len(C):
+        err = np.linalg.norm((M @ cross[..., None])[..., 0] - c, axis=1)
+        res = float(err[best - 1 - len(C)])
+    return PointResult(g + d * X[best], iterations=steps + passes, residual=res)
 
 
 def _caps(P: Polygon, eps: float, delta: float):

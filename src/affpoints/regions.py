@@ -23,9 +23,6 @@ from .points import _overlap_model, _ray_roots, santalo_point, symcore_point
 from .polygons import Polygon, canonicalize, edge_normals
 
 DEFAULT_RAYS = 256
-# array entries per block of the ray root-finder (``points._ray_roots``):
-# a block's arrays take 0.5 MB each however many rays there are
-RAY_BLOCK = 1 << 16
 # the John field's barrier stops at this gap, where its envelope gradient
 # is still accurate
 JOHN_FIELD_GAP = 1e-8
@@ -74,8 +71,9 @@ def floating_body(P: Polygon, delta: float, m: int = DEFAULT_RAYS) -> Polygon:
         return target - 0.5 * ((cross * share).sum(axis=1) - beta[:, 0] * L), L
 
     dirs = _unit_grid(m)
-    beta = _ray_crossings(field, np.zeros(2), dirs, len(verts),
-                          lambda U: (vx * U[:, :1] + vy * U[:, 1:]).max(axis=1))
+    beta, _ = _ray_roots(field, np.zeros_like(dirs), dirs,
+                         lambda s: (vx * dirs[s, :1] + vy * dirs[s, 1:]).max(axis=1),
+                         len(verts))
     try:
         hull = canonicalize(np.vstack([dirs / beta[:, None],
                                        kernels.polar_vertices(verts, 0.0, 0.0)]))
@@ -108,8 +106,9 @@ def illumination_body(P: Polygon, delta: float, m: int = DEFAULT_RAYS) -> Polygo
         slope = np.where(s > 0.0, U[:, :1] * ey - U[:, 1:] * ex, 0.0)
         return 0.5 * np.maximum(s, 0.0).sum(axis=1) - target, 0.5 * slope.sum(axis=1)
 
-    def upper(U):
+    def upper(s):
         # the diameter reaches past the boundary; double it past the root
+        U = dirs[s]
         hi = np.ones(len(U))
         while (low := field(hi[:, None] * U, U)[0] < 0.0).any():
             hi[low] *= 2.0
@@ -117,34 +116,25 @@ def illumination_body(P: Polygon, delta: float, m: int = DEFAULT_RAYS) -> Polygo
 
     # rays through the vertices keep P inside the output hull
     dirs = np.vstack([_unit_grid(m), verts / np.hypot(verts[:, :1], verts[:, 1:])])
-    tau = _ray_crossings(field, np.zeros(2), dirs, len(verts), upper)
+    tau, _ = _ray_roots(field, np.zeros_like(dirs), dirs, upper, len(verts))
     return canonicalize(g + d * (tau[:, None] * dirs))
 
 
-def _ray_crossings(field, origin: np.ndarray, dirs: np.ndarray, n: int, upper) -> np.ndarray:
-    """Distances from ``origin`` along the rays ``dirs`` to the roots of
-    ``field`` (see ``points._ray_roots``), whose arrays hold n entries per
-    ray, over blocks of at most RAY_BLOCK entries; ``upper(U)`` gives the
-    brackets."""
-    rows = max(1, RAY_BLOCK // n)
-    return np.concatenate([_ray_roots(field, np.broadcast_to(origin, U.shape), U, upper(U))[0]
-                           for U in np.split(dirs, range(rows, len(dirs), rows))])
-
-
-def _region(Q: Polygon, origin: np.ndarray, m: int, field, n: int) -> np.ndarray:
+def _region(Q: Polygon, origin: np.ndarray, m: int, field, per_ray: int) -> np.ndarray:
     """The m ray crossings of ``field``'s level set about ``origin`` in Q,
-    each bracketed by the boundary of Q; ``field``'s arrays hold n entries
-    per ray."""
+    each bracketed by the boundary of Q; ``field``'s arrays hold
+    ``per_ray`` entries per ray (see ``points._ray_roots``)."""
     normals, offsets = edge_normals(Q)
     room = offsets - normals @ origin
 
-    def exits(U):
-        den = U[:, :1] * normals[:, 0] + U[:, 1:] * normals[:, 1]
+    def exits(s):
+        den = dirs[s, :1] * normals[:, 0] + dirs[s, 1:] * normals[:, 1]
         with np.errstate(divide="ignore"):
             return np.where(den > 1e-14, room / den, np.inf).min(axis=1)
 
-    U = _unit_grid(m)
-    return origin + _ray_crossings(field, origin, U, n, exits)[:, None] * U
+    dirs = _unit_grid(m)
+    tau, _ = _ray_roots(field, np.broadcast_to(origin, dirs.shape), dirs, exits, per_ray)
+    return origin + tau[:, None] * dirs
 
 
 def santalo_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from affpoints import points
 from affpoints.bodies import b_eta, body_kab, parse_spec, random_body, random_map
 from affpoints.errors import BadParams
 from affpoints.points import (
@@ -247,6 +248,20 @@ class TestSymcoreOnMidlines:
         for s in (1e-8, 1e-4, 1e4, 1e8):
             ms = symcore_point(Polygon(s * P.vertices)).value
             assert np.linalg.norm(ms / s - m) <= 1e-12 * P.diameter
+
+
+@pytest.mark.parametrize("spec", ["kab:1,2", "ngon:12", "ngon:16"])
+def test_symcore_blocks_match_one_block(spec, monkeypatch):
+    # a row of the overlap model holds n^2 entries, so the midline search
+    # and the scoring of the candidates run in blocks of rows; blocks of 1
+    # and 5 rows give the very result of one block
+    P = affine_apply(random_map(np.random.default_rng(91)), parse_spec(spec))
+    whole = symcore_point(P)
+    for rows in (1, 5):
+        monkeypatch.setattr(points, "RAY_BLOCK", rows * P.n ** 2)
+        r = symcore_point(Polygon(P.vertices))
+        assert np.array_equal(r.value, whole.value)
+        assert (r.iterations, r.residual) == (whole.iterations, whole.residual)
 
 
 class TestCaps:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from affpoints import _polyops_py as kernels
-from affpoints import duality, regions
+from affpoints import duality, points
 from affpoints.bodies import random_body, random_map
 from affpoints.ellipses import john_ellipse, max_centered_area
 from affpoints.errors import BadParams, EmptyResult
@@ -296,14 +296,17 @@ class TestRayRoots:
         # each ray's root depends on that ray alone: blocks of 1 and 5 rays
         # give the very output of one block
         P = random_body(9, 85)
-        maps = [lambda: santalo_region(P, 0.3, 12), lambda: john_region(P, 0.5, 12),
-                lambda: symcore_region(P, 0.5, 12), lambda: floating_body(P, 0.1, 64),
+        # each map with its field's array entries per ray
+        maps = [(lambda: santalo_region(P, 0.3, 12), P.n),
+                (lambda: john_region(P, 0.5, 12), P.n),
+                (lambda: symcore_region(P, 0.5, 12), P.n ** 2),
+                (lambda: floating_body(P, 0.1, 64), P.n),
                 # at delta = 1, 20 of the 64 grid rays double their bracket
-                lambda: illumination_body(P, 1.0, 64)]
-        whole = [fn().vertices for fn in maps]
+                (lambda: illumination_body(P, 1.0, 64), P.n)]
+        whole = [fn().vertices for fn, _ in maps]
         for rows in (1, 5):
-            monkeypatch.setattr(regions, "RAY_BLOCK", rows * P.n)
-            for fn, ref in zip(maps, whole):
+            for (fn, per_ray), ref in zip(maps, whole):
+                monkeypatch.setattr(points, "RAY_BLOCK", rows * per_ray)
                 assert np.array_equal(fn().vertices, ref)
 
 
