@@ -31,21 +31,6 @@ def support(verts: np.ndarray, ux: float, uy: float) -> float:
     return float(np.max(verts[:, 0] * ux + verts[:, 1] * uy))
 
 
-SUPPORTS_BLOCK = 256
-
-
-def supports(verts: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Support function at many directions; dirs is (m, 2).
-
-    Runs over near-equal blocks of at most 256 directions, so that no
-    (m, n) product is live at once.  No block has a single row unless m is
-    1: numpy takes a 1-row product through a matrix-vector routine, which
-    can round differently from the matrix product.
-    """
-    blocks = np.array_split(dirs, max(1, -(-len(dirs) // SUPPORTS_BLOCK)))
-    return np.concatenate([np.max(b @ verts.T, axis=1) for b in blocks])
-
-
 def clip_halfplane(verts: np.ndarray, nx: float, ny: float, off: float) -> np.ndarray:
     """Keep {x : <n, x> <= off}.  Returns a (k, 2) array, possibly empty."""
     d = verts[:, 0] * nx + verts[:, 1] * ny - off

@@ -18,7 +18,6 @@ from .errors import DegenerateInput, PointNotInterior, ShiftOutOfRange, Singular
 EPS_GEOM = 1e-10
 # Empty-polygon threshold, scaled by diam^2 at the call sites that need it.
 EPS_AREA = 1e-14
-HAUSDORFF_GRID = 4096
 DIAMETER_BLOCK = 128
 
 
@@ -340,26 +339,38 @@ def affine_apply(T: AffineMap, P: Polygon) -> Polygon:
     return canonicalize(T(P.vertices))
 
 
-def _hausdorff_directions(P: Polygon, Q: Polygon) -> np.ndarray:
-    angles = np.linspace(0.0, 2.0 * np.pi, HAUSDORFF_GRID, endpoint=False)
-    grid = np.column_stack([np.cos(angles), np.sin(angles)])
-    parts = [grid]
-    for body in (P, Q):
-        normals, _ = edge_normals(body)
-        parts.append(normals)
-        v = body.vertices
-        norms = np.linalg.norm(v, axis=1)
-        good = norms > EPS_GEOM * body.diameter
-        if good.any():
-            parts.append(v[good] / norms[good, None])
-    return np.vstack(parts)
-
-
 def hausdorff(P: Polygon, Q: Polygon) -> float:
-    dirs = _hausdorff_directions(P, Q)
-    hp = kernels.supports(P.vertices, dirs)
-    hq = kernels.supports(Q.vertices, dirs)
-    return float(np.abs(hp - hq).max())
+    """Exact Hausdorff distance, the largest |h_P - h_Q| over unit u
+    (Schneider, *Convex Bodies*, Lemma 1.8.14), by merging the two normal
+    fans (Atallah 1983).
+
+    On each arc between consecutive edge normals of either polygon, P has
+    one supporting vertex p and Q one q, each the end of the edge whose
+    normal comes last at or before the arc, and h_P - h_Q = <p - q, u>.
+    Its modulus peaks at |p - q| if +-(p - q) points into the arc (arcs are
+    shorter than pi), else at an end of the arc.  The ends are the unit
+    normals themselves, so axis-aligned edges stay exact; identical
+    polygons give exactly 0.
+    """
+    fans = [edge_normals(B)[0] for B in (P, Q)]
+    angles = [np.arctan2(N[:, 1], N[:, 0]) for N in fans]
+    start = np.concatenate(angles)
+    order = np.argsort(start)
+    start, U = start[order], np.vstack(fans)[order]
+
+    def supporting(B: Polygon, a: np.ndarray) -> np.ndarray:
+        # the end of the last edge at or before each arc's start; index -1
+        # wraps round to the edge of largest angle
+        e = np.argsort(a)
+        return B.vertices[(e[np.searchsorted(a[e], start, side="right") - 1] + 1) % B.n]
+
+    d = supporting(P, angles[0]) - supporting(Q, angles[1])
+    U1 = np.roll(U, -1, axis=0)
+    c0 = U[:, 0] * d[:, 1] - U[:, 1] * d[:, 0]
+    c1 = d[:, 0] * U1[:, 1] - d[:, 1] * U1[:, 0]
+    inside = ((c0 >= 0.0) & (c1 >= 0.0)) | ((c0 <= 0.0) & (c1 <= 0.0))
+    ends = np.maximum(np.abs((d * U).sum(axis=1)), np.abs((d * U1).sum(axis=1)))
+    return float(np.where(inside, np.hypot(d[:, 0], d[:, 1]), ends).max())
 
 
 def k_sub_z(P: Polygon, z) -> Polygon:

@@ -103,6 +103,16 @@ class TestLoewner:
                 # raises unless the contact conditions hold to CERT_RESIDUAL_TOL
                 verify_john_conditions(P, loewner_ellipse(P), "enclosing")
 
+    def test_full_step_at_large_t(self):
+        # at t >= 1e9 rounding in t log det hid the decrease the line search
+        # looks for: on this 9-gon the barrier stalled for 98 steps and
+        # returned an ellipse that failed its certificate (sum 1.1e-4)
+        P = list(random_polygons(300, 11))[277]
+        E = loewner_ellipse(P)
+        cert = verify_john_conditions(P, E, "enclosing")
+        assert np.linalg.norm(cert.residual_sum) < 1e-8
+        assert E.iterations < 98
+
     def test_random_triangle_certified(self):
         rng = np.random.default_rng(55)
         for _ in range(10):

@@ -30,7 +30,7 @@ from affpoints.polygons import (
     polar_about,
     support,
 )
-from conftest import limacon, random_bodies
+from conftest import limacon, random_bodies, sampled_hausdorff
 
 
 class TestCanonicalize:
@@ -343,6 +343,54 @@ class TestSupportHausdorff:
                 hs = hausdorff(Polygon(s * P.vertices), Polygon(s * Q.vertices))
                 assert abs(hs / s - h) <= 1e-12 * max(P.diameter, Q.diameter)
 
+    def test_matches_sampled_oracle(self):
+        # the sampled distance is a lower bound, below the exact one by at
+        # most the grid's spacing error (about 3e-7 relative)
+        stream = list(random_polygons(120, 65))
+        for P, Q in zip(stream[::2], stream[1::2]):
+            h, oracle = hausdorff(P, Q), sampled_hausdorff(P, Q)
+            assert oracle * (1.0 - 1e-12) <= h <= oracle * (1.0 + 1e-6)
+
+    def test_matches_sampled_oracle_on_bipolar_pairs(self):
+        # K and K°° agree to rounding, so both distances are rounding: each
+        # side gets an absolute 4 eps diam for the rounding of the vertices
+        for P in random_polygons(60, 66):
+            g = P.centroid
+            Pp = polar_about(polar_about(P, g, translate=True), g, translate=True)
+            h, oracle = hausdorff(P, Pp), sampled_hausdorff(P, Pp)
+            slack = 4.0 * np.finfo(float).eps * P.diameter
+            assert oracle * (1.0 - 1e-12) - slack <= h <= oracle * (1.0 + 1e-6) + slack
+            assert h <= 1e-12 * P.diameter
+
+    def test_matches_vertex_distances(self):
+        # the distance to a convex body is convex, so on a polygon it peaks
+        # at a vertex: the exact distance is the largest distance from a
+        # vertex of either body to the other
+        def dist(Q, x):
+            V = Q.vertices
+            e = np.roll(V, -1, axis=0) - V
+            if ((x - V) * np.column_stack([e[:, 1], -e[:, 0]])).sum(axis=1).max() <= 0.0:
+                return 0.0
+            t = np.clip(((x - V) * e).sum(axis=1) / (e * e).sum(axis=1), 0.0, 1.0)
+            return np.hypot(*(V + t[:, None] * e - x).T).min()
+
+        stream = list(random_polygons(120, 69))
+        for i, (P, Q) in enumerate(zip(stream[::2], stream[1::2])):
+            if i % 2:
+                Q = Polygon(0.3 * Q.vertices + P.centroid)  # inside P or nearly
+            exact = max(max(dist(Q, v) for v in P.vertices),
+                        max(dist(P, v) for v in Q.vertices))
+            assert hausdorff(P, Q) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    def test_translate_is_exact(self):
+        # the sampled distance fell short of |d| by up to 2.8e-7 |d| here
+        rng = np.random.default_rng(67)
+        for P in random_polygons(100, 68):
+            d = rng.normal(size=2) * P.diameter
+            assert hausdorff(P, P) == 0.0
+            assert hausdorff(P, P.translate(d)) == \
+                pytest.approx(np.hypot(*d), rel=1e-14, abs=0.0)
+
 
 class TestDiameterSupports:
     @staticmethod
@@ -380,15 +428,6 @@ class TestDiameterSupports:
             brute = max(self._brute_diameter(v, v[i:i + 256])
                         for i in range(0, P.n, 256))
             assert P.diameter == brute
-
-    def test_supports_matches_one_product(self):
-        rng = np.random.default_rng(63)
-        for m in (1, 2, 255, 256, 257, 513, 4097, 8192):
-            for n in (3, 7, 1024):
-                dirs = rng.normal(size=(m, 2))
-                verts = rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-4, 4)
-                assert np.array_equal(kernels.supports(verts, dirs),
-                                      np.max(dirs @ verts.T, axis=1))
 
 
 class TestShift:

@@ -1,5 +1,6 @@
 """Property tests: affine equivariance of the santalo, john, loewner and
-symcore points, and of the floating and illumination bodies.
+symcore points, and of the floating and illumination bodies; and the
+Hausdorff distance as a metric that commutes with similarities.
 
 The spec of an affine invariant point is p(T K) = T p(K) for every
 nonsingular affine T.  Hypothesis draws the body, the scale (1e-8 to 1e8),
@@ -126,3 +127,47 @@ def test_floating_and_illumination_are_affine_equivariant(case):
     budget = 2 * (2 * math.pi / RAYS) * Q.diameter
     for fn in SET_MAPS.values():
         assert hausdorff(fn(Q), affine_apply(T, fn(P))) < budget
+
+
+@st.composite
+def body_triples(draw):
+    # three bodies in the unit disk; the second is at times a translate of
+    # the first, whose normal fan then matches the first's to rounding
+    P, Q, R = (random_body(draw(st.integers(3, 14)), draw(st.integers(0, 2**32 - 1)),
+                           affine=False) for _ in range(3))
+    if draw(st.booleans()):
+        Q = P.translate([draw(st.floats(-1.0, 1.0)) for _ in range(2)])
+    return P, Q, R
+
+
+# the bodies lie in the unit disk (translates within 3 of the origin), so
+# their coordinates round by at most 4 eps; a distance takes a few such
+# roundings
+ROUNDING = 1e-14
+
+
+@PROPERTY
+@given(body_triples())
+def test_hausdorff_is_symmetric(case):
+    P, Q, _ = case
+    assert abs(hausdorff(P, Q) - hausdorff(Q, P)) <= ROUNDING
+
+
+@PROPERTY
+@given(body_triples())
+def test_hausdorff_triangle_inequality(case):
+    P, Q, R = case
+    assert hausdorff(P, R) <= hausdorff(P, Q) + hausdorff(Q, R) + ROUNDING
+
+
+@PROPERTY
+@given(body_triples(), st.floats(-8.0, 8.0), st.floats(0.0, 2.0 * math.pi),
+       st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2))
+def test_hausdorff_commutes_with_similarities(case, log_scale, angle, shift):
+    # h(sRP + b, sRQ + b) = s h(P, Q); the image's coordinates reach
+    # s (3 + |b / s|), and round relative to that
+    P, Q, _ = case
+    s = 10.0 ** log_scale
+    T = AffineMap(s * _rotation(angle), s * np.array(shift))
+    h = hausdorff(affine_apply(T, P), affine_apply(T, Q))
+    assert abs(h - s * hausdorff(P, Q)) <= ROUNDING * s * (3.0 + np.abs(shift).sum())
