@@ -136,12 +136,12 @@ def _barrier_maxlogdet(theta0, slack_fn, slack_terms, shape_slice, n_con):
                 step = -g
             # lam2 is finite only if the step is
             lam2 = float(-g @ step)
+            if lam2 < 0.0:
+                # the Loewner barrier in (c, M) is not convex: descend the gradient
+                step, lam2 = -g, float(g @ g)
             if not (math.isfinite(lam2) and lam2 > 2.0 * t * 1e-13):
                 break
             base = -t * math.log(det) - log_s
-            # in the quadratic region a feasible full step is taken: at large
-            # t, rounding in t log det hides the decrease the search looks for
-            full = lam2 < 1.0 / 16.0
             alpha = 1.0
             while alpha > 1e-14:
                 cand = theta + alpha * step
@@ -151,7 +151,7 @@ def _barrier_maxlogdet(theta0, slack_fn, slack_terms, shape_slice, n_con):
                     sc, ac = slack_fn(cand)
                     if sc.min() > 0.0:
                         lc = float(np.log(sc).sum())
-                        if (full and alpha == 1.0) or -t * math.log(dc) - lc < base:
+                        if -t * math.log(dc) - lc < base:
                             theta, s, aux, log_s = cand, sc, ac, lc
                             steps += 1
                             break

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from affpoints.bodies import random_body
-from affpoints.polygons import EPS_GEOM, Polygon, canonicalize, edge_normals, intersect
+from affpoints.polygons import Polygon, canonicalize, intersect
 
 
 @pytest.fixture
@@ -44,21 +44,3 @@ def overlap_area(P, x):
     R = Polygon(canonicalize(2.0 * x - P.vertices).vertices)
     W = intersect(P, R)
     return 0.0 if W is None else W.area
-
-
-def sampled_hausdorff(P, Q):
-    """Largest |h_P - h_Q| over 4096 grid directions, both bodies' edge
-    normals and their vertex directions: a lower bound of the Hausdorff
-    distance, within the grid's spacing error of it.  The oracle of the
-    exact ``hausdorff``."""
-    angles = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-    parts = [np.column_stack([np.cos(angles), np.sin(angles)])]
-    for B in (P, Q):
-        parts.append(edge_normals(B)[0])
-        v = B.vertices
-        norms = np.linalg.norm(v, axis=1)
-        good = norms > EPS_GEOM * B.diameter
-        parts.append(v[good] / norms[good, None])
-    dirs = np.vstack(parts)
-    h = [np.max(dirs @ B.vertices.T, axis=1) for B in (P, Q)]
-    return float(np.abs(h[0] - h[1]).max())

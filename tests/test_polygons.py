@@ -30,7 +30,7 @@ from affpoints.polygons import (
     polar_about,
     support,
 )
-from conftest import limacon, random_bodies, sampled_hausdorff
+from conftest import limacon, random_bodies
 
 
 class TestCanonicalize:
@@ -343,25 +343,6 @@ class TestSupportHausdorff:
                 hs = hausdorff(Polygon(s * P.vertices), Polygon(s * Q.vertices))
                 assert abs(hs / s - h) <= 1e-12 * max(P.diameter, Q.diameter)
 
-    def test_matches_sampled_oracle(self):
-        # the sampled distance is a lower bound, below the exact one by at
-        # most the grid's spacing error (about 3e-7 relative)
-        stream = list(random_polygons(120, 65))
-        for P, Q in zip(stream[::2], stream[1::2]):
-            h, oracle = hausdorff(P, Q), sampled_hausdorff(P, Q)
-            assert oracle * (1.0 - 1e-12) <= h <= oracle * (1.0 + 1e-6)
-
-    def test_matches_sampled_oracle_on_bipolar_pairs(self):
-        # K and K°° agree to rounding, so both distances are rounding: each
-        # side gets an absolute 4 eps diam for the rounding of the vertices
-        for P in random_polygons(60, 66):
-            g = P.centroid
-            Pp = polar_about(polar_about(P, g, translate=True), g, translate=True)
-            h, oracle = hausdorff(P, Pp), sampled_hausdorff(P, Pp)
-            slack = 4.0 * np.finfo(float).eps * P.diameter
-            assert oracle * (1.0 - 1e-12) - slack <= h <= oracle * (1.0 + 1e-6) + slack
-            assert h <= 1e-12 * P.diameter
-
     def test_matches_vertex_distances(self):
         # the distance to a convex body is convex, so on a polygon it peaks
         # at a vertex: the exact distance is the largest distance from a
@@ -374,13 +355,23 @@ class TestSupportHausdorff:
             t = np.clip(((x - V) * e).sum(axis=1) / (e * e).sum(axis=1), 0.0, 1.0)
             return np.hypot(*(V + t[:, None] * e - x).T).min()
 
+        def vertex_distance(P, Q):
+            return max(max(dist(Q, v) for v in P.vertices),
+                       max(dist(P, v) for v in Q.vertices))
+
         stream = list(random_polygons(120, 69))
         for i, (P, Q) in enumerate(zip(stream[::2], stream[1::2])):
             if i % 2:
                 Q = Polygon(0.3 * Q.vertices + P.centroid)  # inside P or nearly
-            exact = max(max(dist(Q, v) for v in P.vertices),
-                        max(dist(P, v) for v in Q.vertices))
-            assert hausdorff(P, Q) == pytest.approx(exact, rel=1e-14, abs=0.0)
+            assert hausdorff(P, Q) == pytest.approx(vertex_distance(P, Q), rel=1e-14, abs=0.0)
+        # K and K°° agree to rounding, so both values are rounding of the
+        # vertices: the bound is an absolute 4 eps diam
+        for P in random_polygons(60, 66):
+            g = P.centroid
+            Pp = polar_about(polar_about(P, g, translate=True), g, translate=True)
+            h = hausdorff(P, Pp)
+            assert abs(h - vertex_distance(P, Pp)) <= 4.0 * np.finfo(float).eps * P.diameter
+            assert h <= 1e-12 * P.diameter
 
     def test_translate_is_exact(self):
         # the sampled distance fell short of |d| by up to 2.8e-7 |d| here
