@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadParams
+from .errors import BadParams, DegenerateInput
 from .polygons import AffineMap, Polygon, affine_apply, canonicalize
 
 
@@ -58,7 +58,7 @@ def random_body(k: int, seed: int, affine: bool = True) -> Polygon:
         pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
         try:
             P = canonicalize(pts)
-        except Exception:
+        except DegenerateInput:
             continue
         break
     if not affine:

@@ -24,7 +24,7 @@ from .duality import (
     random_polygons,
 )
 from .ellipses import john_ellipse, loewner_ellipse, verify_john_conditions
-from .errors import BadParams, GeometryError
+from .errors import BadParams, CertificationFailure, GeometryError, NoRoot
 from .points import POINT_IDS, PointFunction, eval_point
 from .polygons import k_sub_z, polar_about
 
@@ -64,6 +64,18 @@ def _int_range(lo: int, hi: int | None = None):
 
     parse.__name__ = "int"  # argparse names the type in its error message
     return parse
+
+
+def _tolerance(text: str) -> float:
+    # NaN and inf would print as bare NaN and Infinity, which are not JSON;
+    # a tolerance <= 0 no check can meet
+    t = float(text)
+    if not 0.0 < t < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return t
+
+
+_tolerance.__name__ = "float"  # argparse names the type in its error message
 
 
 def _parse_xy(text: str) -> np.ndarray:
@@ -161,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True)
     p.add_argument("--trials", type=_int_range(1), default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--tol", type=_tolerance, default=1e-5)
     p.add_argument("--jobs", type=_int_range(1), default=1)
 
     p = sp.add_parser("product-check", help="check [p,q](r) = r")
@@ -170,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", required=True)
     p.add_argument("--trials", type=_int_range(1), default=25)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--tol", type=_tolerance, default=1e-5)
 
     p = sp.add_parser("invariance", help="affine equivariance deviation")
     _add_body(p)
@@ -179,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--trials", type=_int_range(1), default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-6)
 
     p = sp.add_parser("preimage", help="solve p((C - z) polar) = 0 for z")
     _add_body(p)
@@ -315,7 +327,7 @@ def run_command(argv) -> int:
     if args.cmd == "counterexample":
         try:
             cert = noninjective.certify(args.eta, args.eps)
-        except GeometryError as exc:
+        except (NoRoot, CertificationFailure) as exc:
             _emit({"passed": False, "error": str(exc)})
             return 1
         _emit(cert.to_dict())

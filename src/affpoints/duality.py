@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import random_body, random_map
-from .ellipses import _normalize
 from .points import PointFunction, eval_point, polar_root
 from .polygons import Polygon, affine_apply, polar_about
 
@@ -105,17 +104,15 @@ def invariance_check(pf: PointFunction, P: Polygon, trials: int,
 
 
 def polar_preimage(pf: PointFunction, C: Polygon, init=None) -> np.ndarray:
-    """A z in int(C) with p((C - z) polar) = 0, by damped Newton on C moved
-    to centroid 0 and diameter 1 (``points.polar_root``).
+    """A z in int(C) with p((C - z) polar) = 0, by ``points.polar_root``
+    from ``init`` (default: the centroid).
 
     Existence holds for every proper point; uniqueness does not, so the
     starting point selects which root is found.
     """
-    verts, d, g = _normalize(C)
-    z = np.zeros(2) if init is None else (np.asarray(init, dtype=float) - g) / d
-    z, _, _ = polar_root(lambda Q, z: eval_point(pf, polar_about(Q, z)).value,
-                         Polygon(verts), z, 1e-9)
-    return g + d * z
+    z0 = C.centroid if init is None else init
+    return polar_root(lambda Q, z: eval_point(pf, polar_about(Q, z)).value,
+                      C, z0, 1e-9)[0]
 
 
 def random_polygons(count: int, seed: int, k_range=(5, 30)):

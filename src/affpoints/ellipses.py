@@ -51,11 +51,6 @@ class Ellipse:
     def area(self) -> float:
         return math.pi * float(np.linalg.det(self.shape))
 
-    def boundary(self, m: int = 256) -> np.ndarray:
-        t = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
-        u = np.column_stack([np.cos(t), np.sin(t)])
-        return self.center + u @ self.shape.T
-
     def affine_image(self, T: AffineMap) -> "Ellipse":
         A = T.matrix @ self.shape
         return Ellipse(T(self.center), _spd_factor(A @ A.T))

@@ -108,6 +108,8 @@ def certify(eta: float, eps: float | None = None) -> NonInjectivityCertificate:
     """
     if eps is None:
         eps = default_eps(eta)
+    if not 0.0 < eps < np.inf:
+        raise BadParams(f"need a finite eps > 0, got {eps}")
     delta = solve_delta(eta, eps)
 
     sq = square()

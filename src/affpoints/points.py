@@ -38,7 +38,6 @@ class PointFunction:
 
     id: str
     params: tuple = ()
-    proper: bool = True
 
     def __post_init__(self) -> None:
         # a tuple, so that the point can key eval_point's memo
@@ -94,23 +93,27 @@ def _polar_centroid(Q: Polygon, x: np.ndarray) -> np.ndarray:
     return np.array([cx, cy])
 
 
-def polar_root(F, Q: Polygon, z: np.ndarray, tol: float):
-    """A z in int(Q) with F(Q, z) = 0, by damped Newton from the interior
-    point z, in Q's coordinates; returns (z, steps, |F|).
+def polar_root(F, P: Polygon, z0, tol: float):
+    """A z in int(P) at which F vanishes, by damped Newton from the interior
+    point z0; returns (z, steps, |F|).
 
-    F returns an invariant point of the polar (Q - z)°, such as its
-    centroid.  Its step bound and difference step are absolute, so Q has
-    a size near 1: callers pass their body moved to centroid 0 and
-    diameter 1, or whitened.  The solve stops when |F| is below ``tol``
-    times the circumradius 1/margin(Q, z) of that polar, so the stop rule
-    does not depend on the scale of the polar.
+    F(Q, w) gets P and z in the frame of ``ellipses._whiten``,
+    Q = S^-1 (P - g) and w = S^-1 (z - g), and returns an affine invariant
+    point of the polar (Q - w)°, such as its centroid.  Q has unit scatter
+    whatever the scale and conditioning of P, so the absolute step bound
+    and difference step fit it (in P's own frame, or at diameter 1, the
+    solve stalled under maps of condition 1e3).  It stops when |F| is below
+    ``tol`` times the circumradius 1/margin(Q, w) of that polar.
     """
+    verts, S, g = _whiten(P)
+    Q = Polygon(verts)
+    z = np.linalg.solve(S, np.asarray(z0, dtype=float) - g)
     fz = F(Q, z)
     margin = interior_margin(Q, z)
     for it in range(120):
         nrm = float(np.linalg.norm(fz))
         if nrm * margin < tol:
-            return z, it, nrm
+            return g + S @ z, it, nrm
         h = 1e-6
         J = np.empty((2, 2))
         for k in range(2):
@@ -140,16 +143,13 @@ def polar_root(F, Q: Polygon, z: np.ndarray, tol: float):
 
 def santalo_point(P: Polygon) -> PointResult:
     """Unique interior x with g((P - x) polar) = 0: the polar preimage of
-    the centroid.
+    the centroid, from the centroid.
 
     The zero of that centroid map is exactly the minimizer of the polar
-    area, which is strictly log convex in x.  Solved in the frame of
-    ``ellipses._whiten``: in P's own frame it stalled under a map of
-    condition 1e3.
+    area, which is strictly log convex in x.
     """
-    verts, S, g = _whiten(P)
-    z, steps, nrm = polar_root(_polar_centroid, Polygon(verts), np.zeros(2), 1e-12)
-    return PointResult(g + S @ z, iterations=steps, residual=nrm)
+    z, steps, nrm = polar_root(_polar_centroid, P, P.centroid, 1e-12)
+    return PointResult(z, iterations=steps, residual=nrm)
 
 
 # the ray root-finder: array entries per block (a block's arrays take

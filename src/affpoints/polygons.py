@@ -18,7 +18,7 @@ from .errors import DegenerateInput, PointNotInterior, ShiftOutOfRange, Singular
 EPS_GEOM = 1e-10
 # Empty-polygon threshold, scaled by diam^2 at the call sites that need it.
 EPS_AREA = 1e-14
-DIAMETER_BLOCK = 128
+DIAMETER_BLOCK = 128  # above it the fan beats the full diameter scan
 
 
 @dataclass(frozen=True)
@@ -48,23 +48,34 @@ class Polygon:
     @property
     def diameter(self) -> float:
         """Largest vertex distance, computed once per polygon (the vertices
-        are read-only) over blocks of rows, so no n x n x 2 array is built.
+        are read-only): a full scan up to DIAMETER_BLOCK vertices, and above
+        that the largest antipodal pair: on each arc of P's normal fan merged
+        with -P's, the supporting vertices p in direction u and q in -u.
 
-        Above one block only the rows that ``_diameter_rows`` keeps are
-        scanned.  Each pair is computed as in the full scan, so the result
+        If (p, q) is a farthest pair and u = (p - q)/|p - q|, u lies in p's
+        normal cone and -u in q's; were u within delta of the cone's edge at
+        edge e, p's neighbour along e would lie farther from q unless
+        sin delta >= |e| / (2 diam).  ``canonicalize``'s keep floor puts
+        that margin near 1e-10 rad, far above arctan2's rounding, so the fan
+        holds the pair, each pair computed as in the full scan: the result
         is the full scan's to the bit.
         """
         d = self.__dict__.get("_diameter")
         if d is None:
             v = self.vertices
-            rows = v if len(v) <= DIAMETER_BLOCK else v[_diameter_rows(v)]
-            sq = 0.0
-            for i in range(0, len(rows), DIAMETER_BLOCK):
-                e = rows[i:i + DIAMETER_BLOCK, None, :] - v[None, :, :]
-                sq = max(sq, float((e * e).sum(axis=2).max()))
+            if len(v) <= DIAMETER_BLOCK:
+                e = v[:, None, :] - v[None, :, :]
+                sq = (e * e).sum(axis=2)
+            else:
+                N = edge_normals(self)[0]
+                a = np.arctan2(N[:, 1], N[:, 0])
+                b = np.where(a > 0.0, a - np.pi, a + np.pi)  # -P's normals
+                start = np.sort(np.concatenate((a, b)))
+                e = _supporting(v, a, start) - _supporting(v, b, start)
+                sq = (e * e).sum(axis=1)
             # sqrt is correctly rounded, so monotone: the root of the largest
             # square is the largest root
-            d = math.sqrt(sq)
+            d = math.sqrt(float(sq.max()))
             object.__setattr__(self, "_diameter", d)
         return d
 
@@ -149,27 +160,6 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     lower = half(pts)
     upper = half(pts[::-1])
     return np.asarray(lower[:-1] + upper[:-1])
-
-
-def _diameter_rows(v: np.ndarray) -> np.ndarray:
-    """Indices of the rows of v that can hold its largest squared distance.
-
-    L is the largest squared distance met on a few farthest-vertex hops,
-    each computed as in the full scan, so no pair above L is missed.  With
-    r_i the distance of vertex i from the bounding-box centre and R the
-    largest r_i, no pair of row i is longer than r_i + R, so row i is
-    dropped when (r_i + R)^2 (1 + 1e-9) < L; the margin covers the rounding
-    of both sides.  Bodies near a disk keep every row.
-    """
-    r = np.hypot(*(v - 0.5 * (v.min(axis=0) + v.max(axis=0))).T)
-    i = int(np.argmax(r))
-    L = 0.0
-    for _ in range(3):
-        e = v - v[i]
-        sq = (e * e).sum(axis=1)
-        i = int(np.argmax(sq))
-        L = max(L, float(sq[i]))
-    return np.flatnonzero((r + r.max()) ** 2 * (1.0 + 1e-9) >= L)
 
 
 def _turns(verts: np.ndarray):
@@ -339,32 +329,34 @@ def affine_apply(T: AffineMap, P: Polygon) -> Polygon:
     return canonicalize(T(P.vertices))
 
 
+def _supporting(v: np.ndarray, a: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The supporting vertex, among v, on each arc of a merged normal fan
+    whose arcs begin at the sorted angles ``start``: the end of the edge
+    whose normal angle in a comes last at or before the arc's start.
+    Index -1 wraps round to the edge of largest angle."""
+    e = np.argsort(a)
+    return v[(e[np.searchsorted(a[e], start, side="right") - 1] + 1) % len(v)]
+
+
 def hausdorff(P: Polygon, Q: Polygon) -> float:
     """Exact Hausdorff distance, the largest |h_P - h_Q| over unit u
     (Schneider, *Convex Bodies*, Lemma 1.8.14), by merging the two normal
     fans (Atallah 1983).
 
     On each arc between consecutive edge normals of either polygon, P has
-    one supporting vertex p and Q one q, each the end of the edge whose
-    normal comes last at or before the arc, and h_P - h_Q = <p - q, u>.
-    Its modulus peaks at |p - q| if +-(p - q) points into the arc (arcs are
-    shorter than pi), else at an end of the arc.  The ends are the unit
-    normals themselves, so axis-aligned edges stay exact; identical
-    polygons give exactly 0.
+    one supporting vertex p and Q one q (``_supporting``), and
+    h_P - h_Q = <p - q, u>.  Its modulus peaks at |p - q| if +-(p - q)
+    points into the arc (arcs are shorter than pi), else at an end of the
+    arc.  The ends are the unit normals themselves, so axis-aligned edges
+    stay exact; identical polygons give exactly 0.
     """
     fans = [edge_normals(B)[0] for B in (P, Q)]
     angles = [np.arctan2(N[:, 1], N[:, 0]) for N in fans]
     start = np.concatenate(angles)
     order = np.argsort(start)
     start, U = start[order], np.vstack(fans)[order]
-
-    def supporting(B: Polygon, a: np.ndarray) -> np.ndarray:
-        # the end of the last edge at or before each arc's start; index -1
-        # wraps round to the edge of largest angle
-        e = np.argsort(a)
-        return B.vertices[(e[np.searchsorted(a[e], start, side="right") - 1] + 1) % B.n]
-
-    d = supporting(P, angles[0]) - supporting(Q, angles[1])
+    d = (_supporting(P.vertices, angles[0], start)
+         - _supporting(Q.vertices, angles[1], start))
     U1 = np.roll(U, -1, axis=0)
     c0 = U[:, 0] * d[:, 1] - U[:, 1] * d[:, 0]
     c1 = d[:, 0] * U1[:, 1] - d[:, 1] * U1[:, 0]

@@ -199,6 +199,17 @@ def test_usage_error_exit_2():
     ["region", "santalo", "--body", "square", "--param", "nan", "--rays", "16"],
     ["region", "santalo", "--body", "square", "--param", "inf", "--rays", "16"],
     ["point", "--body", "random:9,4", "--id", "capfamily", "--delta", "inf"],
+    ["counterexample", "--eps", "-1"],
+    ["counterexample", "--eps", "nan"],
+    ["counterexample", "--eta", "1.5"],
+    ["dual-check", "--p", "centroid", "--q", "santalo", "--trials", "1",
+     "--tol", "nan"],
+    ["product-check", "--p", "centroid", "--q", "santalo", "--r", "centroid",
+     "--trials", "1", "--tol", "inf"],
+    ["invariance", "--body", "simplex", "--id", "centroid", "--trials", "1",
+     "--tol", "0"],
+    ["invariance", "--body", "simplex", "--id", "centroid", "--trials", "1",
+     "--tol", "-1e-6"],
 ])
 def test_bad_input_exit_2(argv, tmp_path, monkeypatch, capsys):
     from affpoints import cli

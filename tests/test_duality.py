@@ -13,7 +13,14 @@ from affpoints.duality import (
     random_polygons,
 )
 from affpoints.points import PointFunction, eval_point, santalo_point
-from affpoints.polygons import Polygon, hausdorff, k_sub_z, polar_about
+from affpoints.polygons import (
+    AffineMap,
+    Polygon,
+    affine_apply,
+    hausdorff,
+    k_sub_z,
+    polar_about,
+)
 
 G = PointFunction("centroid")
 S = PointFunction("santalo")
@@ -137,6 +144,24 @@ class TestPreimage:
         assert np.linalg.norm(z1) < 1e-6
         assert np.linalg.norm(z2 - (0.5, 0.0)) < 1e-6
         assert np.linalg.norm(z1 - z2) > 0.4
+
+    @pytest.mark.parametrize("seed, t1, t2, shift", [
+        (1153838077, 5.536746214766893, 0.3331952739149466,
+         (-0.47642974385981746, -0.8191201803277345)),
+        (1204804355, 1.1957069855112938, 3.1511537778272736,
+         (0.8365259894445134, 0.5936032404079788)),
+    ])
+    def test_ill_conditioned_map(self, seed, t1, t2, shift):
+        # T = R(t1) diag(1, 1e-3) R(t2) + shift: solved at diameter 1, the
+        # root stalled at |F| = 70.7 and 5.9
+        def rot(t):
+            return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+        P = random_body(14, seed, affine=False)
+        T = AffineMap(rot(t1) @ np.diag([1.0, 1e-3]) @ rot(t2), shift)
+        Q = affine_apply(T, P)
+        z = polar_preimage(J, Q)
+        assert np.linalg.norm(z - T(polar_preimage(J, P))) < 1e-10 * Q.diameter
 
 
 class TestBallBlowup:

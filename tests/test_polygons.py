@@ -11,14 +11,12 @@ from affpoints.errors import (
     SingularMap,
 )
 from affpoints.polygons import (
-    DIAMETER_BLOCK,
     EPS_GEOM,
     AffineMap,
     Halfplane,
     Polygon,
     _convex_cycle,
     _convex_hull,
-    _diameter_rows,
     _drop_collinear,
     affine_apply,
     area_centroid,
@@ -401,21 +399,20 @@ class TestDiameterSupports:
             assert P.diameter is d  # computed once per polygon
 
     def test_pruned_diameter_is_exact(self):
-        # above one block only some rows are scanned; the result must be
-        # the full scan's to the bit, whether rows are dropped or not
+        # above DIAMETER_BLOCK vertices the diameter comes from the antipodal
+        # pairs of the merged normal fans; it must be the full scan's to the
+        # bit
         rng = np.random.default_rng(64)
         sliver = canonicalize(limacon(512))
-        bodies = [(ngon(4096), False)]
+        bodies = [ngon(4096)]
         for _ in range(3):
             U, _, Vt = np.linalg.svd(rng.normal(size=(2, 2)))
             T = AffineMap(U @ np.diag([1.0, 1e-3]) @ Vt, rng.normal(size=2))
-            bodies.append((affine_apply(T, sliver), True))
+            bodies.append(affine_apply(T, sliver))
         lim = canonicalize(limacon(1024))
-        bodies.append((polar_about(lim, lim.centroid), True))
-        for P, pruned in bodies:
+        bodies.append(polar_about(lim, lim.centroid))
+        for P in bodies:
             v = P.vertices
-            assert P.n > DIAMETER_BLOCK
-            assert (len(_diameter_rows(v)) < P.n) == pruned
             brute = max(self._brute_diameter(v, v[i:i + 256])
                         for i in range(0, P.n, 256))
             assert P.diameter == brute

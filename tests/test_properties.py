@@ -1,6 +1,7 @@
 """Property tests: affine equivariance of the santalo, john, loewner and
 symcore points, and of the floating and illumination bodies; and the
-Hausdorff distance as a metric that commutes with similarities.
+Hausdorff distance as a metric that commutes with similarities; and the
+diameter of a large body as the full scan over all vertex pairs.
 
 The spec of an affine invariant point is p(T K) = T p(K) for every
 nonsingular affine T.  Hypothesis draws the body, the scale (1e-8 to 1e8),
@@ -18,10 +19,17 @@ import math
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from affpoints.bodies import body_kab, random_body
+from affpoints.bodies import body_kab, ngon, random_body
 from affpoints.points import PointFunction, eval_point
-from affpoints.polygons import AffineMap, affine_apply, canonicalize, hausdorff
+from affpoints.polygons import (
+    DIAMETER_BLOCK,
+    AffineMap,
+    affine_apply,
+    canonicalize,
+    hausdorff,
+)
 from affpoints.regions import floating_body, illumination_body
+from conftest import limacon
 
 TOL = 1e-8
 
@@ -171,3 +179,39 @@ def test_hausdorff_commutes_with_similarities(case, log_scale, angle, shift):
     T = AffineMap(s * _rotation(angle), s * np.array(shift))
     h = hausdorff(affine_apply(T, P), affine_apply(T, Q))
     assert abs(h - s * hausdorff(P, Q)) <= ROUNDING * s * (3.0 + np.abs(shift).sum())
+
+
+@st.composite
+def large_bodies_and_maps(draw):
+    # above DIAMETER_BLOCK vertices: a regular n-gon, an even one (its edges
+    # come in antiparallel pairs), the hull of points on a circle, or a
+    # limacon; under a map of bodies_and_maps
+    _, T = draw(bodies_and_maps())
+    kind = draw(st.sampled_from(["ngon", "even ngon", "circle", "limacon"]))
+    n = draw(st.integers(DIAMETER_BLOCK + 1, 4096))
+    if kind == "ngon":
+        P = ngon(n)
+    elif kind == "even ngon":
+        P = ngon(n + n % 2)
+    elif kind == "circle":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        t = 2.0 * math.pi * rng.random(n)
+        P = canonicalize(np.column_stack([np.cos(t), np.sin(t)]))
+    else:
+        P = canonicalize(limacon(n))
+    return P, T
+
+
+@PROPERTY
+@given(large_bodies_and_maps())
+def test_diameter_is_the_full_scan(case):
+    # the merged normal fans hold a farthest pair, computed as the n x n
+    # scan computes it: the two agree to the bit
+    P, T = case
+    for B in (P, affine_apply(T, P)):
+        v = B.vertices
+        assert B.n > DIAMETER_BLOCK
+        sq = max(float((e * e).sum(axis=2).max())
+                 for e in (v[i:i + 256, None, :] - v[None, :, :]
+                           for i in range(0, B.n, 256)))
+        assert B.diameter == math.sqrt(sq)
