@@ -18,7 +18,6 @@ from .errors import DegenerateInput, PointNotInterior, ShiftOutOfRange, Singular
 EPS_GEOM = 1e-10
 # Empty-polygon threshold, scaled by diam^2 at the call sites that need it.
 EPS_AREA = 1e-14
-DIAMETER_BLOCK = 128  # above it the fan beats the full diameter scan
 
 
 @dataclass(frozen=True)
@@ -48,34 +47,34 @@ class Polygon:
     @property
     def diameter(self) -> float:
         """Largest vertex distance, computed once per polygon (the vertices
-        are read-only): a full scan up to DIAMETER_BLOCK vertices, and above
-        that the largest antipodal pair: on each arc of P's normal fan merged
-        with -P's, the supporting vertices p in direction u and q in -u.
+        are read-only), as the largest antipodal pair (rotating calipers,
+        Shamos 1978).
 
-        If (p, q) is a farthest pair and u = (p - q)/|p - q|, u lies in p's
-        normal cone and -u in q's; were u within delta of the cone's edge at
+        A farthest pair (p, q) is antipodal: u = (p - q)/|p - q| lies in p's
+        normal cone and -u in q's, and the directions where both hold form
+        an arc that begins at a normal of p's or of q's incoming edge.  So
+        the pairs to test are, for each edge i, its end v[i+1] and the
+        supporting vertex in -a_i.  Were u within delta of a cone's edge at
         edge e, p's neighbour along e would lie farther from q unless
-        sin delta >= |e| / (2 diam).  ``canonicalize``'s keep floor puts
-        that margin near 1e-10 rad, far above arctan2's rounding, so the fan
-        holds the pair, each pair computed as in the full scan: the result
-        is the full scan's to the bit.
+        sin delta >= |e| / (2 diam): ``canonicalize``'s keep floor puts that
+        margin near 1e-10 rad, far above arctan2's rounding.  Where edges i
+        and j are antiparallel to rounding, one of a_i -+ pi and a_j -+ pi
+        is exact (Sterbenz) and the other correctly rounded, so the tests
+        from edge i and from edge j cannot both miss.  Each pair is computed
+        as a scan of all pairs computes it: the result is that scan's to the
+        bit.
         """
         d = self.__dict__.get("_diameter")
         if d is None:
             v = self.vertices
-            if len(v) <= DIAMETER_BLOCK:
-                e = v[:, None, :] - v[None, :, :]
-                sq = (e * e).sum(axis=2)
-            else:
-                N = edge_normals(self)[0]
-                a = np.arctan2(N[:, 1], N[:, 0])
-                b = np.where(a > 0.0, a - np.pi, a + np.pi)  # -P's normals
-                start = np.sort(np.concatenate((a, b)))
-                e = _supporting(v, a, start) - _supporting(v, b, start)
-                sq = (e * e).sum(axis=1)
+            w = np.concatenate((v[1:], v[:1]))  # edge i ends at w[i]
+            e = w - v
+            a = np.arctan2(-e[:, 0], e[:, 1])  # outward normal angles
+            b = np.where(a > 0.0, a - np.pi, a + np.pi)  # -P's normals
+            e = w - _supporting(v, b, a)
             # sqrt is correctly rounded, so monotone: the root of the largest
             # square is the largest root
-            d = math.sqrt(float(sq.max()))
+            d = math.sqrt(float((e * e).sum(axis=1).max()))
             object.__setattr__(self, "_diameter", d)
         return d
 
@@ -330,9 +329,9 @@ def affine_apply(T: AffineMap, P: Polygon) -> Polygon:
 
 
 def _supporting(v: np.ndarray, a: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """The supporting vertex, among v, on each arc of a merged normal fan
-    whose arcs begin at the sorted angles ``start``: the end of the edge
-    whose normal angle in a comes last at or before the arc's start.
+    """The supporting vertex, among v, on each arc of a normal fan whose
+    arcs begin at the angles ``start``: the end of the edge whose normal
+    angle in a comes last at or before the arc's start.
     Index -1 wraps round to the edge of largest angle."""
     e = np.argsort(a)
     return v[(e[np.searchsorted(a[e], start, side="right") - 1] + 1) % len(v)]

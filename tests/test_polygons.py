@@ -399,9 +399,8 @@ class TestDiameterSupports:
             assert P.diameter is d  # computed once per polygon
 
     def test_pruned_diameter_is_exact(self):
-        # above DIAMETER_BLOCK vertices the diameter comes from the antipodal
-        # pairs of the merged normal fans; it must be the full scan's to the
-        # bit
+        # the diameter comes from the antipodal pairs of the normal fan; on
+        # large bodies too it must be the full scan's to the bit
         rng = np.random.default_rng(64)
         sliver = canonicalize(limacon(512))
         bodies = [ngon(4096)]

@@ -1,7 +1,7 @@
 """Property tests: affine equivariance of the santalo, john, loewner and
 symcore points, and of the floating and illumination bodies; and the
 Hausdorff distance as a metric that commutes with similarities; and the
-diameter of a large body as the full scan over all vertex pairs.
+diameter as the full scan over all vertex pairs.
 
 The spec of an affine invariant point is p(T K) = T p(K) for every
 nonsingular affine T.  Hypothesis draws the body, the scale (1e-8 to 1e8),
@@ -22,7 +22,6 @@ from hypothesis import example, given, settings, strategies as st
 from affpoints.bodies import body_kab, ngon, random_body
 from affpoints.points import PointFunction, eval_point
 from affpoints.polygons import (
-    DIAMETER_BLOCK,
     AffineMap,
     affine_apply,
     canonicalize,
@@ -39,16 +38,21 @@ def _rotation(t):
 
 
 @st.composite
-def bodies_and_maps(draw):
-    k = draw(st.integers(4, 14))
-    seed = draw(st.integers(0, 2**32 - 1))
+def maps(draw):
     scale = 10.0 ** draw(st.floats(-8.0, 8.0))
     cond = 10.0 ** draw(st.floats(0.0, 3.0))
     t1, t2 = (draw(st.floats(0.0, 2.0 * math.pi)) for _ in range(2))
     shift = [draw(st.floats(-10.0, 10.0)) for _ in range(2)]
     # T = R1 diag(scale, scale / cond) R2, placed within ten scales of 0
     M = _rotation(t1) @ np.diag([scale, scale / cond]) @ _rotation(t2)
-    return random_body(k, seed, affine=False), AffineMap(M, scale * np.array(shift))
+    return AffineMap(M, scale * np.array(shift))
+
+
+@st.composite
+def bodies_and_maps(draw):
+    k = draw(st.integers(4, 14))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return random_body(k, seed, affine=False), draw(maps())
 
 
 @st.composite
@@ -182,13 +186,13 @@ def test_hausdorff_commutes_with_similarities(case, log_scale, angle, shift):
 
 
 @st.composite
-def large_bodies_and_maps(draw):
-    # above DIAMETER_BLOCK vertices: a regular n-gon, an even one (its edges
-    # come in antiparallel pairs), the hull of points on a circle, or a
-    # limacon; under a map of bodies_and_maps
-    _, T = draw(bodies_and_maps())
+def fan_bodies_and_maps(draw):
+    # 4 to 4096 vertices: a regular n-gon, an even one (its edges come in
+    # antiparallel pairs), the hull of points on a circle, or a limacon;
+    # under a map of maps()
+    T = draw(maps())
     kind = draw(st.sampled_from(["ngon", "even ngon", "circle", "limacon"]))
-    n = draw(st.integers(DIAMETER_BLOCK + 1, 4096))
+    n = draw(st.integers(4, 4096))
     if kind == "ngon":
         P = ngon(n)
     elif kind == "even ngon":
@@ -203,14 +207,13 @@ def large_bodies_and_maps(draw):
 
 
 @PROPERTY
-@given(large_bodies_and_maps())
+@given(fan_bodies_and_maps())
 def test_diameter_is_the_full_scan(case):
-    # the merged normal fans hold a farthest pair, computed as the n x n
-    # scan computes it: the two agree to the bit
+    # the antipodal pairs hold a farthest pair, computed as the n x n scan
+    # computes it: the two agree to the bit
     P, T = case
     for B in (P, affine_apply(T, P)):
         v = B.vertices
-        assert B.n > DIAMETER_BLOCK
         sq = max(float((e * e).sum(axis=2).max())
                  for e in (v[i:i + 256, None, :] - v[None, :, :]
                            for i in range(0, B.n, 256)))
