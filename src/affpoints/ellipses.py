@@ -5,12 +5,17 @@ Both solvers run one damped-Newton log-barrier driver on a small parameter
 vector (center + symmetric 2x2 shape).  Each problem gives its slacks, their
 Jacobian and the closed-form sum of their Hessians from one pass over its
 constraints, and the Loewner problem runs on the vertices whitened to unit
-scatter, so its conditioning does not depend on the body's.  The results
+scatter, so its conditioning does not depend on the body's.  From t = 1e2
+on, each barrier stage ends with an attempt to leave the path: once the
+barrier multipliers show a contact set of at most five constraints, Newton
+on John's conditions restricted to it (``_finish``) lands on the optimum
+to rounding, or the barrier goes on from where it stopped.  The results
 are certificate-checkable via the John contact conditions.
 The fixed-center John field f_K runs one barrier over many centers at once
 (``_centered_john``, which also gives its gradient); ``max_centered_area`` is
 its one-row call.  A fixed-center Loewner variant backs
-``min_centered_inverse_area``.
+``min_centered_inverse_area``.  The fixed-center solves run the barrier to
+its end.
 """
 
 from __future__ import annotations
@@ -20,21 +25,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationFailure, ConvergenceFailure, NoContacts
+from .errors import BadParams, CertificationFailure, ConvergenceFailure, NoContacts
 from .polygons import AffineMap, Polygon, edge_normals, interior_margin
 
 CONTACT_TOL = 1e-6
 CERT_RESIDUAL_TOL = 1e-6
 # the log-det barriers stop at this duality gap n_con / t
 BARRIER_GAP = 1e-10
+# from the stage at t = FINISH_FROM on, the free-center barriers try to
+# finish by Newton on John's conditions (see _finish), on at most
+# MAX_CONTACTS contacts (one per parameter), for at most FINISH_STEPS steps
+FINISH_FROM = 1e2
+MAX_CONTACTS = 5
+FINISH_STEPS = 10
+# a candidate set of 6 to 10 gives its top five by multiplier only if the
+# fifth exceeds the sixth this many times
+CONTACT_GAP = 2.0
 
 
 @dataclass(frozen=True)
 class Ellipse:
     """The set {center + shape @ u : |u| <= 1} with shape symmetric PD.
 
-    A solved ellipse records its solve: ``iterations`` counts the barrier's
-    Newton steps and ``residual`` is its final duality gap n_con / t.  Both
+    A solved ellipse records its solve.  ``iterations`` counts the Newton
+    steps of the barrier and of every attempt to finish on John's
+    conditions.  ``residual`` is, after a finish, the size of its last
+    Newton step in the solver's normalized frame (at least the rounding
+    unit), and otherwise the barrier's final duality gap n_con / t.  Both
     are 0 for an ellipse built any other way.
     """
 
@@ -53,12 +70,13 @@ class Ellipse:
 
     def affine_image(self, T: AffineMap) -> "Ellipse":
         A = T.matrix @ self.shape
-        return Ellipse(T(self.center), _spd_factor(A @ A.T))
+        return Ellipse(T(self.center), _gram_root(A))
 
     def polar(self) -> "Ellipse":
-        """Polar of a 0-centered ellipse; shape inverts."""
-        if np.linalg.norm(self.center) > 1e-9:
-            raise ValueError("polar() expects an origin-centered ellipse")
+        """Polar of a 0-centered ellipse; shape inverts.  The center must be
+        within 1e-9 of the ellipse's largest semi-axis of the origin."""
+        if np.linalg.norm(self.center) > 1e-9 * np.linalg.norm(self.shape, 2):
+            raise BadParams("polar() expects an origin-centered ellipse")
         return Ellipse(np.zeros(2), np.linalg.inv(self.shape))
 
 
@@ -69,10 +87,12 @@ class JohnCertificate:
     residual_identity: float
 
 
-def _spd_factor(S: np.ndarray) -> np.ndarray:
-    """Symmetric PD square root of a symmetric PD matrix."""
-    w, V = np.linalg.eigh(S)
-    return V @ np.diag(np.sqrt(np.maximum(w, 0.0))) @ V.T
+def _gram_root(B: np.ndarray) -> np.ndarray:
+    """The symmetric PD square root of B B^T, from the SVD of B: its small
+    singular value keeps the relative accuracy that forming B B^T, of
+    squared condition, would lose."""
+    W, sig, _ = np.linalg.svd(B)
+    return (W * sig) @ W.T
 
 
 def _sym(t3: np.ndarray) -> np.ndarray:
@@ -84,7 +104,99 @@ def _sym(t3: np.ndarray) -> np.ndarray:
 _LOGDET3_M = np.array([[0.0, 0.0, 1.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
 
 
-def _barrier_maxlogdet(theta0, slack_fn, slack_terms, shape_slice, n_con):
+def _kkt_newton(theta, lam, S, slack_fn, slack_terms, ss):
+    """Newton on John's conditions restricted to the contact set S: the
+    contact equations s_i = 0 for i in S and stationarity
+    grad logdet + sum_S lam_i grad s_i = 0, in the 5 + |S| unknowns theta
+    and lam.  The sum of lam_i hess(s_i) comes from the problem's
+    ``slack_terms``, with weight 0 off S.
+
+    Returns (theta, lam, slacks, size of the last step, steps taken), with
+    theta None unless the steps shrank every time and the last one fell to
+    1e-13 of theta (so the next would be below rounding), within
+    FINISH_STEPS.
+    """
+    theta, lam = theta.copy(), lam.copy()
+    k, m = len(theta), len(S)
+    K = np.zeros((k + m, k + m))
+    r = np.empty(k + m)
+    s, aux = slack_fn(theta)
+    wts = np.zeros(len(s))
+    prev = np.inf
+    for it in range(1, FINISH_STEPS + 1):
+        l11, l12, l22 = theta[ss].tolist()
+        det = l11 * l22 - l12 * l12
+        if not (l11 > 0.0 and det > 0.0):
+            break
+        v = np.array([l22, -2.0 * l12, l11]) / det
+        wts[S] = lam
+        J, Hs = slack_terms(theta, aux, wts)
+        JS = J[S]
+        r[:k] = lam @ JS
+        r[ss] += v
+        r[k:] = s[S]
+        K[:k, :k] = Hs
+        K[ss, ss] += _LOGDET3_M / det - np.outer(v, v)
+        K[:k, k:] = JS.T
+        K[k:, :k] = JS
+        try:
+            step = np.linalg.solve(K, -r)
+        except np.linalg.LinAlgError:
+            break
+        size = float(np.abs(step[:k]).max())
+        if not size < prev:
+            break
+        prev = size
+        theta += step[:k]
+        lam += step[k:]
+        s, aux = slack_fn(theta)
+        if size <= 1e-13 * float(np.abs(theta).max()):
+            return theta, lam, s, size, it
+    return None, lam, s, prev, it
+
+
+def _finish(theta, s, t, slack_fn, slack_terms, ss, rejected):
+    """Leave the barrier at its point theta (slacks s) of the stage at t, by
+    ``_kkt_newton`` on the constraints whose barrier multipliers
+    mu_i = 1 / (t s_i) exceed their slacks.
+
+    Up to MAX_CONTACTS of them make a contact set, or the top MAX_CONTACTS
+    by mu of up to twice as many when the last of those has CONTACT_GAP
+    times the mu of the next: more contacts than parameters make the system
+    singular, and fewer than 3 cannot meet John's conditions.  Newton's
+    result is the optimum if every lam_i > 0 and no slack is below -1e-13,
+    since John's conditions then hold.  Otherwise, if it converged, its set
+    is recorded in ``rejected`` and the next set is tried: without the
+    contacts of negative lam, or if there are none, with the most violated
+    constraint added.  A set Newton did not converge on is tried again at
+    the next stage, from a point nearer the optimum.
+
+    Returns (theta or None, size of Newton's last step, Newton steps taken).
+    """
+    mu = 1.0 / (t * s)
+    S = np.flatnonzero(mu > s)
+    if len(S) > 2 * MAX_CONTACTS:
+        return None, 0.0, 0
+    S = S[np.argsort(-mu[S], kind="stable")]
+    if len(S) > MAX_CONTACTS:
+        if mu[S[MAX_CONTACTS - 1]] < CONTACT_GAP * mu[S[MAX_CONTACTS]]:
+            return None, 0.0, 0
+        S = S[:MAX_CONTACTS]
+    steps = 0
+    while 3 <= len(S) <= MAX_CONTACTS and frozenset(S.tolist()) not in rejected:
+        done, lam, sc, size, k = _kkt_newton(theta, mu[S], S, slack_fn, slack_terms, ss)
+        steps += k
+        if done is None:
+            break
+        j = int(np.argmin(sc))
+        if lam.min() > 0.0 and sc[j] >= -1e-13:
+            return done, max(size, np.finfo(float).eps), steps
+        rejected.add(frozenset(S.tolist()))
+        S = S[lam > 0.0] if lam.min() <= 0.0 else np.append(S, j)
+    return None, 0.0, steps
+
+
+def _barrier_maxlogdet(theta0, slack_fn, slack_terms, shape_slice, n_con, finish=False):
     """Minimize -t*logdet(shape) - sum log(slacks) along an increasing-t path,
     from t = 1 up by tenfold steps until the gap n_con / t is below
     BARRIER_GAP.
@@ -96,8 +208,10 @@ def _barrier_maxlogdet(theta0, slack_fn, slack_terms, shape_slice, n_con):
     slack Jacobian (n_con, k) and the weighted sum of the constraint
     Hessians, sum_i wts_i * hess(s_i), as one (k, k) matrix, both in
     buffers that its next call overwrites.  The log-det terms are added
-    from Python scalars.  Returns (theta, Newton steps taken, final gap
-    n_con / t).
+    from Python scalars.  With ``finish``, each stage from t = FINISH_FROM
+    on ends with ``_finish``, which may return the optimum instead.
+    Returns (theta, Newton steps taken, residual): the final gap n_con / t,
+    or after a finish the size of its last Newton step.
     """
     theta = np.array(theta0, dtype=float)
     s, aux = slack_fn(theta)
@@ -108,6 +222,7 @@ def _barrier_maxlogdet(theta0, slack_fn, slack_terms, shape_slice, n_con):
     # neither the next Newton step nor its line search evaluates them again
     log_s = float(np.log(s).sum())
     steps = 0
+    rejected = set()
     t = 1.0
     while True:
         for _ in range(60):
@@ -153,6 +268,11 @@ def _barrier_maxlogdet(theta0, slack_fn, slack_terms, shape_slice, n_con):
                 alpha *= 0.5
             else:
                 break
+        if finish and t >= FINISH_FROM:
+            done, res, k = _finish(theta, s, t, slack_fn, slack_terms, shape_slice, rejected)
+            steps += k
+            if done is not None:
+                return done, steps, res
         if n_con / t < BARRIER_GAP:
             return theta, steps, n_con / t
         t *= 10.0
@@ -226,10 +346,10 @@ def _john_problem(P: Polygon):
 def john_ellipse(P: Polygon) -> Ellipse:
     """Maximum-area ellipse inscribed in the polygon."""
     theta0, slacks, terms, ss, m, d, g = _john_problem(P)
-    theta, steps, gap = _barrier_maxlogdet(theta0, slacks, terms, ss, m)
+    theta, steps, gap = _barrier_maxlogdet(theta0, slacks, terms, ss, m, finish=True)
     c = g + d * theta[:2]
     L = d * _sym(theta[2:])
-    return Ellipse(c, _spd_factor(L @ L.T), iterations=steps, residual=gap)
+    return Ellipse(c, L, iterations=steps, residual=gap)
 
 
 def _sum_btcb(aa: np.ndarray, c00, c01, c11) -> np.ndarray:
@@ -434,9 +554,9 @@ def _loewner_problem(P: Polygon, center=None):
 def loewner_ellipse(P: Polygon) -> Ellipse:
     """Minimum-area ellipse enclosing the polygon."""
     theta0, slacks, terms, ss, m, S, g = _loewner_problem(P)
-    theta, steps, gap = _barrier_maxlogdet(theta0, slacks, terms, ss, m)
+    theta, steps, gap = _barrier_maxlogdet(theta0, slacks, terms, ss, m, finish=True)
     # {S y : y^T M y <= 1} has the shape factor of S M^-1 S^T
-    L = _spd_factor(S @ np.linalg.inv(_sym(theta[2:])) @ S.T)
+    L = _gram_root(np.linalg.solve(np.linalg.cholesky(_sym(theta[2:])), S.T).T)
     return Ellipse(g + S @ theta[:2], L, iterations=steps, residual=gap)
 
 
@@ -492,9 +612,10 @@ def verify_john_conditions(P: Polygon, E: Ellipse, mode: str) -> JohnCertificate
     Raises NoContacts / CertificationFailure when the configuration fails.
     """
     if mode not in ("inscribed", "enclosing"):
-        raise ValueError(f"unknown mode {mode!r}")
-    N = AffineMap(np.linalg.inv(E.shape), -np.linalg.inv(E.shape) @ E.center)
-    verts = N(P.vertices)
+        raise BadParams(f"unknown mode {mode!r}")
+    # translate first: far from the origin, N(v) = E^-1 v - E^-1 c would
+    # cancel two large terms
+    verts = np.linalg.solve(E.shape, (P.vertices - E.center).T).T
     Q = Polygon(verts)
 
     dirs: list[np.ndarray] = []

@@ -316,9 +316,10 @@ def _newton_ascent(f, x: np.ndarray, U: np.ndarray, C: np.ndarray):
                 return x, it + 1, float(np.linalg.norm(g)), True
             continue
         if norm > 0.25:
-            step *= 0.25 / norm
+            step, norm = step * (0.25 / norm), 0.25
+        # a step below the resolution of A ends the search, as above
         t = 1.0
-        while t > 1e-9:
+        while t * norm >= 1e-7:
             (ac,), (gc,), (Hc,) = f((x + t * step)[None])
             if ac > a:
                 x, a, g, H = x + t * step, ac, gc, Hc

@@ -57,6 +57,13 @@ class TestDualResidual:
         rep = dual_residual(J, L, random_polygons(20, 94))
         assert rep.max_residual < 1e-5
 
+    def test_john_loewner_at_rounding(self):
+        # acceptance criterion 5's bodies: L(K^{J(K)}) = J(K) holds to
+        # rounding once both ellipses solve John's conditions (7.3e-10 at the
+        # barrier's gap of 1e-10)
+        rep = dual_residual(J, L, random_polygons(50, 1003))
+        assert rep.max_residual <= 1e-12
+
     def test_centroid_not_self_dual(self):
         rep = dual_residual(G, G, [body_kab(1.0, 2.0)])
         assert rep.max_residual_abs == pytest.approx(9 / 140, abs=1e-9)

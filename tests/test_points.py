@@ -208,6 +208,23 @@ class TestSymcore:
             assert r.residual < 1e-12
 
 
+def test_failing_line_search_stops_at_resolution():
+    # on the square, Newton's last line search finds no rise in A: it halves
+    # its step only while the step is at least 1e-7, the resolution of A
+    # (halving on to t = 1e-9 took 31 model calls)
+    P = parse_spec("square")
+    f, lines = _overlap_model(Polygon((P.vertices - P.centroid) / P.diameter))
+    calls = []
+
+    def counted(X):
+        calls.append(X)
+        return f(X)
+
+    _, _, _, converged = _newton_ascent(counted, np.zeros(2), *lines[:2])
+    assert not converged
+    assert len(calls) <= 23
+
+
 # Bodies with antiparallel edges: the overlap has a kink on each pair's
 # midline, and the maximizer lies on it.
 PARALLEL_EDGE_BODIES = ["kab:0.4,0.9", "kab:1,2", "square", "ngon:6", "ngon:8"]

@@ -1,7 +1,8 @@
 """Property tests: affine equivariance of the santalo, john, loewner and
 symcore points, and of the floating and illumination bodies; and the
-Hausdorff distance as a metric that commutes with similarities; and the
-diameter as the full scan over all vertex pairs.
+Hausdorff distance as a metric that commutes with similarities; the
+diameter as the full scan over all vertex pairs; and John's contact
+conditions, to rounding, for the John and Loewner ellipses.
 
 The spec of an affine invariant point is p(T K) = T p(K) for every
 nonsingular affine T.  Hypothesis draws the body, the scale (1e-8 to 1e8),
@@ -20,12 +21,15 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from affpoints.bodies import body_kab, ngon, random_body
+from affpoints.duality import random_polygons
+from affpoints.ellipses import john_ellipse, loewner_ellipse, verify_john_conditions
 from affpoints.points import PointFunction, eval_point
 from affpoints.polygons import (
     AffineMap,
     affine_apply,
     canonicalize,
     hausdorff,
+    polar_about,
 )
 from affpoints.regions import floating_body, illumination_body
 from conftest import limacon
@@ -97,6 +101,25 @@ def test_loewner_point_is_affine_equivariant(case):
     pf = PointFunction("loewner")
     dev = np.linalg.norm(eval_point(pf, Q).value - T(eval_point(pf, P).value))
     assert dev <= TOL * Q.diameter
+
+
+def _polar_of_stream_body_87():
+    P = list(random_polygons(100, 71))[87]
+    return polar_about(P, P.centroid)
+
+
+@PROPERTY
+@given(bodies_and_maps())
+# three contacts and a fourth vertex at slack 4e-6: a finish on all four
+# puts a negative weight on it
+@example((_polar_of_stream_body_87(), AffineMap(np.eye(2), np.zeros(2))))
+def test_john_and_loewner_meet_johns_conditions_to_rounding(case):
+    P, T = case
+    Q = affine_apply(T, P)
+    for solve, mode in ((john_ellipse, "inscribed"), (loewner_ellipse, "enclosing")):
+        cert = verify_john_conditions(Q, solve(Q), mode)
+        assert np.linalg.norm(cert.residual_sum) <= 1e-12
+        assert cert.residual_identity <= 1e-12
 
 
 @PROPERTY
