@@ -5,12 +5,14 @@ Both solvers run one damped-Newton log-barrier driver on a small parameter
 vector (center + symmetric 2x2 shape).  Each problem gives its slacks, their
 Jacobian and the closed-form sum of their Hessians from one pass over its
 constraints, and the Loewner problem runs on the vertices whitened to unit
-scatter, so its conditioning does not depend on the body's.  From t = 1e2
-on, each barrier stage ends with an attempt to leave the path: once the
-barrier multipliers show a contact set of at most five constraints, Newton
-on John's conditions restricted to it (``_finish``) lands on the optimum
-to rounding, or the barrier goes on from where it stopped.  The results
-are certificate-checkable via the John contact conditions.
+scatter, so its conditioning does not depend on the body's.  The path
+starts at t = max(1, n_con / 10), a gap of at most 10, and from t = 1e2 on
+each stage ends with an attempt to leave it (``_finish``): the slacks and
+barrier multipliers name a contact set, reduced to at most five positive
+weights where more touch, and Newton on John's conditions restricted to it
+lands on the optimum to rounding, or the barrier goes on from where it
+stopped.  The results are certificate-checkable via the John contact
+conditions.
 The fixed-center John field f_K runs one barrier over many centers at once
 (``_centered_john``, which also gives its gradient); ``max_centered_area`` is
 its one-row call.  A fixed-center Loewner variant backs
@@ -38,9 +40,9 @@ BARRIER_GAP = 1e-10
 FINISH_FROM = 1e2
 MAX_CONTACTS = 5
 FINISH_STEPS = 10
-# a candidate set of 6 to 10 gives its top five by multiplier only if the
-# fifth exceeds the sixth this many times
-CONTACT_GAP = 2.0
+# past MAX_CONTACTS candidates, the contact set ends at the last place where
+# the next slack is this many times the one before (not tied to it)
+CUT_RATIO = 1.2
 
 
 @dataclass(frozen=True)
@@ -49,10 +51,11 @@ class Ellipse:
 
     A solved ellipse records its solve.  ``iterations`` counts the Newton
     steps of the barrier and of every attempt to finish on John's
-    conditions.  ``residual`` is, after a finish, the size of its last
-    Newton step in the solver's normalized frame (at least the rounding
-    unit), and otherwise the barrier's final duality gap n_con / t.  Both
-    are 0 for an ellipse built any other way.
+    conditions.  ``residual`` is, after an accepted finish, the size of its
+    last Newton step in the solver's normalized frame (at least the
+    rounding unit).  Only where no finish was accepted is it the barrier's
+    final duality gap n_con / t.  Both are 0 for an ellipse built any other
+    way.
     """
 
     center: np.ndarray
@@ -155,51 +158,96 @@ def _kkt_newton(theta, lam, S, slack_fn, slack_terms, ss):
     return None, lam, s, prev, it
 
 
-def _finish(theta, s, t, slack_fn, slack_terms, ss, rejected):
-    """Leave the barrier at its point theta (slacks s) of the stage at t, by
-    ``_kkt_newton`` on the constraints whose barrier multipliers
-    mu_i = 1 / (t s_i) exceed their slacks.
+def _finish(theta, s, aux, t, slack_fn, slack_terms, ss, rejected, last):
+    """Leave the barrier at its point theta (slacks s, their ``aux``) of the
+    stage at t, by ``_kkt_newton`` on a contact set S read off the slacks.
 
-    Up to MAX_CONTACTS of them make a contact set, or the top MAX_CONTACTS
-    by mu of up to twice as many when the last of those has CONTACT_GAP
-    times the mu of the next: more contacts than parameters make the system
-    singular, and fewer than 3 cannot meet John's conditions.  Newton's
-    result is the optimum if every lam_i > 0 and no slack is below -1e-13,
-    since John's conditions then hold.  Otherwise, if it converged, its set
-    is recorded in ``rejected`` and the next set is tried: without the
-    contacts of negative lam, or if there are none, with the most violated
-    constraint added.  A set Newton did not converge on is tried again at
-    the next stage, from a point nearer the optimum.
+    The barrier multipliers are mu_i = 1 / (t s_i).  Up to MAX_CONTACTS
+    constraints with mu_i > s_i make S, with weights mu.  Past that, S is
+    the 2 * MAX_CONTACTS smallest slacks, cut at the last place where one
+    is CUT_RATIO times the one before, so that no group of tied slacks is
+    split, and keeping at least 3.  The mu > s set itself is S if it is
+    ``last``, the one of the stage before, and either has at most
+    2 * MAX_CONTACTS members or no such cut exists: tied contacts, as on a
+    regular polygon, whose multipliers an affine map can spread some
+    fourfold.  A set of more than MAX_CONTACTS is reduced to the positive
+    weights of ``_nnls`` on stationarity, min |J_S^T lam + grad logdet| over
+    lam >= 0, solved in lam / mu so that of tied weights the larger
+    multipliers are kept: more contacts than parameters make Newton's
+    system singular, and fewer than 3 cannot meet John's conditions.
 
-    Returns (theta or None, size of Newton's last step, Newton steps taken).
+    Newton's result is the optimum if every lam_i > 0 and no slack is below
+    -1e-13, since John's conditions then hold.  Otherwise, if it converged,
+    its set is recorded in ``rejected`` and the next set is tried, with
+    weights mu: without the contacts of negative lam; or, if there are none,
+    with the most violated constraint added, in place of the contact whose
+    weight first falls to 0 as the new one's grows if S is full (a simplex
+    pivot; under a map of condition 1e3 the whitened vertices of a regular
+    polygon are tied only to about 1e-13).  A set Newton did not converge on
+    is tried again at the next stage, from a point nearer the optimum.
+
+    Returns (theta or None, size of Newton's last step, Newton steps taken,
+    the mu > s set).
     """
     mu = 1.0 / (t * s)
     S = np.flatnonzero(mu > s)
-    if len(S) > 2 * MAX_CONTACTS:
-        return None, 0.0, 0
-    S = S[np.argsort(-mu[S], kind="stable")]
-    if len(S) > MAX_CONTACTS:
-        if mu[S[MAX_CONTACTS - 1]] < CONTACT_GAP * mu[S[MAX_CONTACTS]]:
-            return None, 0.0, 0
-        S = S[:MAX_CONTACTS]
+    touching = frozenset(S.tolist())
+    if len(S) <= MAX_CONTACTS:
+        S = S[np.argsort(-mu[S], kind="stable")]
+        lam = mu[S]
+    else:
+        stable = touching == last
+        near = np.argsort(s, kind="stable")[:2 * MAX_CONTACTS]
+        cut = np.flatnonzero(s[near[1:]] >= CUT_RATIO * s[near[:-1]])
+        if not (stable and len(S) <= 2 * MAX_CONTACTS) and cut.size and cut[-1] >= 2:
+            S = near[:cut[-1] + 1]
+        elif not stable:
+            return None, 0.0, 0, touching
+        lam = mu[S]
+        if len(S) > MAX_CONTACTS:
+            l11, l12, l22 = theta[ss].tolist()
+            det = l11 * l22 - l12 * l12
+            grad = np.zeros(len(theta))
+            grad[ss] = (l22 / det, -2.0 * l12 / det, l11 / det)
+            J, _ = slack_terms(theta, aux, np.zeros(len(s)))
+            w = _nnls(J[S].T * lam, -grad) * lam
+            S, lam = S[w > 0.0], w[w > 0.0]
     steps = 0
     while 3 <= len(S) <= MAX_CONTACTS and frozenset(S.tolist()) not in rejected:
-        done, lam, sc, size, k = _kkt_newton(theta, mu[S], S, slack_fn, slack_terms, ss)
+        done, lam, sc, size, k = _kkt_newton(theta, lam, S, slack_fn, slack_terms, ss)
         steps += k
         if done is None:
             break
         j = int(np.argmin(sc))
         if lam.min() > 0.0 and sc[j] >= -1e-13:
-            return done, max(size, np.finfo(float).eps), steps
+            return done, max(size, np.finfo(float).eps), steps, touching
         rejected.add(frozenset(S.tolist()))
-        S = S[lam > 0.0] if lam.min() <= 0.0 else np.append(S, j)
-    return None, 0.0, steps
+        if lam.min() <= 0.0:
+            S = S[lam > 0.0]
+        elif len(S) < MAX_CONTACTS:
+            S = np.append(S, j)
+        else:
+            # j's weight grows with J_S^T lam + lam_j grad s_j held fixed
+            J, _ = slack_terms(done, slack_fn(done)[1], np.zeros(len(s)))
+            try:
+                c = np.linalg.solve(J[S].T, J[j])
+            except np.linalg.LinAlgError:
+                break
+            if c.max() <= 0.0:
+                break
+            out = np.flatnonzero(c > 0.0)
+            out = out[np.argmin(lam[out] / c[out])]
+            S = np.append(np.delete(S, out), j)
+        lam = mu[S]
+    return None, 0.0, steps, touching
 
 
 def _barrier_maxlogdet(theta0, slack_fn, slack_terms, shape_slice, n_con, finish=False):
     """Minimize -t*logdet(shape) - sum log(slacks) along an increasing-t path,
-    from t = 1 up by tenfold steps until the gap n_con / t is below
-    BARRIER_GAP.
+    up by tenfold steps until the gap n_con / t is below BARRIER_GAP.  With
+    ``finish`` the path starts at t = max(1, n_con / 10), so the first gap
+    is at most 10 (the stages before it only center the start); without,
+    it starts at t = 1, so its end gap is that of ``_centered_john``.
 
     ``shape_slice`` picks the (l11, l12, l22) entries out of theta.  A
     problem evaluates its constraints in one pass, split over two calls:
@@ -210,8 +258,8 @@ def _barrier_maxlogdet(theta0, slack_fn, slack_terms, shape_slice, n_con, finish
     buffers that its next call overwrites.  The log-det terms are added
     from Python scalars.  With ``finish``, each stage from t = FINISH_FROM
     on ends with ``_finish``, which may return the optimum instead.
-    Returns (theta, Newton steps taken, residual): the final gap n_con / t,
-    or after a finish the size of its last Newton step.
+    Returns (theta, Newton steps taken, residual): after an accepted finish
+    the size of its last Newton step, and otherwise the final gap n_con / t.
     """
     theta = np.array(theta0, dtype=float)
     s, aux = slack_fn(theta)
@@ -223,7 +271,9 @@ def _barrier_maxlogdet(theta0, slack_fn, slack_terms, shape_slice, n_con, finish
     log_s = float(np.log(s).sum())
     steps = 0
     rejected = set()
-    t = 1.0
+    # with a finish, the first stage's gap n_con / t is at most 10
+    t = max(1.0, n_con / 10.0) if finish else 1.0
+    last = None
     while True:
         for _ in range(60):
             l11, l12, l22 = theta[shape_slice].tolist()
@@ -269,7 +319,8 @@ def _barrier_maxlogdet(theta0, slack_fn, slack_terms, shape_slice, n_con, finish
             else:
                 break
         if finish and t >= FINISH_FROM:
-            done, res, k = _finish(theta, s, t, slack_fn, slack_terms, shape_slice, rejected)
+            done, res, k, last = _finish(theta, s, aux, t, slack_fn, slack_terms,
+                                         shape_slice, rejected, last)
             steps += k
             if done is not None:
                 return done, steps, res
@@ -582,7 +633,9 @@ def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     feasible point and dropping the weights that reach zero.
     """
     k = A.shape[1]
-    tol = 10.0 * max(A.shape) * np.finfo(float).eps * np.abs(A).sum(axis=0).max()
+    # the rounding of the gradient A^T (b - A w) scales with |A| |b|
+    tol = 10.0 * max(A.shape) * np.finfo(float).eps * np.abs(A).sum(axis=0).max() \
+        * np.abs(b).max()
     w = np.zeros(k)
     passive = np.zeros(k, dtype=bool)
     for _ in range(3 * k):
@@ -606,6 +659,24 @@ def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return w
 
 
+def _contact_dirs(P: Polygon, E: Ellipse, mode: str) -> np.ndarray:
+    """The contacts of P with E in the frame where E is the unit disk, in
+    edge (vertex) order: the unit normals of the edges at distance 1 for
+    "inscribed", or the unit directions of the vertices at radius 1 for
+    "enclosing", each within CONTACT_TOL."""
+    # translate first: far from the origin, N(v) = E^-1 v - E^-1 c would
+    # cancel two large terms
+    verts = np.linalg.solve(E.shape, (P.vertices - E.center).T).T
+    if mode == "inscribed":
+        U, r = edge_normals(Polygon(verts))
+    else:
+        # each radius as np.linalg.norm of one vertex takes it, by a dot
+        # product (matmul of two vectors calls the same one)
+        r = np.sqrt(verts[:, None] @ verts[:, :, None])[:, 0, 0]
+        U = verts / r[:, None]
+    return U[np.abs(r - 1.0) < CONTACT_TOL]
+
+
 def verify_john_conditions(P: Polygon, E: Ellipse, mode: str) -> JohnCertificate:
     """Checks F. John's contact conditions after normalizing E to the unit disk.
 
@@ -613,25 +684,9 @@ def verify_john_conditions(P: Polygon, E: Ellipse, mode: str) -> JohnCertificate
     """
     if mode not in ("inscribed", "enclosing"):
         raise BadParams(f"unknown mode {mode!r}")
-    # translate first: far from the origin, N(v) = E^-1 v - E^-1 c would
-    # cancel two large terms
-    verts = np.linalg.solve(E.shape, (P.vertices - E.center).T).T
-    Q = Polygon(verts)
-
-    dirs: list[np.ndarray] = []
-    if mode == "inscribed":
-        normals, offsets = edge_normals(Q)
-        for a, b in zip(normals, offsets):
-            if abs(b - 1.0) < CONTACT_TOL:
-                dirs.append(a)
-    else:
-        for v in verts:
-            if abs(np.linalg.norm(v) - 1.0) < CONTACT_TOL:
-                dirs.append(v / np.linalg.norm(v))
-    if not dirs:
+    U = _contact_dirs(P, E, mode)
+    if not len(U):
         raise NoContacts(f"no {mode} boundary contacts within {CONTACT_TOL}")
-
-    U = np.asarray(dirs)
     A = np.vstack([
         U[:, 0],
         U[:, 1],

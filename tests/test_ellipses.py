@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from affpoints.bodies import random_body, random_map
+from affpoints.bodies import ngon, random_body, random_map
 from affpoints.duality import random_polygons
 from affpoints.ellipses import (
     BARRIER_GAP,
+    CONTACT_TOL,
     Ellipse,
     _barrier_maxlogdet,
     _centered_john,
+    _contact_dirs,
     _john_problem,
     _normalize,
     _sum_btcb,
@@ -29,7 +31,7 @@ from affpoints.polygons import (
     edge_normals,
     polar_about,
 )
-from conftest import random_bodies
+from conftest import limacon, random_bodies
 
 
 class TestJohn:
@@ -144,6 +146,34 @@ class TestCertificates:
                                       "inscribed")
         assert len(cert.contacts) == 3
         assert cert.residual_identity < 1e-9
+
+    def test_contact_scan_matches_loop(self):
+        # the masked scan against a loop over the edges (vertices): the same
+        # contacts in the same order, to the bit, so the same certificate
+        def loop(P, E, mode):
+            verts = np.linalg.solve(E.shape, (P.vertices - E.center).T).T
+            dirs = []
+            if mode == "inscribed":
+                for a, b in zip(*edge_normals(Polygon(verts))):
+                    if abs(b - 1.0) < CONTACT_TOL:
+                        dirs.append(a)
+            else:
+                for v in verts:
+                    if abs(np.linalg.norm(v) - 1.0) < CONTACT_TOL:
+                        dirs.append(v / np.linalg.norm(v))
+            return np.asarray(dirs).reshape(-1, 2)
+
+        rng = np.random.default_rng(65)
+        bodies = [ngon(6), ngon(200), canonicalize(limacon(256))] + random_bodies(6, 66)
+        bodies += [affine_apply(random_map(rng, max_cond=1e3), P) for P in bodies[:4]]
+        for P in bodies:
+            for solve, mode in ((john_ellipse, "inscribed"), (loewner_ellipse, "enclosing")):
+                E = solve(P)
+                U = _contact_dirs(P, E, mode)
+                assert len(U) >= 3
+                assert np.array_equal(U, loop(P, E, mode))
+                # a loose ellipse touches nothing
+                assert len(_contact_dirs(P, Ellipse(E.center, 0.5 * E.shape), mode)) == 0
 
 
 class TestCenteredFields:
@@ -524,3 +554,41 @@ class TestLeanBarrier:
             assert cert.residual_identity <= 1e-12
             steps.append(E.iterations)
         assert np.mean(steps) <= 40
+
+
+def _rotation(t):
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
+def _finish_cases():
+    # regular polygons, whose contacts tie, plain and under a map of
+    # condition 1e3; and the benchmark's 1024-vertex limacon, whose John
+    # ellipse has six near-active edges, under three maps.  Each with the
+    # bounds on the John and the Loewner steps.  With a finish only on at
+    # most five multipliers above their slacks, or on a clear top five,
+    # they took 59-87 steps, and all but the limacon's Loewner solves ran
+    # the barrier to its end
+    T = AffineMap(_rotation(0.7) @ np.diag([1.0, 1e-3]) @ _rotation(2.9), np.array([3.0, -2.0]))
+    cases = []
+    for m in (6, 8, 200):
+        cases.append(pytest.param(ngon(m), 40, 40, id=f"ngon{m}"))
+        cases.append(pytest.param(affine_apply(T, ngon(m)), 40, 40, id=f"ngon{m}-mapped"))
+    rng = np.random.default_rng(2101)
+    base = canonicalize(limacon(1024))
+    for i in range(3):
+        cases.append(pytest.param(affine_apply(random_map(rng), base), 60, 70, id=f"limacon-{i}"))
+    return cases
+
+
+@pytest.mark.parametrize("P, john_steps, loewner_steps", _finish_cases())
+def test_finish_past_five_contacts(P, john_steps, loewner_steps):
+    for solve, mode, bound in ((john_ellipse, "inscribed", john_steps),
+                               (loewner_ellipse, "enclosing", loewner_steps)):
+        E = solve(P)
+        # a barrier end leaves a gap of at least 1e-11; an accepted finish
+        # leaves the size of its last Newton step
+        assert E.residual < 1e-11
+        cert = verify_john_conditions(P, E, mode)
+        assert np.linalg.norm(cert.residual_sum) <= 1e-12
+        assert cert.residual_identity <= 1e-12
+        assert E.iterations <= bound
