@@ -233,9 +233,9 @@ def _finish(theta, s, aux, t, slack_fn, slack_terms, ss, rejected, last):
                 c = np.linalg.solve(J[S].T, J[j])
             except np.linalg.LinAlgError:
                 break
-            if c.max() <= 0.0:
-                break
             out = np.flatnonzero(c > 0.0)
+            if not out.size:
+                break
             out = out[np.argmin(lam[out] / c[out])]
             S = np.append(np.delete(S, out), j)
         lam = mu[S]
@@ -271,7 +271,6 @@ def _barrier_maxlogdet(theta0, slack_fn, slack_terms, shape_slice, n_con, finish
     log_s = float(np.log(s).sum())
     steps = 0
     rejected = set()
-    # with a finish, the first stage's gap n_con / t is at most 10
     t = max(1.0, n_con / 10.0) if finish else 1.0
     last = None
     while True:
