@@ -1,9 +1,11 @@
 """Analytic ellipses plus the John (max inscribed) and Loewner (min enclosing)
 ellipse solvers for convex polygons.
 
-Both solvers run one damped-Newton log-barrier driver on a small parameter
-vector (center + symmetric 2x2 shape).  Each problem gives its slacks, their
-Jacobian and the closed-form sum of their Hessians from one pass over its
+Both solvers run one damped-Newton log-barrier driver on five parameters:
+a center (John's c + L (unit disk)) or offset (Loewner's {y : |A y - b| <= 1})
+and a symmetric 2x2 shape, whose log det they maximize over concave slacks,
+so each barrier is convex.  Each problem gives its slacks, their Jacobian
+and the closed-form sum of their Hessians from one pass over its
 constraints, and the Loewner problem runs on the vertices whitened to unit
 scatter, so its conditioning does not depend on the body's.  The path
 starts at t = max(1, n_con / 10), a gap of at most 10, and from t = 1e2 on
@@ -14,10 +16,9 @@ lands on the optimum to rounding, or the barrier goes on from where it
 stopped.  The results are certificate-checkable via the John contact
 conditions.
 The fixed-center John field f_K runs one barrier over many centers at once
-(``_centered_john``, which also gives its gradient); ``max_centered_area`` is
-its one-row call.  A fixed-center Loewner variant backs
-``min_centered_inverse_area``.  The fixed-center solves run the barrier to
-its end.
+(``_centered_john``, which also gives its gradient) to its end;
+``max_centered_area`` is its one-row call.  By polarity, the fixed-center
+Loewner field lambda_K is f_K of a polar body.
 """
 
 from __future__ import annotations
@@ -28,18 +29,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, CertificationFailure, ConvergenceFailure, NoContacts
-from .polygons import AffineMap, Polygon, edge_normals, interior_margin
+from .polygons import (
+    AffineMap,
+    Polygon,
+    canonicalize,
+    edge_normals,
+    interior_margin,
+    polar_about,
+)
 
 CONTACT_TOL = 1e-6
 CERT_RESIDUAL_TOL = 1e-6
 # the log-det barriers stop at this duality gap n_con / t
 BARRIER_GAP = 1e-10
-# from the stage at t = FINISH_FROM on, the free-center barriers try to
-# finish by Newton on John's conditions (see _finish), on at most
-# MAX_CONTACTS contacts (one per parameter), for at most FINISH_STEPS steps
+# from the stage at t = FINISH_FROM on, the barriers try to finish by
+# Newton on John's conditions (see _finish), on at most MAX_CONTACTS
+# contacts (one per parameter), for at most FINISH_STEPS steps
 FINISH_FROM = 1e2
 MAX_CONTACTS = 5
 FINISH_STEPS = 10
+# a finish leaves no slack below -FINISH_SLACK, the rounding of the frame:
+# under a map of condition 1e3, a regular polygon's tied vertices read
+# slacks down to -1.0e-12 there, and a wrong contact set one below -2.5e-8
+FINISH_SLACK = 1e-12
 # past MAX_CONTACTS candidates, the contact set ends at the last place where
 # the next slack is this many times the one before (not tied to it)
 CUT_RATIO = 1.2
@@ -107,7 +119,7 @@ def _sym(t3: np.ndarray) -> np.ndarray:
 _LOGDET3_M = np.array([[0.0, 0.0, 1.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
 
 
-def _kkt_newton(theta, lam, S, slack_fn, slack_terms, ss):
+def _kkt_newton(theta, lam, S, slack_fn, slack_terms):
     """Newton on John's conditions restricted to the contact set S: the
     contact equations s_i = 0 for i in S and stationarity
     grad logdet + sum_S lam_i grad s_i = 0, in the 5 + |S| unknowns theta
@@ -127,7 +139,7 @@ def _kkt_newton(theta, lam, S, slack_fn, slack_terms, ss):
     wts = np.zeros(len(s))
     prev = np.inf
     for it in range(1, FINISH_STEPS + 1):
-        l11, l12, l22 = theta[ss].tolist()
+        l11, l12, l22 = theta[2:].tolist()
         det = l11 * l22 - l12 * l12
         if not (l11 > 0.0 and det > 0.0):
             break
@@ -136,10 +148,10 @@ def _kkt_newton(theta, lam, S, slack_fn, slack_terms, ss):
         J, Hs = slack_terms(theta, aux, wts)
         JS = J[S]
         r[:k] = lam @ JS
-        r[ss] += v
+        r[2:k] += v
         r[k:] = s[S]
         K[:k, :k] = Hs
-        K[ss, ss] += _LOGDET3_M / det - np.outer(v, v)
+        K[2:k, 2:k] += _LOGDET3_M / det - np.outer(v, v)
         K[:k, k:] = JS.T
         K[k:, :k] = JS
         try:
@@ -158,7 +170,7 @@ def _kkt_newton(theta, lam, S, slack_fn, slack_terms, ss):
     return None, lam, s, prev, it
 
 
-def _finish(theta, s, aux, t, slack_fn, slack_terms, ss, rejected, last):
+def _finish(theta, s, aux, t, slack_fn, slack_terms, rejected, last):
     """Leave the barrier at its point theta (slacks s, their ``aux``) of the
     stage at t, by ``_kkt_newton`` on a contact set S read off the slacks.
 
@@ -177,13 +189,12 @@ def _finish(theta, s, aux, t, slack_fn, slack_terms, ss, rejected, last):
     system singular, and fewer than 3 cannot meet John's conditions.
 
     Newton's result is the optimum if every lam_i > 0 and no slack is below
-    -1e-13, since John's conditions then hold.  Otherwise, if it converged,
-    its set is recorded in ``rejected`` and the next set is tried, with
-    weights mu: without the contacts of negative lam; or, if there are none,
-    with the most violated constraint added, in place of the contact whose
-    weight first falls to 0 as the new one's grows if S is full (a simplex
-    pivot; under a map of condition 1e3 the whitened vertices of a regular
-    polygon are tied only to about 1e-13).  A set Newton did not converge on
+    -FINISH_SLACK, since John's conditions then hold to rounding.
+    Otherwise, if it converged, its set is recorded in ``rejected`` and the
+    next set is tried, with weights mu: without the contacts of negative
+    lam; or, if there are none, with the most violated constraint added, in
+    place of the contact whose weight first falls to 0 as the new one's
+    grows if S is full (a simplex pivot).  A set Newton did not converge on
     is tried again at the next stage, from a point nearer the optimum.
 
     Returns (theta or None, size of Newton's last step, Newton steps taken,
@@ -205,21 +216,21 @@ def _finish(theta, s, aux, t, slack_fn, slack_terms, ss, rejected, last):
             return None, 0.0, 0, touching
         lam = mu[S]
         if len(S) > MAX_CONTACTS:
-            l11, l12, l22 = theta[ss].tolist()
+            l11, l12, l22 = theta[2:].tolist()
             det = l11 * l22 - l12 * l12
             grad = np.zeros(len(theta))
-            grad[ss] = (l22 / det, -2.0 * l12 / det, l11 / det)
+            grad[2:] = (l22 / det, -2.0 * l12 / det, l11 / det)
             J, _ = slack_terms(theta, aux, np.zeros(len(s)))
             w = _nnls(J[S].T * lam, -grad) * lam
             S, lam = S[w > 0.0], w[w > 0.0]
     steps = 0
     while 3 <= len(S) <= MAX_CONTACTS and frozenset(S.tolist()) not in rejected:
-        done, lam, sc, size, k = _kkt_newton(theta, lam, S, slack_fn, slack_terms, ss)
+        done, lam, sc, size, k = _kkt_newton(theta, lam, S, slack_fn, slack_terms)
         steps += k
         if done is None:
             break
         j = int(np.argmin(sc))
-        if lam.min() > 0.0 and sc[j] >= -1e-13:
+        if lam.min() > 0.0 and sc[j] >= -FINISH_SLACK:
             return done, max(size, np.finfo(float).eps), steps, touching
         rejected.add(frozenset(S.tolist()))
         if lam.min() <= 0.0:
@@ -242,28 +253,29 @@ def _finish(theta, s, aux, t, slack_fn, slack_terms, ss, rejected, last):
     return None, 0.0, steps, touching
 
 
-def _barrier_maxlogdet(theta0, slack_fn, slack_terms, shape_slice, n_con, finish=False):
-    """Minimize -t*logdet(shape) - sum log(slacks) along an increasing-t path,
-    up by tenfold steps until the gap n_con / t is below BARRIER_GAP.  With
-    ``finish`` the path starts at t = max(1, n_con / 10), so the first gap
-    is at most 10 (the stages before it only center the start); without,
-    it starts at t = 1, so its end gap is that of ``_centered_john``.
+def _barrier_maxlogdet(theta0, slack_fn, slack_terms, n_con):
+    """Minimize -t*logdet(shape) - sum log(slacks) along an increasing-t path
+    that starts at t = max(1, n_con / 10), a first duality gap n_con / t of
+    at most 10, and goes up by tenfold steps until the gap is below
+    BARRIER_GAP.  Both problems are convex, so each Newton matrix is
+    positive definite and its step a descent direction.
 
-    ``shape_slice`` picks the (l11, l12, l22) entries out of theta.  A
-    problem evaluates its constraints in one pass, split over two calls:
-    ``slack_fn(theta)`` returns the slacks and an ``aux`` of what their
-    derivatives reuse, and ``slack_terms(theta, aux, wts)`` returns the
-    slack Jacobian (n_con, k) and the weighted sum of the constraint
-    Hessians, sum_i wts_i * hess(s_i), as one (k, k) matrix, both in
-    buffers that its next call overwrites.  The log-det terms are added
-    from Python scalars.  With ``finish``, each stage from t = FINISH_FROM
-    on ends with ``_finish``, which may return the optimum instead.
-    Returns (theta, Newton steps taken, residual): after an accepted finish
-    the size of its last Newton step, and otherwise the final gap n_con / t.
+    theta holds two center or offset entries, then the shape entries
+    (l11, l12, l22).  A problem evaluates its constraints in one pass,
+    split over two calls: ``slack_fn(theta)`` returns the slacks and an
+    ``aux`` of what their derivatives reuse, and
+    ``slack_terms(theta, aux, wts)`` returns the slack Jacobian (n_con, 5)
+    and the weighted sum of the constraint Hessians, sum_i wts_i * hess(s_i),
+    as one (5, 5) matrix, both in buffers that its next call overwrites.
+    The log-det terms are added from Python scalars.  Each stage from
+    t = FINISH_FROM on ends with ``_finish``, which may return the optimum
+    instead.  Returns (theta, Newton steps taken, residual): after an
+    accepted finish the size of its last Newton step, and otherwise the
+    final gap n_con / t.
     """
     theta = np.array(theta0, dtype=float)
     s, aux = slack_fn(theta)
-    l11, l12, l22 = theta[shape_slice].tolist()
+    l11, l12, l22 = theta[2:].tolist()
     if not (s.min() > 0.0 and l11 > 0.0 and l11 * l22 - l12 * l12 > 0.0):
         raise ConvergenceFailure("infeasible barrier start")
     # the accepted iterate carries its slacks, their log sum and aux, so
@@ -271,11 +283,11 @@ def _barrier_maxlogdet(theta0, slack_fn, slack_terms, shape_slice, n_con, finish
     log_s = float(np.log(s).sum())
     steps = 0
     rejected = set()
-    t = max(1.0, n_con / 10.0) if finish else 1.0
+    t = max(1.0, n_con / 10.0)
     last = None
     while True:
         for _ in range(60):
-            l11, l12, l22 = theta[shape_slice].tolist()
+            l11, l12, l22 = theta[2:].tolist()
             det = l11 * l22 - l12 * l12
             wts = 1.0 / s
             J, Hs = slack_terms(theta, aux, wts)
@@ -285,26 +297,20 @@ def _barrier_maxlogdet(theta0, slack_fn, slack_terms, shape_slice, n_con, finish
             H -= Hs
             v0, v1, v2 = l22 / det, -2.0 * l12 / det, l11 / det
             h02, h11 = v0 * v2 - 1.0 / det, v1 * v1 + 2.0 / det
-            g[shape_slice] -= (t * v0, t * v1, t * v2)
-            H[shape_slice, shape_slice] += ((t * v0 * v0, t * v0 * v1, t * h02),
-                                            (t * v0 * v1, t * h11, t * v1 * v2),
-                                            (t * h02, t * v1 * v2, t * v2 * v2))
-            try:
-                step = np.linalg.solve(H, -g)
-            except np.linalg.LinAlgError:
-                step = -g
+            g[2:] -= (t * v0, t * v1, t * v2)
+            H[2:, 2:] += ((t * v0 * v0, t * v0 * v1, t * h02),
+                          (t * v0 * v1, t * h11, t * v1 * v2),
+                          (t * h02, t * v1 * v2, t * v2 * v2))
+            step = np.linalg.solve(H, -g)
             # lam2 is finite only if the step is
             lam2 = float(-g @ step)
-            if lam2 < 0.0:
-                # the Loewner barrier in (c, M) is not convex: descend the gradient
-                step, lam2 = -g, float(g @ g)
             if not (math.isfinite(lam2) and lam2 > 2.0 * t * 1e-13):
                 break
             base = -t * math.log(det) - log_s
             alpha = 1.0
             while alpha > 1e-14:
                 cand = theta + alpha * step
-                c11, c12, c22 = cand[shape_slice].tolist()
+                c11, c12, c22 = cand[2:].tolist()
                 dc = c11 * c22 - c12 * c12
                 if c11 > 0.0 and dc > 0.0:
                     sc, ac = slack_fn(cand)
@@ -317,9 +323,9 @@ def _barrier_maxlogdet(theta0, slack_fn, slack_terms, shape_slice, n_con, finish
                 alpha *= 0.5
             else:
                 break
-        if finish and t >= FINISH_FROM:
+        if t >= FINISH_FROM:
             done, res, k, last = _finish(theta, s, aux, t, slack_fn, slack_terms,
-                                         shape_slice, rejected, last)
+                                         rejected, last)
             steps += k
             if done is not None:
                 return done, steps, res
@@ -390,13 +396,13 @@ def _john_problem(P: Polygon):
     if r0 <= 0.0:
         raise ConvergenceFailure("center not interior")
     theta0 = np.array([c0[0], c0[1], r0, 0.0, r0])
-    return theta0, slacks, terms, slice(2, 5), n, d, g
+    return theta0, slacks, terms, n, d, g
 
 
 def john_ellipse(P: Polygon) -> Ellipse:
     """Maximum-area ellipse inscribed in the polygon."""
-    theta0, slacks, terms, ss, m, d, g = _john_problem(P)
-    theta, steps, gap = _barrier_maxlogdet(theta0, slacks, terms, ss, m, finish=True)
+    theta0, slacks, terms, m, d, g = _john_problem(P)
+    theta, steps, gap = _barrier_maxlogdet(theta0, slacks, terms, m)
     c = g + d * theta[:2]
     L = d * _sym(theta[2:])
     return Ellipse(c, L, iterations=steps, residual=gap)
@@ -540,83 +546,68 @@ def max_centered_area(P: Polygon, x) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Enclosing (Loewner) side: variables (cx, cy, m11, m12, m22), constraints per
-# vertex (v_i - c)^T M (v_i - c) <= 1; area is pi / sqrt(det M).
+# Enclosing (Loewner) side: variables (b0, b1, a11, a12, a22) of the ellipse
+# {y : |A y - b| <= 1}, A symmetric PD, constraints per vertex
+# |A y_i - b| <= 1; area is pi / det A.  Each w_i = A y_i - b is G_i theta,
+# with G_i = [[-1, 0, y0, y1, 0], [0, -1, 0, y0, y1]], so the slack
+# 1 - |G_i theta|^2 is concave and the barrier convex, as John's.
 
 
-# y[:, _YY[0]] * y[:, _YY[1]] is (y0^2, y0 y1, y1^2), and times _YY[2] it
-# is the shape part of the Jacobian of the Loewner slack 1 - y^T M y
-_YY = (np.array([0, 0, 1]), np.array([0, 1, 1]), np.array([-1.0, -2.0, -1.0]))
-
-
-def _loewner_problem(P: Polygon, center=None):
+def _loewner_problem(P: Polygon):
     # in the frame of _whiten: at a similarity's scale, the barrier's
     # centring error grew with the body's conditioning, up to 3e-4 of the
     # diameter in the equivariance of the center under maps of condition 1e3
     verts, S, g = _whiten(P)
     n = len(verts)
-    if center is None:
-        J = np.empty((n, 5))
-        Hs = np.zeros((5, 5))
+    y0, y1 = verts.T
+    mono = np.column_stack([np.ones(n), y0, y1, y0 * y0, y0 * y1, y1 * y1])
+    J = np.empty((n, 5))
+    Hs = np.empty((5, 5))
 
-        def slacks(theta):
-            cx, cy, m11, m12, m22 = theta.tolist()
-            y = verts - (cx, cy)
-            z = y @ np.array([[m11, m12], [m12, m22]])
-            return 1.0 - (z * y).sum(axis=1), (y, z)
+    def slacks(theta):
+        b0, b1, a11, a12, a22 = theta.tolist()
+        w = verts @ np.array([[a11, a12], [a12, a22]]) - (b0, b1)
+        return 1.0 - (w * w).sum(axis=1), w
 
-        def terms(theta, aux, wts):
-            # s is linear in M, its centre block is -2M, and its cross terms
-            # d2s / (dc dm_a) = 2 E_a y are linear in y, so they sum to 2 E_a Y
-            y, z = aux
-            J[:, :2] = 2.0 * z
-            J[:, 2:] = y[:, _YY[0]] * y[:, _YY[1]] * _YY[2]
-            sw = -2.0 * float(wts.sum())
-            y0, y1 = (2.0 * (wts @ y)).tolist()
-            _, _, m11, m12, m22 = theta.tolist()
-            Hs[:2] = ((sw * m11, sw * m12, y0, y1, 0.0),
-                      (sw * m12, sw * m22, 0.0, y0, y1))
-            Hs[2:, :2] = Hs[:2, 2:].T
-            return J, Hs
+    def terms(theta, w, wts):
+        # grad s_i = -2 G_i^T w_i, and hess s_i = -2 G_i^T G_i does not
+        # depend on theta: its weighted sum is linear in the weighted moments
+        w0, w1 = w.T
+        J[:, :2] = 2.0 * w
+        J[:, 2] = -2.0 * w0 * y0
+        J[:, 3] = -2.0 * (w0 * y1 + w1 * y0)
+        J[:, 4] = -2.0 * w1 * y1
+        k, m0, m1, m00, m01, m11 = (-2.0 * (wts @ mono)).tolist()
+        Hs[:] = ((k, 0.0, -m0, -m1, 0.0), (0.0, k, 0.0, -m0, -m1),
+                 (-m0, 0.0, m00, m01, 0.0), (-m1, -m0, m01, m00 + m11, m01),
+                 (0.0, -m1, 0.0, m01, m11))
+        return J, Hs
 
-        c0 = np.zeros(2)
-    else:
-        # at a fixed center c0, s = 1 - y^T M y is linear in (m11, m12, m22)
-        c0 = np.linalg.solve(S, np.asarray(center, dtype=float) - g)
-        y = verts - c0
-        J = y[:, _YY[0]] * y[:, _YY[1]] * _YY[2]
-        Hs = np.zeros((3, 3))
-
-        def slacks(theta):
-            return 1.0 + J @ theta, None
-
-        def terms(theta, aux, wts):
-            return J, Hs
-
-    # a disk twice the circumradius about c0: every slack is >= 3/4
-    R = float(np.linalg.norm(verts - c0, axis=1).max())
-    m0 = 1.0 / (2.0 * R) ** 2
-    if center is None:
-        return np.array([0.0, 0.0, m0, 0.0, m0]), slacks, terms, slice(2, 5), n, S, g
-    return np.array([m0, 0.0, m0]), slacks, terms, slice(0, 3), n, S, g
+    # a disk twice the circumradius about the centroid: every slack is >= 3/4
+    a0 = 0.5 / float(np.linalg.norm(verts, axis=1).max())
+    return np.array([0.0, 0.0, a0, 0.0, a0]), slacks, terms, n, S, g
 
 
 def loewner_ellipse(P: Polygon) -> Ellipse:
     """Minimum-area ellipse enclosing the polygon."""
-    theta0, slacks, terms, ss, m, S, g = _loewner_problem(P)
-    theta, steps, gap = _barrier_maxlogdet(theta0, slacks, terms, ss, m, finish=True)
-    # {S y : y^T M y <= 1} has the shape factor of S M^-1 S^T
-    L = _gram_root(np.linalg.solve(np.linalg.cholesky(_sym(theta[2:])), S.T).T)
-    return Ellipse(g + S @ theta[:2], L, iterations=steps, residual=gap)
+    theta0, slacks, terms, m, S, g = _loewner_problem(P)
+    theta, steps, gap = _barrier_maxlogdet(theta0, slacks, terms, m)
+    # {S y : |A y - b| <= 1} = {S A^-1 (b + u) : |u| <= 1}
+    B = np.linalg.solve(_sym(theta[2:]), S.T).T
+    return Ellipse(g + B @ theta[:2], _gram_root(B), iterations=steps, residual=gap)
 
 
 def min_centered_inverse_area(P: Polygon, x) -> float:
-    """lambda_K(x): inverse area of the smallest ellipse x + E containing P."""
-    theta0, slacks, terms, ss, m, S, g = _loewner_problem(P, center=x)
-    theta, _, _ = _barrier_maxlogdet(theta0, slacks, terms, ss, m)
-    det_m = theta[0] * theta[2] - theta[1] ** 2
-    # area = pi |det S| / sqrt(det M)
-    return math.sqrt(det_m) / (math.pi * abs(float(np.linalg.det(S))))
+    """lambda_K(x): inverse area of the smallest ellipse x + E containing P,
+    for any x.
+
+    A centered ellipse E contains P - x iff it contains
+    H = conv((P - x) u (x - P)), iff its polar lies in the polar H* of H,
+    and |E| |E polar| = pi^2: so lambda_K(x) is f_H*(0) / pi^2.
+    """
+    Y = P.vertices - np.asarray(x, dtype=float)
+    H = canonicalize(np.vstack([Y, -Y]))
+    return max_centered_area(polar_about(H, (0.0, 0.0)), (0.0, 0.0)) / math.pi ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from affpoints.ellipses import (
     BARRIER_GAP,
     CONTACT_TOL,
     Ellipse,
-    _barrier_maxlogdet,
     _centered_john,
     _contact_dirs,
     _john_problem,
@@ -65,6 +66,24 @@ class TestJohn:
                                rtol=1e-7, atol=1e-9)
 
 
+@functools.cache
+def _stream(count, seed):
+    return list(random_polygons(count, seed))
+
+
+def _indefinite_cases():
+    cases = [pytest.param(*c, False, id=f"{c[0]}-{c[1]}-{c[2]}")
+             for c in ((300, 11, 277), (400, 13, 38), (500, 14, 259), (500, 15, 291))]
+    # b is a body of random_polygons(400, seed), p its polar
+    for seed, bodies in ((13, "4b 108p 167b 261b 280p 367b 391b"),
+                         (14, "17p 86b 140b 256p 296p"),
+                         (15, "57p 115b 115p 238b 286p 287p"),
+                         (71, "6b 97p 118b 279b 287b 288b 293p 308b 348b")):
+        cases += [pytest.param(400, seed, int(b[:-1]), b[-1] == "p", id=f"400-{seed}-{b}")
+                  for b in bodies.split()]
+    return cases
+
+
 class TestLoewner:
     def test_square_circle(self, square):
         E = loewner_ellipse(square)
@@ -104,16 +123,19 @@ class TestLoewner:
                 # raises unless the contact conditions hold to CERT_RESIDUAL_TOL
                 verify_john_conditions(P, loewner_ellipse(P), "enclosing")
 
-    @pytest.mark.parametrize("count, seed, index", [
-        (300, 11, 277), (400, 13, 38), (500, 14, 259), (500, 15, 291)])
-    def test_indefinite_newton_matrix(self, count, seed, index):
-        # the (c, M) barrier is not convex: on these bodies its Newton matrix
-        # turned indefinite, each stage from there ended uncentred, and the
-        # returned ellipse failed its certificate (sums 1e-4 to 9e-3)
-        P = list(random_polygons(count, seed))[index]
+    @pytest.mark.parametrize("count, seed, index, polar", _indefinite_cases())
+    def test_indefinite_newton_matrix(self, count, seed, index, polar):
+        # the barrier in the center and the matrix M of (y - c)^T M (y - c)
+        # <= 1 is not convex: on these bodies (or their polars about the
+        # centroid) its Newton matrix turned indefinite.  Solved so, the
+        # first four failed their certificates (sums 1e-4 to 9e-3), and the
+        # others needed steps down the gradient
+        P = _stream(count, seed)[index]
+        if polar:
+            P = polar_about(P, P.centroid)
         cert = verify_john_conditions(P, loewner_ellipse(P), "enclosing")
-        assert np.linalg.norm(cert.residual_sum) < 1e-8
-        assert cert.residual_identity < 1e-8
+        assert np.linalg.norm(cert.residual_sum) <= 1e-12
+        assert cert.residual_identity <= 1e-12
 
     def test_random_triangle_certified(self):
         rng = np.random.default_rng(55)
@@ -188,8 +210,15 @@ class TestCenteredFields:
         assert max_centered_area(square, (1.0, 0.0)) == 0.0
 
     def test_lambda_square(self, square):
-        assert min_centered_inverse_area(square, (0, 0)) == \
-            pytest.approx(1.0 / (2 * np.pi), abs=1e-9)
+        # at the center, at a vertex and outside: H = conv((P - x) u (x - P))
+        # is the square, an affine-regular hexagon whose smallest ellipse has
+        # area 8 pi / sqrt(3), and a 6 x 2 rectangle.  The barrier's gap
+        # bounds the relative error
+        for x, expect in (((0, 0), 1.0 / (2 * np.pi)),
+                          ((1, 1), np.sqrt(3) / (8 * np.pi)),
+                          ((2, 0), 1.0 / (6 * np.pi))):
+            assert min_centered_inverse_area(square, x) == \
+                pytest.approx(expect, rel=BARRIER_GAP)
 
     def test_lambda_positive_and_scaling(self, triangle):
         rng = np.random.default_rng(56)
@@ -204,12 +233,15 @@ class TestCenteredFields:
 
     def test_one_row_matches_scalar_barrier(self):
         # max_centered_area is the one-row call of the batched solver; the
-        # scalar barrier path on the same fixed-center constraints is the
-        # oracle
+        # oracle's barrier path on the same fixed-center constraints is the
+        # reference
         for P in random_polygons(100, 5):
             x = P.centroid
-            theta0, slacks, terms, ss, n, d, _ = _john_setup(P, center=x)
-            l, _, _ = _barrier_maxlogdet(theta0, slacks, terms, ss, n)
+            theta0, slacks, terms, n, d, _ = _john_setup(P, center=x)
+            l = _oracle_barrier(theta0, lambda l: slacks(l)[0],
+                                lambda l: terms(l, slacks(l)[1], np.zeros(n))[0],
+                                lambda l, wts: terms(l, slacks(l)[1], wts)[1],
+                                slice(0, 3), n)
             expect = np.pi * (l[0] * l[2] - l[1] ** 2) * d * d
             assert abs(max_centered_area(P, x) - expect) <= 1e-12 * expect
 
@@ -338,22 +370,25 @@ def _john_setup(P, center=None):
         return jac, hess
 
     r0 = 0.45 * r.min()
-    return np.array([r0, 0.0, r0]), slacks, terms, slice(0, 3), len(b), d, g
+    return np.array([r0, 0.0, r0]), slacks, terms, len(b), d, g
 
 
 class TestSlackHessians:
-    @pytest.mark.parametrize("setup", [_john_setup, _loewner_problem],
-                             ids=["john", "loewner"])
-    @pytest.mark.parametrize("fixed", [False, True], ids=["free", "fixed"])
+    @pytest.mark.parametrize("setup, fixed", [
+        pytest.param(_john_setup, False, id="free-john"),
+        pytest.param(_john_setup, True, id="fixed-john"),
+        pytest.param(_loewner_problem, False, id="free-loewner")])
     def test_matches_jacobian_differences(self, setup, fixed):
         # slack_hess(theta, w) = sum_i w_i hess(s_i), against central
         # differences of the w-weighted constraint Jacobian
         rng = np.random.default_rng(59)
         h = 1e-6
         for P in random_bodies(8, 60):
-            center = P.centroid + 0.05 * P.diameter * rng.normal(size=2) \
-                if fixed else None
-            theta0, slacks, terms, *_ = setup(P, center=center)
+            if fixed:
+                center = P.centroid + 0.05 * P.diameter * rng.normal(size=2)
+                theta0, slacks, terms, *_ = setup(P, center=center)
+            else:
+                theta0, slacks, terms, *_ = setup(P)
 
             def jac(theta):
                 # the problem's buffers are overwritten by its next call
@@ -371,9 +406,11 @@ class TestSlackHessians:
 
 # The barrier path as it stood before the lean step: a generic driver over
 # separate slack, Jacobian and Hessian-sum closures, with the log-det terms
-# as arrays, and both problems at the diameter's scale.  It stops at a gap
-# of 1e-10, some 5e-10 of the diameter from the optimum, so the reference
-# is its end point refined by Newton on John's conditions.
+# as arrays, and both problems at the diameter's scale, the Loewner problem
+# in the center c and the matrix M of (y - c)^T M (y - c) <= 1.  It stops
+# at a gap of 1e-10, some 5e-10 of the diameter from the optimum, so the
+# John and Loewner references are its end point refined by Newton on
+# John's conditions.
 
 def _oracle_barrier(theta0, slack_fn, slack_jac, slack_hess, ss, n_con):
     def logdet(t3):
@@ -419,7 +456,7 @@ def _oracle_barrier(theta0, slack_fn, slack_jac, slack_hess, ss, n_con):
             else:
                 break
         if n_con / t < BARRIER_GAP:
-            return _kkt_refine(theta, slack_fn, slack_jac, slack_hess, ss)
+            return theta
         t *= 10.0
 
 
@@ -488,6 +525,7 @@ def _oracle_john(P):
     r0 = 0.45 * min(b - A @ c0)
     theta = _oracle_barrier([c0[0], c0[1], r0, 0.0, r0], slacks, jac, hess,
                             slice(2, 5), len(b))
+    theta = _kkt_refine(theta, slacks, jac, hess, slice(2, 5))
     L = d * _sym(theta[2:])
     return g + d * theta[:2], L
 
@@ -515,6 +553,7 @@ def _oracle_loewner(P):
     m0 = 1.0 / (2.0 * np.linalg.norm(verts, axis=1).max()) ** 2
     theta = _oracle_barrier([0.0, 0.0, m0, 0.0, m0], slacks, jac, hess,
                             slice(2, 5), len(verts))
+    theta = _kkt_refine(theta, slacks, jac, hess, slice(2, 5))
     w, V = np.linalg.eigh(_sym(theta[2:]))
     return g + d * theta[:2], d * (V / np.sqrt(w)) @ V.T
 
