@@ -69,29 +69,68 @@ def polar_vertices(verts: np.ndarray, zx: float, zy: float) -> np.ndarray:
     return np.column_stack([ux, uy])
 
 
-def polar_areas(verts: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Area V of the polar (P - x)° at each row x of X (k, 2), and grad V.
+def polar_terms(verts: np.ndarray):
+    """The per-edge terms of the polar area, formed once per body for
+    ``polar_calculus``.
 
-    Edge i lies on {y : <a_i, y> = b_i}, a_i its edge vector turned by
-    -90 degrees, so the polar about x has the vertex a_i / s_i, with the
-    slack s_i = b_i - <a_i, x>, and
-    V = 1/2 sum_i det(a_i, a_i+1) / (s_i s_i+1).  Each term's gradient in
-    x is the term times (a_i / s_i + a_i+1 / s_i+1).  Any scaling of a_i
-    cancels.  The sums run along the rows of (k, n) arrays, so a row's
-    result does not depend on the other rows.  A row with a slack <= 0
-    (x not interior) gets V = inf.
+    Edge i lies on {y : <a_i, y> = b_i}, a_i its edge vector turned by -90
+    degrees.  Returns (a, b, half_det, nxt): the a_i as an (n, 2) array,
+    the b_i, 1/2 det(a_i, a_i+1), and the index of each edge's successor,
+    by which the kernel shifts its arrays (np.roll costs more than the
+    sums on arrays this small).
     """
-    e = np.roll(verts, -1, axis=0) - verts
-    a0, a1 = e[:, 1], -e[:, 0]
-    b = a0 * verts[:, 0] + a1 * verts[:, 1]
-    det = a0 * np.roll(a1, -1) - a1 * np.roll(a0, -1)
-    s = b - (X[:, :1] * a0 + X[:, 1:] * a1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = det / (s * np.roll(s, -1, axis=1))
-        # term i holds s_i and s_i+1, so s_i sits in terms i - 1 and i
-        c = (q + np.roll(q, 1, axis=1)) / s
-        V = 0.5 * q.sum(axis=1)
-        grad = 0.5 * np.column_stack([(c * a0).sum(axis=1), (c * a1).sum(axis=1)])
+    n = len(verts)
+    nxt = np.arange(1, n + 1)
+    nxt[-1] = 0
+    e = verts[nxt] - verts
+    a = np.column_stack([e[:, 1], -e[:, 0]])
+    b = a[:, 0] * verts[:, 0] + a[:, 1] * verts[:, 1]
+    half_det = 0.5 * (a[:, 0] * a[nxt, 1] - a[:, 1] * a[nxt, 0])
+    return a, b, half_det, nxt
+
+
+def polar_calculus(terms, X: np.ndarray, hessian: bool = False):
+    """Area V of the polar (P - x)° at each row x of X (k, 2), with its
+    gradient and, if asked, its Hessian in x; ``terms`` is
+    ``polar_terms(P's vertices)``.
+
+    The polar about x has the vertex u_i = a_i / s_i, with the slack
+    s_i = b_i - <a_i, x>, so V = sum_i T_i with
+    T_i = 1/2 det(a_i, a_i+1) / (s_i s_i+1).  As grad s_i = -a_i,
+    grad T_i = T_i w_i with w_i = u_i + u_i+1, and grad u_i = u_i u_i^T, so
+
+        grad V = sum_i T_i w_i,
+        Hess V = sum_i T_i (w_i w_i^T + u_i u_i^T + u_i+1 u_i+1^T).
+
+    Any scaling of a_i cancels.  The sums run along the rows of X, so a
+    row's result does not depend on the other rows.  Returns
+    (V, grad, Hess or None, s) of shapes (k,), (k, 2), (k, 2, 2) and
+    (k, n); the values of a row with a slack <= 0 (x not interior) mean
+    nothing.
+    """
+    a, b, half_det, nxt = terms
+    s = b - (X[:, :1] * a[:, 0] + X[:, 1:] * a[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = a / s[:, :, None]
+        un = u[:, nxt]
+        w = u + un
+        T = half_det / (s * s[:, nxt])
+        grad = (T[:, :, None] * w).sum(axis=1)
+        if not hessian:
+            return T.sum(axis=1), grad, None, s
+        # the three sums of outer products as one, over 3n rows
+        Z = np.concatenate([w, u, un], axis=1)
+        TZ = Z * np.concatenate([T, T, T], axis=1)[:, :, None]
+        H = (TZ[:, :, :, None] * Z[:, :, None, :]).sum(axis=1)
+    return T.sum(axis=1), grad, H, s
+
+
+def polar_areas(verts: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Area V of the polar (P - x)° at each row x of X (k, 2), and grad V,
+    by ``polar_calculus``.  A row with a slack <= 0 (x not interior) gets
+    V = inf.
+    """
+    V, grad, _, s = polar_calculus(polar_terms(verts), X)
     V[(s <= 0.0).any(axis=1)] = np.inf
     return V, grad
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import random_body, random_map
-from .points import PointFunction, eval_point, polar_root
+from .points import PointFunction, central_differences, eval_point, polar_root
 from .polygons import Polygon, affine_apply, polar_about
 
 
@@ -110,9 +110,8 @@ def polar_preimage(pf: PointFunction, C: Polygon, init=None) -> np.ndarray:
     Existence holds for every proper point; uniqueness does not, so the
     starting point selects which root is found.
     """
-    z0 = C.centroid if init is None else init
-    return polar_root(lambda Q, z: eval_point(pf, polar_about(Q, z)).value,
-                      C, z0, 1e-9)[0]
+    F = central_differences(lambda Q, z: eval_point(pf, polar_about(Q, z)).value)
+    return polar_root(F, C, init, 1e-9)[0]
 
 
 def random_polygons(count: int, seed: int, k_range=(5, 30)):

@@ -5,8 +5,12 @@ area), John point j and Loewner point l (ellipse centers), symmetric-core
 point m (maximizer of the overlap area with the reflected body), and the
 two-cap family built from the polar-centroid direction.
 
-Symcore runs on the exact, batched overlap model ``_overlap_model``, and
-``_ray_roots`` is the one batched ray root-finder, here and in ``regions``.
+``polar_root`` is the one damped-Newton driver for zeros of a point of
+the polar (P - z)°: the Santalo point runs on it with the exact Jacobian
+of its closed-form polar centroid, and ``duality.polar_preimage`` with a
+Jacobian by central differences.  Symcore runs on the exact, batched
+overlap model ``_overlap_model``, and ``_ray_roots`` is the one batched
+ray root-finder, here and in ``regions``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from . import _polyops_py as kernels
 from .ellipses import _normalize, _whiten, john_ellipse, loewner_ellipse
-from .errors import BadParams, ConvergenceFailure
+from .errors import BadParams, ConvergenceFailure, PointNotInterior
 from .polygons import (
     EPS_GEOM,
     Halfplane,
@@ -25,7 +29,6 @@ from .polygons import (
     area_centroid,
     clip_halfplane,
     edge_normals,
-    interior_margin,
     support,
 )
 
@@ -93,35 +96,65 @@ def _polar_centroid(Q: Polygon, x: np.ndarray) -> np.ndarray:
     return np.array([cx, cy])
 
 
-def polar_root(F, P: Polygon, z0, tol: float):
-    """A z in int(P) at which F vanishes, by damped Newton from the interior
-    point z0; returns (z, steps, |F|).
+# the least margin, in the whitened frame, at which polar_root's models
+# evaluate their point
+POLAR_MARGIN = 10.0 * EPS_GEOM
 
-    F(Q, w) gets P and z in the frame of ``ellipses._whiten``,
-    Q = S^-1 (P - g) and w = S^-1 (z - g), and returns an affine invariant
-    point of the polar (Q - w)°, such as its centroid.  Q has unit scatter
-    whatever the scale and conditioning of P, so the absolute step bound
-    and difference step fit it (in P's own frame, or at diameter 1, the
-    solve stalled under maps of condition 1e3).  It stops when |F| is below
-    ``tol`` times the circumradius 1/margin(Q, w) of that polar.
+
+def central_differences(F):
+    """``polar_root``'s model of a black-box point F(Q, w) of the polar
+    (Q - w)°: F where the margin passes, and a Jacobian by central
+    differences, four more calls of F, formed only when a step needs it."""
+
+    def model(Q: Polygon):
+        normals, offsets = edge_normals(Q)
+
+        def at(w):
+            margin = float(np.min(offsets - normals @ w))
+            if margin <= POLAR_MARGIN:
+                return margin, None, None
+
+            def jac():
+                E = 1e-6 * np.eye(2)
+                return np.column_stack([(F(Q, w + e) - F(Q, w - e)) / 2e-6 for e in E])
+
+            return margin, F(Q, w), jac
+
+        return at
+
+    return model
+
+
+def polar_root(model, P: Polygon, z0, tol: float):
+    """A z in int(P) at which a point F of the polar (P - z)° vanishes, by
+    damped Newton from the interior point z0 (None: the centroid); returns
+    (z, steps, |F|).
+
+    The solve runs in the frame of ``ellipses._whiten``, on
+    Q = S^-1 (P - g) and w = S^-1 (z - g).  ``model(Q)`` is called once
+    per solve and returns at(w) -> (margin, F, jac): the interior margin
+    of w in Q and, where it exceeds POLAR_MARGIN, F at w, an affine
+    invariant point of (Q - w)° such as its centroid, and a callable that
+    gives F's Jacobian in w (else F is None).  ``central_differences``
+    builds the model of a black-box F; the Santalo point has an exact one.
+    Q has unit scatter whatever the scale and conditioning of P, so the
+    absolute step bound and difference step fit it (in P's own frame, or
+    at diameter 1, the solve stalled under maps of condition 1e3).  Each
+    step is capped at 0.25 and halved until |F| decreases.  It stops when
+    |F| is below ``tol`` times the circumradius 1/margin of that polar.
     """
     verts, S, g = _whiten(P)
-    Q = Polygon(verts)
-    z = np.linalg.solve(S, np.asarray(z0, dtype=float) - g)
-    fz = F(Q, z)
-    margin = interior_margin(Q, z)
+    at = model(Polygon(verts))
+    z = np.zeros(2) if z0 is None else np.linalg.solve(S, np.asarray(z0, dtype=float) - g)
+    margin, fz, jac = at(z)
+    if fz is None:
+        raise PointNotInterior(f"start point {(g + S @ z).tolist()} not interior")
     for it in range(120):
         nrm = float(np.linalg.norm(fz))
         if nrm * margin < tol:
             return g + S @ z, it, nrm
-        h = 1e-6
-        J = np.empty((2, 2))
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = h
-            J[:, k] = (F(Q, z + e) - F(Q, z - e)) / (2.0 * h)
         try:
-            step = np.linalg.solve(J, -fz)
+            step = np.linalg.solve(jac(), -fz)
         except np.linalg.LinAlgError:
             step = -fz
         if np.linalg.norm(step) > 0.25:
@@ -129,26 +162,46 @@ def polar_root(F, P: Polygon, z0, tol: float):
         alpha = 1.0
         while alpha > 1e-12:
             cand = z + alpha * step
-            m = interior_margin(Q, cand)
-            if m > 10.0 * EPS_GEOM:
-                fc = F(Q, cand)
-                if np.linalg.norm(fc) < nrm:
-                    z, fz, margin = cand, fc, m
-                    break
+            m, fc, jc = at(cand)
+            if fc is not None and np.linalg.norm(fc) < nrm:
+                z, fz, jac, margin = cand, fc, jc, m
+                break
             alpha *= 0.5
         else:
             raise ConvergenceFailure(f"polar root stalled at |F|={nrm:.3e}")
     raise ConvergenceFailure("polar root: no convergence in 120 steps")
 
 
-def santalo_point(P: Polygon) -> PointResult:
-    """Unique interior x with g((P - x) polar) = 0: the polar preimage of
-    the centroid, from the centroid.
+def _santalo_model(Q: Polygon):
+    """``polar_root``'s exact model for the Santalo point: F = grad V / 3V,
+    the centroid of (Q - w)°, with the Jacobian
+    (Hess V / V - grad V grad V^T / V^2) / 3, all from one
+    ``kernels.polar_calculus`` call on the terms of Q formed here; the
+    margin is the least slack over the length of its edge normal."""
+    terms = kernels.polar_terms(Q.vertices)
+    norms = np.hypot(terms[0][:, 0], terms[0][:, 1])
 
-    The zero of that centroid map is exactly the minimizer of the polar
-    area, which is strictly log convex in x.
+    def at(w):
+        (V,), (grad,), (H,), (s,) = kernels.polar_calculus(terms, w[None], hessian=True)
+        margin = float((s / norms).min())
+        if margin <= POLAR_MARGIN:
+            return margin, None, None
+        return margin, grad / (3.0 * V), lambda: (H / V - np.outer(grad, grad) / V**2) / 3.0
+
+    return at
+
+
+def santalo_point(P: Polygon) -> PointResult:
+    """Unique interior x with g((P - x)°) = 0: the polar preimage of the
+    centroid, and the minimizer of the polar area V, as
+    g((P - x)°) = grad V / 3V and log V is strictly convex in x.
+
+    Solved by ``polar_root`` from the centroid with the exact model
+    ``_santalo_model``: the closed-form V, gradient and Hessian of
+    ``kernels.polar_calculus``, so a Newton step costs one kernel call and
+    no differences.
     """
-    z, steps, nrm = polar_root(_polar_centroid, P, P.centroid, 1e-12)
+    z, steps, nrm = polar_root(_santalo_model, P, None, 1e-12)
     return PointResult(z, iterations=steps, residual=nrm)
 
 

@@ -12,6 +12,7 @@ from affpoints.duality import (
     product_iterate,
     random_polygons,
 )
+from affpoints.errors import PointNotInterior
 from affpoints.points import PointFunction, eval_point, santalo_point
 from affpoints.polygons import (
     AffineMap,
@@ -151,6 +152,11 @@ class TestPreimage:
         assert np.linalg.norm(z1) < 1e-6
         assert np.linalg.norm(z2 - (0.5, 0.0)) < 1e-6
         assert np.linalg.norm(z1 - z2) > 0.4
+
+    def test_start_must_be_interior(self, square):
+        for init in ((2.0, 0.0), (1.0, 0.5)):
+            with pytest.raises(PointNotInterior):
+                polar_preimage(G, square, init=init)
 
     @pytest.mark.parametrize("seed, t1, t2, shift", [
         (1153838077, 5.536746214766893, 0.3331952739149466,

@@ -2,19 +2,22 @@ import numpy as np
 import pytest
 
 from affpoints import points
-from affpoints.bodies import b_eta, body_kab, parse_spec, random_body, random_map
+from affpoints.bodies import b_eta, body_kab, ngon, parse_spec, random_body, random_map
 from affpoints.errors import BadParams
 from affpoints.points import (
     PointFunction,
     _newton_ascent,
     _overlap_model,
+    _polar_centroid,
     cap_point,
     caps,
+    central_differences,
     eval_point,
+    polar_root,
     santalo_point,
     symcore_point,
 )
-from affpoints.duality import random_polygons
+from affpoints.duality import invariance_check, random_polygons
 from affpoints.polygons import (
     AffineMap,
     Halfplane,
@@ -31,6 +34,10 @@ from affpoints.polygons import (
 from conftest import limacon, overlap_area, random_bodies
 
 ALL_IDS = ["centroid", "santalo", "john", "loewner", "symcore"]
+
+
+def _rotation(t):
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
 
 
 def test_eval_dispatch(square, triangle):
@@ -144,6 +151,27 @@ class TestSantalo:
         Q = affine_apply(T, P)
         dev = np.linalg.norm(santalo_point(Q).value - T(santalo_point(P).value))
         assert dev <= 1e-10 * Q.diameter
+
+    def test_matches_the_finite_difference_oracle(self):
+        # the same driver on the polar centroid read off the polar vertices,
+        # with the Jacobian by central differences
+        rng = np.random.default_rng(64)
+        ngons = [affine_apply(AffineMap(_rotation(rng.uniform(0, np.pi)) @ np.diag([1.0, 1e-3])
+                                        @ _rotation(rng.uniform(0, np.pi)), rng.normal(size=2)),
+                              ngon(m)) for m in (4, 6, 8, 12, 32, 200)]
+        for P in [*random_polygons(200, 65), *ngons]:
+            res = santalo_point(P)
+            z, steps, _ = polar_root(central_differences(_polar_centroid), P, P.centroid, 1e-12)
+            assert np.linalg.norm(res.value - z) <= 1e-12 * P.diameter
+            assert res.iterations <= steps
+
+    def test_invariance_on_stream_bodies(self):
+        # the five maps of invariance_check stacked on the stream's own map
+        # reach condition numbers near 2500, where the solve once stalled
+        # just above its residual tolerance
+        S = PointFunction("santalo")
+        for i, P in enumerate(random_polygons(600, 1)):
+            assert invariance_check(S, P, 5, i) <= 1e-10
 
 
 class TestSymcore:

@@ -4,6 +4,7 @@ import pytest
 from affpoints import _polyops_py as kernels
 from affpoints.bodies import b_eta, body_kab, ngon, random_body, random_map
 from affpoints.duality import random_polygons
+from affpoints.ellipses import _whiten
 from affpoints.errors import (
     DegenerateInput,
     PointNotInterior,
@@ -23,6 +24,7 @@ from affpoints.polygons import (
     canonicalize,
     clip_halfplane,
     hausdorff,
+    interior_margin,
     intersect,
     k_sub_z,
     polar_about,
@@ -230,6 +232,47 @@ class TestPolar:
                                                              [2.0, 0.5]]))
         assert V[0] == pytest.approx(2.0, rel=1e-15)
         assert np.isinf(V[1:]).all()
+
+
+class TestPolarCalculus:
+    # kernels.polar_calculus in the frame the Santalo solve runs in
+    # (ellipses._whiten), on stream bodies and on the trapezoid under the
+    # condition-1e3 map of test_points.TestSantalo, at points on segments
+    # from the centroid to a vertex, a third of them 1e-3 short of it
+
+    @staticmethod
+    def _cases():
+        T = AffineMap(np.array([[0.540302306, -8.41470985e-4],
+                                [0.841470985, 5.40302306e-4]]), np.zeros(2))
+        rng = np.random.default_rng(20)
+        for P in [*random_polygons(100, 19), affine_apply(T, body_kab(0.25, 0.375))]:
+            Q = Polygon(_whiten(P)[0])
+            w = rng.uniform(0.0, 1.0, size=12)
+            w[:4] = 1.0 - 1e-3
+            yield Q, w[:, None] * Q.vertices[rng.integers(Q.n, size=12)]
+
+    def test_derivatives_match_central_differences(self):
+        for Q, X in self._cases():
+            terms = kernels.polar_terms(Q.vertices)
+            _, grad, H, _ = kernels.polar_calculus(terms, X, hessian=True)
+            for x, dv, hv in zip(X, grad, H):
+                h = 1e-4 * interior_margin(Q, x)
+                Vp, gp, _, _ = kernels.polar_calculus(terms, x + h * np.eye(2))
+                Vm, gm, _, _ = kernels.polar_calculus(terms, x - h * np.eye(2))
+                assert np.linalg.norm(dv - (Vp - Vm) / (2 * h)) <= 1e-6 * np.linalg.norm(dv)
+                assert np.linalg.norm(hv - (gp - gm).T / (2 * h)) <= 1e-6 * np.linalg.norm(hv)
+
+    def test_polar_centroid_and_log_convexity(self):
+        for Q, X in self._cases():
+            V, grad, H, _ = kernels.polar_calculus(kernels.polar_terms(Q.vertices), X,
+                                                   hessian=True)
+            for x, v, dv, hv in zip(X, V, grad, H):
+                _, cx, cy = kernels.area_centroid(kernels.polar_vertices(Q.vertices, *x))
+                g = np.array([cx, cy])
+                assert np.linalg.norm(dv / (3.0 * v) - g) <= 1e-12 * np.linalg.norm(g)
+                L = hv / v - np.outer(dv, dv) / v**2  # Hessian of log V
+                assert abs(L[0, 1] - L[1, 0]) <= 1e-14 * np.abs(L).max()
+                assert np.linalg.eigvalsh(L)[0] > 0.0
 
 
 class TestClipIntersect:

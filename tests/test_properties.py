@@ -1,8 +1,9 @@
 """Property tests: affine equivariance of the santalo, john, loewner and
-symcore points, and of the floating and illumination bodies; and the
-Hausdorff distance as a metric that commutes with similarities; the
-diameter as the full scan over all vertex pairs; and John's contact
-conditions, to rounding, for the John and Loewner ellipses.
+symcore points, and of the floating and illumination bodies; the polar
+preimage of the centroid as the Santalo point; the Hausdorff distance as
+a metric that commutes with similarities; the diameter as the full scan
+over all vertex pairs; and John's contact conditions, to rounding, for
+the John and Loewner ellipses.
 
 The spec of an affine invariant point is p(T K) = T p(K) for every
 nonsingular affine T.  Hypothesis draws the body, the scale (1e-8 to 1e8),
@@ -21,7 +22,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from affpoints.bodies import body_kab, ngon, random_body
-from affpoints.duality import random_polygons
+from affpoints.duality import polar_preimage, random_polygons
 from affpoints.ellipses import john_ellipse, loewner_ellipse, verify_john_conditions
 from affpoints.points import PointFunction, eval_point
 from affpoints.polygons import (
@@ -136,6 +137,19 @@ def test_santalo_point_is_affine_equivariant(case):
 @given(midline_bodies_and_maps())
 def test_symcore_point_is_affine_equivariant(case):
     assert _deviation("symcore", *case) <= TOL
+
+
+@PROPERTY
+@given(bodies_and_maps())
+def test_preimage_of_the_centroid_is_the_santalo_point(case):
+    # dual(centroid) = santalo: polar_preimage's solve, with its Jacobian
+    # by central differences, against santalo_point's closed-form one, at
+    # acceptance criterion 10's tolerance
+    P, T = case
+    Q = affine_apply(T, P)
+    z = polar_preimage(PointFunction("centroid"), Q)
+    s = eval_point(PointFunction("santalo"), Q).value
+    assert np.linalg.norm(z - s) <= 1e-7 * Q.diameter
 
 
 RAYS = 64
