@@ -15,14 +15,17 @@ weights where more touch, and Newton on John's conditions restricted to it
 lands on the optimum to rounding, or the barrier goes on from where it
 stopped.  The results are certificate-checkable via the John contact
 conditions.
-The fixed-center John field f_K runs one barrier over many centers at once
-(``_centered_john``, which also gives its gradient) to its end;
-``max_centered_area`` is its one-row call.  By polarity, the fixed-center
-Loewner field lambda_K is f_K of a polar body.
+The fixed-center John field f_K has constraints linear in M = L^2, so one
+barrier runs over many centers at once (``_centered_john``), and after
+each stage every center tries the pairs and triples of contacts that its
+multipliers name against John's conditions: a certified set gives f_K and
+its gradient exactly.  ``max_centered_area`` is its one-row call.  By
+polarity, the fixed-center Loewner field lambda_K is f_K of a polar body.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -55,6 +58,13 @@ FINISH_SLACK = 1e-12
 # past MAX_CONTACTS candidates, the contact set ends at the last place where
 # the next slack is this many times the one before (not tied to it)
 CUT_RATIO = 1.2
+# the fixed-center John field finishes on the pairs and triples of the
+# FIELD_POOL largest barrier multipliers of a row, and accepts a set that
+# leaves no slack 1 - u^T M u below -FIELD_SLACK (see _field_finish): the
+# sets accepted read down to -1e-13, at the tied contacts of a regular
+# polygon under a map of condition 1e3
+FIELD_POOL = 5
+FIELD_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -365,8 +375,8 @@ def _john_problem(P: Polygon):
     Q = Polygon(verts)
     A, b = edge_normals(Q)
     n = len(b)
-    # w_i = L a_i = B_i l with B_i = [[a0, a1, 0], [0, a0, a1]] (see
-    # _sum_btcb); NB holds -B_i
+    # w_i = L a_i = B_i l with B_i = [[a0, a1, 0], [0, a0, a1]] for the
+    # normal a_i = (a0, a1) and l = (l11, l12, l22); NB holds -B_i
     NB = np.zeros((n, 2, 3))
     NB[:, 0, :2] = NB[:, 1, 1:] = -A
     J = np.empty((n, 5))
@@ -408,132 +418,228 @@ def john_ellipse(P: Polygon) -> Ellipse:
     return Ellipse(c, L, iterations=steps, residual=gap)
 
 
-def _sum_btcb(aa: np.ndarray, c00, c01, c11) -> np.ndarray:
-    """sum_i B_i^T C_i B_i as a (k, 3, 3) stack.
+def _spread_sets(u0, u1, mu, m):
+    """Per row, a pair and a triple of constraints for ``_field_finish``
+    that the largest multipliers can miss where many contacts tie, as on a
+    regular polygon at its center.
 
-    B_i = [[a0, a1, 0], [0, a0, a1]] maps l = (l11, l12, l22) to L a_i for
-    the edge normal a_i = (a0, a1), and C_i is the symmetric 2 x 2 matrix
-    [[c00, c01], [c01, c11]], each entry a (k, n) array.  ``aa`` (3, n)
-    holds a0^2, a0 a1 and a1^2 per edge, and each entry of the sum
-    combines sums over i of an entry of C_i times one of them.  Those are
-    row sums of elementwise products, not matrix products, so a row's
-    result does not depend on how many rows there are.
+    In the frame where M (rows m = (m11, m12, m22)) is the identity,
+    John's conditions put the origin in the hull of a set's directions at
+    doubled angles.  Both sets hold the constraint i of largest multiplier;
+    of those with at least half its multiplier, the pair adds the one
+    nearest to the point opposite i's, and the triple the nearest on each
+    side of it.
     """
-    p0, p1, p2 = ((c[:, None, :] * aa).sum(axis=2) for c in (c00, c01, c11))
-    H = np.empty((len(p0), 3, 3))
-    H[:, 0, 0] = p0[:, 0]
-    H[:, 0, 1] = H[:, 1, 0] = p0[:, 1] + p1[:, 0]
-    H[:, 0, 2] = H[:, 2, 0] = p1[:, 1]
-    H[:, 1, 1] = p0[:, 2] + 2.0 * p1[:, 1] + p2[:, 0]
-    H[:, 1, 2] = H[:, 2, 1] = p1[:, 2] + p2[:, 1]
-    H[:, 2, 2] = p2[:, 2]
-    return H
+    rows = np.arange(len(mu))
+    i = np.argmax(mu, axis=1)
+    # R u with R^T R = m11 M: u in that frame, up to a rotation and a scale
+    det = m[:, 0] * m[:, 2] - m[:, 1] ** 2
+    with np.errstate(invalid="ignore"):
+        phi = 2.0 * np.arctan2(np.sqrt(det)[:, None] * u1, m[:, :1] * u0 + m[:, 1:2] * u1)
+    off = np.remainder(phi - phi[rows, i][:, None], 2.0 * np.pi) - np.pi
+    near = mu >= 0.5 * mu[rows, i][:, None]
+    near[rows, i] = False
+    a = np.argmax(np.where(near & (off < 0.0), off, -np.inf), axis=1)
+    b = np.argmin(np.where(near & (off >= 0.0), off, np.inf), axis=1)
+    c = np.argmin(np.where(near, np.abs(off), np.inf), axis=1)
+    return np.stack([i, c, i], axis=1), np.stack([i, a, b], axis=1)
 
 
-def _centered_john(A: np.ndarray, b: np.ndarray, X, gap: float = BARRIER_GAP):
+def _field_finish(u0: np.ndarray, u1: np.ndarray, mu: np.ndarray, m_bar: np.ndarray):
+    """John's conditions for max log det M over u_i^T M u_i <= 1, tried on
+    each pair and triple of constraints among the FIELD_POOL largest
+    multipliers mu of each row, and on the sets of ``_spread_sets`` at
+    the barrier's point m_bar (u_i = (u0_i, u1_i); all (k, n) arrays).
+
+    A set S gives the optimum M if u_i^T M u_i = 1 on S, no slack
+    1 - u^T M u is below -FIELD_SLACK (relative, as u^T M u is about 1), and
+    M^-1 = sum_S lam_i u_i u_i^T with every lam_i >= 0: these are the KKT
+    conditions of a concave problem.  For a pair, M^-1 = u_1 u_1^T +
+    u_2 u_2^T and both weights are 1.  For a triple, the contact equations
+    are linear in (m11, m12, m22), with rows c_i = (u0^2, 2 u0 u1, u1^2),
+    and stationarity is C^T lam = v(M), the gradient of log det M; both
+    come from the cofactors of C.  Each row's result depends on that row
+    alone.
+
+    Returns (certified, det M, sum_S lam_i u_i) per row, from the certified
+    set whose least slack is largest.
+    """
+    k, n = mu.shape
+    pool = min(FIELD_POOL, n)
+    top = np.argsort(-mu, axis=1, kind="stable")[:, :pool]
+    pair, triple = _spread_sets(u0, u1, mu, m_bar)
+    # each set in three slots, the pairs first: a pair's third slot is its
+    # first, of weight 0
+    pairs = [s + s[:1] for s in itertools.combinations(range(pool), 2)]
+    sets = np.concatenate([top[:, pairs], pair[:, None], triple[:, None],
+                           top[:, list(itertools.combinations(range(pool), 3))]], axis=1)
+    xs = np.take_along_axis(u0, sets.reshape(k, -1), axis=1).reshape(sets.shape)
+    ys = np.take_along_axis(u1, sets.reshape(k, -1), axis=1).reshape(sets.shape)
+    p = len(pairs) + 1
+    x0, y0, x1, y1 = xs[:, :p, 0], ys[:, :p, 0], xs[:, :p, 1], ys[:, :p, 1]
+    c = np.stack([xs * xs, 2.0 * xs * ys, ys * ys], axis=3)[:, p:]
+    cof = np.stack([np.cross(c[:, :, 1], c[:, :, 2]), np.cross(c[:, :, 2], c[:, :, 0]),
+                    np.cross(c[:, :, 0], c[:, :, 1])], axis=2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cr2 = ((x0 * y1 - y0 * x1) ** 2)[:, :, None]
+        det_c = (c[:, :, 0] * cof[:, :, 0]).sum(axis=2)
+        # rows dependent to rounding, as antiparallel edges make them, fix no
+        # M and let rounding pick one; independent rows give
+        # |det C| / prod |c_i| >= 1e-2 in practice
+        det_c = np.where(np.abs(det_c) > 1e-8 * np.abs(c).max(axis=3).prod(axis=2),
+                         det_c, np.nan)[:, :, None]
+        m = np.concatenate([np.stack([y0 * y0 + y1 * y1, -(x0 * y0 + x1 * y1),
+                                      x0 * x0 + x1 * x1], axis=2) / cr2,
+                            cof.sum(axis=2) / det_c], axis=1)
+        det_m = m[:, :, 0] * m[:, :, 2] - m[:, :, 1] ** 2
+        v = np.stack([m[:, p:, 2], -2.0 * m[:, p:, 1], m[:, p:, 0]], axis=2) \
+            / det_m[:, p:, None]
+        lam = np.concatenate([np.broadcast_to([1.0, 1.0, 0.0], (k, p, 3)),
+                              (cof * v[:, :, None]).sum(axis=3) / det_c], axis=1)
+        least = (1.0 - (m[:, :, :1] * (u0 * u0)[:, None]
+                        + 2.0 * m[:, :, 1:2] * (u0 * u1)[:, None]
+                        + m[:, :, 2:] * (u1 * u1)[:, None])).min(axis=2)
+        ok = (least >= -FIELD_SLACK) & (lam >= 0.0).all(axis=2) & (det_m > 0.0) \
+            & (det_m < np.inf)
+    best = np.argmax(np.where(ok, least, -np.inf), axis=1)[:, None]
+    g = np.stack([(lam * xs).sum(axis=2), (lam * ys).sum(axis=2)], axis=2)
+    pick = np.take_along_axis
+    return (pick(ok, best, axis=1)[:, 0], pick(det_m, best, axis=1)[:, 0],
+            pick(g, best[:, :, None], axis=1)[:, 0])
+
+
+def _centered_john(A: np.ndarray, b: np.ndarray, X):
     """The fixed-center John field of {y : A y <= b} at every row x of X.
 
-    For each x the unknowns are l = (l11, l12, l22), the shape L of the
-    ellipse x + L (unit disk), under the constraints
-    s_i = b_i - a_i.x - |L a_i| >= 0 (A has unit rows).  One log-det barrier
-    path runs for all rows at once: params (k, 3), slacks (k, n) and
-    (k, 3, 3) Newton systems.  Inside the quadratic region
-    (lambda^2 < 1/16) a row takes the full step once it is feasible,
-    because at large t rounding hides the decrease the line search looks
-    for.  A row leaves a t-stage after its first full step; in the last
-    stage, after the full step at which its decrement no longer falls
-    fourfold (there it falls far faster until rounding stops it), so the
-    last stage is centered as well as rounding allows.  Expects a body of
-    diameter about 1; a row whose center has margin at most 1e-13 gets
-    det 0.  Each row's result depends on that row alone.
+    For each x the ellipse is x + L (unit disk), L symmetric, and with
+    M = L^2 and u_i = a_i / r_i, r_i = b_i - a_i.x, the constraint
+    |L a_i| <= r_i is u_i^T M u_i <= 1 (A has unit rows): linear in
+    m = (m11, m12, m22), and log det L = log det M / 2.  Each row is
+    solved in the frame where its u_i have unit second moment, so that M
+    is well conditioned there even 1e-7 of the diameter from an edge.
+    One log-det barrier path, from t = max(1, n / 10), runs for all rows
+    at once: params (k, 3), slacks (k, n) and (k, 3, 3) Newton systems.
+    The line search starts short of the first slack's zero, which is
+    linear along the step, and inside the quadratic region
+    (lambda^2 < 1/16) a row takes the full step.  A row leaves a t-stage
+    after its first full step; in the last stage, after the full step at
+    which its decrement no longer falls fourfold, so that stage is
+    centered as well as rounding allows.
 
-    Returns (det L, grad_x log det L) per row at the final gap n / t.  The
-    gradient is the envelope theorem's -sum_i mu_i a_i, with the barrier
-    multipliers mu_i = 1 / (t s_i).  How well rounding lets the last stage
-    center falls as t grows: at a gap of 1e-8 the gradient matched central
-    differences of log f to 1e-5 relative on bodies of 6 to 256 edges, at
-    1e-10 only to 9e-2.
+    After every stage each row tries to finish (``_field_finish``) on the
+    contact sets that its multipliers mu_i = 1 / (t s_i) name; a row whose
+    set meets John's conditions leaves the path with the optimum.  There
+    det L = sqrt(det M), and by the envelope theorem
+    grad_x log det L = -sum_S lam_i a_i / r_i exactly.  The rows never
+    certified run on to a gap n / t below BARRIER_GAP and take the
+    multipliers mu as their lam.  Expects a body of diameter about 1; a
+    row whose center has margin at most 1e-13 gets det 0.  Each row's
+    result depends on that row alone.
+
+    Returns (det L, grad_x log det L) per row.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     k, n = len(X), len(b)
-    det = np.zeros(k)
-    grad = np.full((k, 2), np.nan)
-    a0, a1 = A[:, 0], A[:, 1]
-    r = b - (X[:, :1] * a0 + X[:, 1:] * a1)
+    r = b - (X[:, :1] * A[:, 0] + X[:, 1:] * A[:, 1])
     rows = np.flatnonzero(r.min(axis=1) > 1e-13)
+    # per row, sqrt(det M') and sum lam_i u'_i in the row's frame
+    root_det, lam_u = np.zeros(len(rows)), np.zeros((len(rows), 2))
     r = r[rows]
-    # w_i = L a_i = B_i l (see _sum_btcb); grad s_i is -B_i^T n and hess s_i
-    # is -B_i^T tau tau^T B_i / |w_i|, with n the unit w_i and
-    # tau = (-n1, n0).  So the slack part of the barrier Hessian is
-    # sum_i B_i^T C_i B_i with C_i = n n^T / s^2 + (I - n n^T) / (s |w|)
-    aa = np.array([a0 * a0, a0 * a1, a1 * a1])
-
-    def norm_w(l):
-        w0 = l[:, :1] * a0 + l[:, 1:2] * a1
-        w1 = l[:, 1:2] * a0 + l[:, 2:] * a1
-        return w0, w1, np.sqrt(w0 * w0 + w1 * w1)
-
-    l = np.zeros((len(rows), 3))
-    l[:, 0] = l[:, 2] = 0.45 * r.min(axis=1)
-    s = r - norm_w(l)[2]
+    u0, u1 = A[:, 0] / r, A[:, 1] / r
+    # each row runs in the frame where its u_i have unit second moment:
+    # u = R^T u' with R from the QR factorization of the (n, 2) matrix of
+    # the u_i, by two Gram-Schmidt steps that do not square its condition.
+    # There M' = R M R^T is well conditioned however near an edge x lies
+    r00 = np.sqrt((u0 * u0).sum(axis=1))
+    u0 = u0 / r00[:, None]
+    r01 = (u0 * u1).sum(axis=1)
+    u1 = u1 - r01[:, None] * u0
+    r11 = np.sqrt((u1 * u1).sum(axis=1))
+    u1 = u1 / r11[:, None]
+    # the constraint rows (p, 2 q, w) and the products that the slack part
+    # of the Hessian, sum_i (p, 2 q, w)^T (p, 2 q, w) / s_i^2, sums
+    p, q, w = u0 * u0, u0 * u1, u1 * u1
+    pp, pq, pw, qw, ww = p * p, p * q, p * w, q * w, w * w
+    # start at the disk of 0.45 times the nearest constraint's distance:
+    # every slack is at least 1 - 0.45^2
+    m = np.zeros((len(rows), 3))
+    m[:, 0] = m[:, 2] = 0.2025 / (p + w).max(axis=1)
+    s = 1.0 - (m[:, :1] * p + m[:, 2:] * w)
     log_s = np.log(s).sum(axis=1)
-    t = 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while True:
-            last = n / t < gap
-            live = np.arange(len(rows))
+    act = np.arange(len(rows))
+    t = max(1.0, n / 10.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while act.size:
+            last = n / t < BARRIER_GAP
+            live = act
             prev = np.full(len(rows), np.inf)
             for _ in range(60):
                 if not live.size:
                     break
-                ll, sl = l[live], s[live]
-                w0, w1, wl = norm_w(ll)
-                n0, n1 = w0 / wl, w1 / wl
-                e0, e1 = n0 / sl, n1 / sl
-                isw = 1.0 / (sl * wl)
-                cn = e0 * e0 + e1 * e1 - isw
-                dd = ll[:, 0] * ll[:, 2] - ll[:, 1] ** 2
-                v = np.column_stack([ll[:, 2], -2.0 * ll[:, 1], ll[:, 0]]) / dd[:, None]
-                H = _sum_btcb(aa, cn * n0 * n0 + isw, cn * n0 * n1, cn * n1 * n1 + isw)
+                mm, e = m[live], 1.0 / s[live]
+                dd = mm[:, 0] * mm[:, 2] - mm[:, 1] ** 2
+                v = np.stack([mm[:, 2], -2.0 * mm[:, 1], mm[:, 0]], axis=1) / dd[:, None]
+                e2 = e * e
+                h = [(e2 * z[live]).sum(axis=1) for z in (pp, pq, pw, qw, ww)]
+                H = np.stack([h[0], 2.0 * h[1], h[2], 2.0 * h[1], 4.0 * h[2], 2.0 * h[3],
+                              h[2], 2.0 * h[3], h[4]], axis=1).reshape(-1, 3, 3)
                 H += t * (v[:, :, None] * v[:, None, :] - _LOGDET3_M / dd[:, None, None])
-                g = np.column_stack([(e0 * a0).sum(axis=1), (e0 * a1 + e1 * a0).sum(axis=1),
-                                     (e1 * a1).sum(axis=1)]) - t * v
+                g = np.stack([(e * p[live]).sum(axis=1), 2.0 * (e * q[live]).sum(axis=1),
+                              (e * w[live]).sum(axis=1)], axis=1) - t * v
                 try:
                     step = np.linalg.solve(H, -g[:, :, None])[:, :, 0]
                 except np.linalg.LinAlgError:
-                    step = -g
+                    step = np.full_like(g, np.nan)
                 lam2 = -(g * step).sum(axis=1)
-                go = np.isfinite(step).all(axis=1)
+                go = np.isfinite(step).all(axis=1) & (lam2 >= 0.0)
                 live, step, lam2 = live[go], step[go], lam2[go]
-                # a row takes this step, and leaves the stage if it is a full
-                # step (in the last stage, one whose decrement no longer
-                # falls fourfold)
+                # a row leaves the stage after a full step (in the last
+                # stage, one whose decrement no longer falls fourfold)
                 full = lam2 < 1.0 / 16.0
-                more = ~full | ((lam2 > 0.0) & (lam2 < 0.25 * prev[live])) if last else ~full
+                more = ~full | (lam2 < 0.25 * prev[live]) if last else ~full
                 prev[live] = lam2
+                # the slacks fall by alpha d along the step: the line search
+                # starts short of where the first reaches 0
+                d = step[:, :1] * p[live] + 2.0 * step[:, 1:2] * q[live] + step[:, 2:] * w[live]
+                room = np.where(d > 0.0, s[live] / d, np.inf).min(axis=1)
+                alpha = np.where(full, 1.0, np.minimum(1.0, 0.99 * room))
                 base = -t * np.log(dd[go]) - log_s[live]
                 pend = np.arange(len(live))
-                alpha = 1.0
-                while pend.size and alpha > 1e-14:
-                    cand = l[live[pend]] + alpha * step[pend]
-                    sc = r[live[pend]] - norm_w(cand)[2]
+                while pend.size and alpha[pend].max() > 1e-14:
+                    a, lp = alpha[pend][:, None], live[pend]
+                    mc = m[lp] + a * step[pend]
+                    sc = 1.0 - (mc[:, :1] * p[lp] + 2.0 * mc[:, 1:2] * q[lp] + mc[:, 2:] * w[lp])
+                    dc = mc[:, 0] * mc[:, 2] - mc[:, 1] ** 2
                     lc = np.log(sc).sum(axis=1)
-                    fc = -t * np.log(cand[:, 0] * cand[:, 2] - cand[:, 1] ** 2) - lc
-                    ok = (cand[:, 0] > 0.0) & np.isfinite(fc) & (sc > 0.0).all(axis=1)
-                    ok &= (full[pend] & (alpha == 1.0)) | (fc < base[pend])
+                    fc = -t * np.log(dc) - lc
+                    ok = (sc.min(axis=1) > 0.0) & (mc[:, 0] > 0.0) & (dc > 0.0) & np.isfinite(fc)
+                    ok &= (full[pend] & (a[:, 0] == 1.0)) | (fc < base[pend])
                     hit = live[pend[ok]]
-                    l[hit], s[hit], log_s[hit] = cand[ok], sc[ok], lc[ok]
+                    m[hit], s[hit], log_s[hit] = mc[ok], sc[ok], lc[ok]
                     pend = pend[~ok]
-                    alpha *= 0.5
+                    alpha[pend] *= 0.5
                 # so does a row whose line search found no step
                 more[pend] = False
                 live = live[more]
+            mu = 1.0 / (t * s[act])
+            ok, det_m, lu = _field_finish(u0[act], u1[act], mu, m[act])
+            root_det[act[ok]] = np.sqrt(det_m[ok])
+            lam_u[act[ok]] = lu[ok]
             if last:
+                act, mu = act[~ok], mu[~ok]
+                mm = m[act]
+                root_det[act] = np.sqrt(mm[:, 0] * mm[:, 2] - mm[:, 1] ** 2)
+                lam_u[act] = np.stack([(mu * u0[act]).sum(axis=1),
+                                       (mu * u1[act]).sum(axis=1)], axis=1)
                 break
+            act = act[~ok]
             t *= 10.0
-    det[rows] = l[:, 0] * l[:, 2] - l[:, 1] ** 2
-    mu = 1.0 / (t * s)
-    grad[rows] = -np.column_stack([(mu * a0).sum(axis=1), (mu * a1).sum(axis=1)])
+        # back to x's frame: det M = det M' / (r00 r11)^2, and
+        # -sum lam_i u_i = -R^T sum lam_i u'_i
+        det, grad = np.zeros(k), np.full((k, 2), np.nan)
+        det[rows] = root_det / (r00 * r11)
+        grad[rows, 0] = -r00 * lam_u[:, 0]
+        grad[rows, 1] = -(r01 * lam_u[:, 0] + r11 * lam_u[:, 1])
     return det, grad
 
 

@@ -37,12 +37,23 @@ class Polygon:
 
     @property
     def area(self) -> float:
-        return kernels.area_centroid(self.vertices)[0]
+        return self._area_centroid()[0]
 
     @property
     def centroid(self) -> np.ndarray:
-        _, cx, cy = kernels.area_centroid(self.vertices)
-        return np.array([cx, cy])
+        """The centroid, computed once per polygon with the area (the
+        vertices are read-only), and read-only itself."""
+        return self._area_centroid()[1]
+
+    def _area_centroid(self) -> tuple[float, np.ndarray]:
+        ac = self.__dict__.get("_ac")
+        if ac is None:
+            a, cx, cy = kernels.area_centroid(self.vertices)
+            g = np.array([cx, cy])
+            g.setflags(write=False)
+            ac = (a, g)
+            object.__setattr__(self, "_ac", ac)
+        return ac
 
     @property
     def diameter(self) -> float:

@@ -7,9 +7,8 @@ a polygon built from m directions or rays; errors scale like O(1/m).  All
 five find their roots with one batched root-finder, ``points._ray_roots``:
 each map gives its level function and its slope along the rays, and
 safeguarded Newton runs on all rays of a block at once.  Each root is
-within 1e-10 diam of the level set of the field as computed; the John
-field is solved to a barrier gap of 1e-8, so there log f is within 1e-8
-of its level.
+within 1e-10 diam of the level set of the field as computed, and the
+John field is certified by John's conditions, so exact to rounding.
 """
 
 from __future__ import annotations
@@ -23,9 +22,6 @@ from .points import _overlap_model, _ray_roots, santalo_point, symcore_point
 from .polygons import Polygon, canonicalize, edge_normals
 
 DEFAULT_RAYS = 256
-# the John field's barrier stops at this gap, where its envelope gradient
-# is still accurate
-JOHN_FIELD_GAP = 1e-8
 
 
 def _unit_grid(m: int) -> np.ndarray:
@@ -161,9 +157,9 @@ def santalo_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:
 def john_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:
     """Superlevel region of the inscribed-ellipse area field at c times max.
 
-    Each ray's crossing is the root of log target - log f, with f from the
-    batched fixed-center John barrier stopped at a gap of 1e-8, where its
-    envelope-theorem gradient is accurate.
+    Each ray's crossing is the root of log target - log f, with f and its
+    exact envelope-theorem slope from the batched fixed-center John field
+    (``ellipses._centered_john``).
     """
     if not 0.0 < c < 1.0:
         raise BadParams(f"need 0 < c < 1, got {c}")
@@ -174,7 +170,7 @@ def john_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:
     log_target = np.log(c * _centered_john(A, b, j)[0][0])
 
     def field(X, U):
-        det, grad = _centered_john(A, b, X, gap=JOHN_FIELD_GAP)
+        det, grad = _centered_john(A, b, X)
         with np.errstate(divide="ignore"):
             return log_target - np.log(det), -(grad * U).sum(axis=1)
 
