@@ -76,12 +76,23 @@ def random_map(rng: np.random.Generator, max_cond: float = 50.0) -> AffineMap:
     return AffineMap(M, rng.normal(size=2))
 
 
+# upper bound of the vertex or point count of an ngon or random spec (the
+# bound of region --rays), checked before anything is allocated
+MAX_SPEC_VERTICES = 65536
+
+
+def _spec_count(n: int) -> int:
+    if n > MAX_SPEC_VERTICES:
+        raise BadParams(f"at most {MAX_SPEC_VERTICES} vertices, got {n}")
+    return n
+
+
 def parse_spec(text: str):
     """Parse a body spec string like 'square', 'ngon:64', 'kab:1,2',
     'random:12,7', 'file:/path/to/body.json'. Returns a Polygon.
 
-    A malformed argument, or a file that cannot be read as polygon JSON,
-    raises BadParams.
+    A malformed argument, a vertex count above MAX_SPEC_VERTICES, or a file
+    that cannot be read as polygon JSON, raises BadParams.
     """
     from .serialize import load_polygon
 
@@ -95,7 +106,7 @@ def parse_spec(text: str):
         if name == "simplex":
             return simplex()
         if name == "ngon":
-            return ngon(int(arg))
+            return ngon(_spec_count(int(arg)))
         if name == "kab":
             a, b = (float(s) for s in arg.split(","))
             return body_kab(a, b)
@@ -103,7 +114,7 @@ def parse_spec(text: str):
             return b_eta(float(arg))
         if name == "random":
             parts = arg.split(",")
-            k = int(parts[0])
+            k = _spec_count(int(parts[0]))
             seed = int(parts[1]) if len(parts) > 1 else 0
             return random_body(k, seed)
         if name == "file":

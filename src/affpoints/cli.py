@@ -9,6 +9,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -220,6 +221,14 @@ def _residual_worker(args):
     return rep.max_residual, [(i, msg) for _, msg in rep.failures]
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _dual_check(args) -> int:
     p, q = _point(args.p), _point(args.q)
     work = [(p, q, i, P)
@@ -227,7 +236,7 @@ def _dual_check(args) -> int:
     if args.jobs > 1:
         from multiprocessing import get_context
 
-        with get_context("fork").Pool(min(args.jobs, args.trials)) as pool:
+        with get_context("fork").Pool(min(args.jobs, args.trials, _cpus())) as pool:
             results = pool.map(_residual_worker, work)
     else:
         results = list(map(_residual_worker, work))

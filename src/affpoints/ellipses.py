@@ -724,9 +724,12 @@ def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """argmin |A w - b| over w >= 0, by the Lawson-Hanson active-set method.
 
     The passive set holds the weights that may be positive; each outer step
-    frees the zero weight with the largest gradient, and each inner step
-    solves least squares on the passive set, stepping back to the last
-    feasible point and dropping the weights that reach zero.
+    frees the zero weight with the largest gradient, the first of those
+    tied to it within rounding, and each inner step solves least squares on
+    the passive set, stepping back to the last feasible point and dropping
+    the weights that reach zero.  Where columns tie, as the contacts of a
+    regular polygon do, the solution is not unique, and the first of the
+    tied gradients picks the same one after a last-bit move of A.
     """
     k = A.shape[1]
     # the rounding of the gradient A^T (b - A w) scales with |A| |b|
@@ -736,7 +739,7 @@ def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     passive = np.zeros(k, dtype=bool)
     for _ in range(3 * k):
         grad = np.where(passive, -np.inf, A.T @ (b - A @ w))
-        j = int(np.argmax(grad))
+        j = int(np.argmax(grad >= grad.max() - tol))
         if grad[j] <= tol:
             break
         passive[j] = True

@@ -26,7 +26,6 @@ from .polygons import (
     EPS_GEOM,
     Halfplane,
     Polygon,
-    area_centroid,
     clip_halfplane,
     edge_normals,
     support,
@@ -479,10 +478,10 @@ def cap_point(P: Polygon, eps: float, delta: float) -> np.ndarray:
     A, B, G, cut = _caps(P, eps, delta)
     if cut is None:
         return P.centroid
-    aA, gA = area_centroid(A)
-    aB, gB = area_centroid(B)
+    aA, gA = A.area, A.centroid
+    aB, gB = B.area, B.centroid
     W = clip_halfplane(A, cut)
     if W is None:
         return (aA * gA + aB * gB) / (aA + aB)
-    aW, gW = area_centroid(W)
+    aW, gW = W.area, W.centroid
     return (aA * gA + aB * gB - aW * gW) / (aA + aB - aW)

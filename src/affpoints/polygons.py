@@ -259,15 +259,14 @@ def canonicalize(points) -> Polygon:
         hull = _convex_hull(pts)
         if len(hull) >= 3:
             hull = _drop_collinear(hull, floor)
-    if len(hull) < 3 or abs(kernels.area_centroid(hull)[0]) <= EPS_AREA * extent * extent:
+    if len(hull) < 3:
         raise DegenerateInput("points are collinear or coincident")
     start = int(np.lexsort((hull[:, 1], hull[:, 0]))[0])
-    return Polygon(np.roll(hull, -start, axis=0))
-
-
-def area_centroid(P: Polygon) -> tuple[float, np.ndarray]:
-    a, cx, cy = kernels.area_centroid(P.vertices)
-    return a, np.array([cx, cy])
+    P = Polygon(np.roll(hull, -start, axis=0))
+    # the area that the polygon keeps, so the kernel runs once per hull
+    if abs(P.area) <= EPS_AREA * extent * extent:
+        raise DegenerateInput("points are collinear or coincident")
+    return P
 
 
 def support(P: Polygon, u) -> float:

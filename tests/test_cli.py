@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -77,6 +78,37 @@ def test_dual_check_jobs_deterministic(pair, trials, seed):
     base = run(argv)
     par = run([*argv, "--jobs", "2"])
     assert base[1] == par[1]
+
+
+def test_dual_check_jobs_bounded_by_cpus(monkeypatch):
+    # --jobs asks for at most one worker per CPU; the pool is a stand-in
+    # that records its size and maps in this process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, n):
+            sizes.append(n)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    class Context:
+        Pool = RecordingPool
+
+    monkeypatch.setattr("multiprocessing.get_context", lambda method: Context)
+    # one CPU, where the platform has an affinity call and where it has not
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    argv = ["dual-check", "--p", "centroid", "--q", "santalo", "--trials", "3",
+            "--seed", "2"]
+    assert run([*argv, "--jobs", "8"]) == run(argv)
+    assert sizes == [1]
 
 
 def test_product_check():
@@ -210,6 +242,8 @@ def test_usage_error_exit_2():
      "--tol", "0"],
     ["invariance", "--body", "simplex", "--id", "centroid", "--trials", "1",
      "--tol", "-1e-6"],
+    ["point", "--body", "ngon:1000000000000", "--id", "centroid"],
+    ["point", "--body", "random:1000000000000,1", "--id", "centroid"],
 ])
 def test_bad_input_exit_2(argv, tmp_path, monkeypatch, capsys):
     from affpoints import cli

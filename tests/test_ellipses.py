@@ -743,3 +743,34 @@ def test_finish_past_five_contacts(P, john_steps, loewner_steps):
         assert np.linalg.norm(cert.residual_sum) <= 1e-12
         assert cert.residual_identity <= 1e-12
         assert E.iterations <= bound
+
+
+def test_free_center_solves_agree_with_the_fields():
+    # the fixed-center fields at the free-center optima: f_K(c_J) is the
+    # John ellipse's area, and lambda_K(c_L) its inverse for Loewner's.
+    # The free-center barrier and the batched field are separate solvers
+    # with separate finishes; measured 3.5e-13 and 1.0e-12
+    bodies = [case.values[0] for case in _finish_cases()] + _stream(100, 5)
+    for P in bodies:
+        J, L = john_ellipse(P), loewner_ellipse(P)
+        assert abs(max_centered_area(P, J.center) / J.area - 1.0) <= 1e-12
+        assert abs(min_centered_inverse_area(P, L.center) * L.area - 1.0) <= 1e-11
+
+
+@pytest.mark.parametrize("m", [8, 12, 32])
+def test_certificate_stable_on_tied_contacts(m):
+    # the contacts of a regular polygon tie, so the certificate's weights
+    # are not unique; a move of the ellipse by a few units in the last place
+    # must not pick other contacts or other weights (with the largest
+    # gradient alone, 3 to 10 certificates came out of 30 such moves)
+    P = ngon(m)
+    rng = np.random.default_rng(67)
+    for E, mode in ((john_ellipse(P), "inscribed"), (loewner_ellipse(P), "enclosing")):
+        ref = verify_john_conditions(P, E, mode).contacts
+        for _ in range(10):
+            shape = E.shape * (1.0 + 4e-16 * rng.normal(size=(2, 2)))
+            moved = Ellipse(E.center + 1e-17 * rng.normal(size=2), 0.5 * (shape + shape.T))
+            cert = verify_john_conditions(P, moved, mode).contacts
+            assert len(cert) == len(ref)
+            for (u, w), (u0, w0) in zip(cert, ref):
+                assert np.abs(u - u0).max() <= 1e-12 and abs(w - w0) <= 1e-12

@@ -16,7 +16,6 @@ from affpoints.noninjective import (
 from affpoints.points import cap_point, caps
 from affpoints.polygons import (
     affine_apply,
-    area_centroid,
     hausdorff,
     k_sub_z,
     polar_about,
@@ -104,8 +103,8 @@ class TestCapBalance:
             delta = float(rng.uniform(eps**2, eps))
             B = b_eta(eta)
             A, Bc, _ = caps(B, eps, delta)
-            aA, gA = area_centroid(A)
-            aB, gB = area_centroid(Bc)
+            aA, gA = A.area, A.centroid
+            aB, gB = Bc.area, Bc.centroid
             geom = aA * gA[0] + aB * gB[0]
             assert np.sign(geom) == np.sign(f_eps(delta, eta, eps))
 

@@ -23,7 +23,6 @@ from affpoints.polygons import (
     Halfplane,
     Polygon,
     affine_apply,
-    area_centroid,
     canonicalize,
     clip_halfplane,
     hausdorff,
@@ -396,12 +395,12 @@ def _cap_point_by_intersect(P, eps, delta):
     u = G / gn
     A = clip_halfplane(P, Halfplane(-u, -(support(P, u) - eps / gn)))
     B = clip_halfplane(P, Halfplane(u, -support(P, -u) + delta / gn))
-    aA, gA = area_centroid(A)
-    aB, gB = area_centroid(B)
+    aA, gA = A.area, A.centroid
+    aB, gB = B.area, B.centroid
     W = intersect(A, B)
     if W is None:
         return (aA * gA + aB * gB) / (aA + aB)
-    aW, gW = area_centroid(W)
+    aW, gW = W.area, W.centroid
     return (aA * gA + aB * gB - aW * gW) / (aA + aB - aW)
 
 
