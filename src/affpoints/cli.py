@@ -21,7 +21,7 @@ from .duality import (
     invariance_check,
     polar_preimage,
     product_apply,
-    product_iterate,
+    product_iterates,
     random_polygons,
 )
 from .ellipses import john_ellipse, loewner_ellipse, verify_john_conditions
@@ -39,6 +39,12 @@ REGION_MAPS = {"floating": "floating_body",
 # upper bound of region --rays: far past any useful resolution, and small
 # enough that the ray arrays are a few MB
 MAX_RAYS = 65536
+# upper bounds of iterate-product --k and of the --trials options: ten times
+# the longest runs in use, so that a mistyped count exits at once rather than
+# run for hours (two point solves per iterate; a John dual-check trial takes
+# some 5 ms, and dual-check builds its trial bodies up front)
+MAX_ITERATES = 1000
+MAX_TRIALS = 10000
 
 
 def _point(spec: str, eps: float = 0.1, delta: float = 0.05) -> PointFunction:
@@ -87,9 +93,13 @@ def _parse_xy(text: str) -> np.ndarray:
 
 
 def _emit(doc, svg_path=None, shapes=()) -> None:
+    try:
+        text = serialize.dumps(doc)
+    except ValueError as exc:
+        raise GeometryError(f"result is not finite: {exc}") from exc
     if svg_path:
         _write_svg(svg_path, shapes)
-    sys.stdout.write(serialize.dumps(doc) + "\n")
+    sys.stdout.write(text + "\n")
 
 
 def _write_svg(path: str, shapes) -> None:
@@ -172,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sp.add_parser("dual-check", help="residual of q(K^{p(K)}) = p(K)")
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
-    p.add_argument("--trials", type=_int_range(1), default=50)
+    p.add_argument("--trials", type=_int_range(1, MAX_TRIALS), default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_tolerance, default=1e-5)
     p.add_argument("--jobs", type=_int_range(1), default=1)
@@ -181,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--r", required=True)
-    p.add_argument("--trials", type=_int_range(1), default=25)
+    p.add_argument("--trials", type=_int_range(1, MAX_TRIALS), default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_tolerance, default=1e-5)
 
@@ -190,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_id(p)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--trials", type=_int_range(1), default=20)
+    p.add_argument("--trials", type=_int_range(1, MAX_TRIALS), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_tolerance, default=1e-6)
 
@@ -210,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_body(p)
     p.add_argument("--p", required=True)
     p.add_argument("--r", required=True)
-    p.add_argument("--k", type=_int_range(0), default=5)
+    p.add_argument("--k", type=_int_range(0, MAX_ITERATES), default=5)
     return ap
 
 
@@ -345,8 +355,7 @@ def run_command(argv) -> int:
     if args.cmd == "iterate-product":
         P = parse_spec(args.body)
         p, r = _point(args.p), _point(args.r)
-        values = [product_iterate(p, r, P, k).tolist()
-                  for k in range(args.k + 1)]
+        values = [v.tolist() for v in product_iterates(p, r, P, args.k)]
         _emit({"p": args.p, "r": args.r, "k": args.k, "values": values})
         return 0
 

@@ -70,23 +70,26 @@ def product_apply(p: PointFunction, q: PointFunction, r: PointFunction,
     return eval_point(r, B).value - eval_point(q, A).value + eval_point(p, P).value
 
 
-def product_iterate(p: PointFunction, r: PointFunction, P: Polygon,
-                    k: int) -> np.ndarray:
-    """k-fold iterate of [p,p] applied to r, evaluated at P.
+def product_iterates(p: PointFunction, r: PointFunction, P: Polygon,
+                     k: int) -> list[np.ndarray]:
+    """The iterates 0 to k of [p,p] applied to r, evaluated at P.
 
     Each application of [p,p] shifts the evaluation body through phi_p
-    twice; unrolling makes the cost linear in k.
+    twice, so all k + 1 iterates read one chain of 2k bodies, and the cost
+    is linear in k.
     """
     chain = [P]
     for _ in range(2 * k):
         chain.append(phi(p, chain[-1]))
-    # value of the i-times-produced point at chain[2*(k-i)]
-    val = eval_point(r, chain[2 * k]).value
-    for i in range(k):
-        base = 2 * (k - 1 - i)
-        val = val - eval_point(p, chain[base + 1]).value \
-                  + eval_point(p, chain[base]).value
-    return val
+    pv = [eval_point(p, Q).value for Q in chain[:-1]]
+    out = []
+    for m in range(k + 1):
+        # value of the i-times-produced point at chain[2*(m-i)]
+        val = eval_point(r, chain[2 * m]).value
+        for base in range(2 * m - 2, -1, -2):
+            val = val - pv[base + 1] + pv[base]
+        out.append(val)
+    return out
 
 
 def invariance_check(pf: PointFunction, P: Polygon, trials: int,

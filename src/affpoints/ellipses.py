@@ -1,20 +1,25 @@
 """Analytic ellipses plus the John (max inscribed) and Loewner (min enclosing)
 ellipse solvers for convex polygons.
 
-Both solvers run one damped-Newton log-barrier driver on five parameters:
+A body of at most BASIS_MAX_N vertices gets both ellipses in closed form
+(``_basis_optimum``): in the plane each problem is LP-type with at most five
+contacts, so its optimum is the best feasible ellipse over all sets of 3 to
+5 constraints, each a Steiner ellipse or a pencil member from a root of a
+quadratic or cubic, found in one numpy batch without iterating.
+Larger bodies run one damped-Newton log-barrier driver on five parameters:
 a center (John's c + L (unit disk)) or offset (Loewner's {y : |A y - b| <= 1})
 and a symmetric 2x2 shape, whose log det they maximize over concave slacks,
 so each barrier is convex.  Each problem gives its slacks, their Jacobian
 and the closed-form sum of their Hessians from one pass over its
-constraints, and the Loewner problem runs on the vertices whitened to unit
-scatter, so its conditioning does not depend on the body's.  The path
-starts at t = max(1, n_con / 10), a gap of at most 10, and from t = 1e2 on
-each stage ends with an attempt to leave it (``_finish``): the slacks and
-barrier multipliers name a contact set, reduced to at most five positive
-weights where more touch, and Newton on John's conditions restricted to it
-lands on the optimum to rounding, or the barrier goes on from where it
-stopped.  The results are certificate-checkable via the John contact
-conditions.
+constraints, and the Loewner problem (like both basis solves) runs on the
+vertices whitened to unit scatter, so its conditioning does not depend on
+the body's.  The path starts at t = max(1, n_con / 10), a gap of at most
+10, and from t = 1e2 on each stage ends with an attempt to leave it
+(``_finish``): the slacks and barrier multipliers name a contact set,
+reduced to at most five positive weights where more touch, and Newton on
+John's conditions restricted to it lands on the optimum to rounding, or the
+barrier goes on from where it stopped.  The results are
+certificate-checkable via the John contact conditions.
 The fixed-center John field f_K has constraints linear in M = L^2, so one
 barrier runs over many centers at once (``_centered_john``), and after
 each stage every center tries the pairs and triples of contacts that its
@@ -25,6 +30,7 @@ polarity, the fixed-center Loewner field lambda_K is f_K of a polar body.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,7 +43,6 @@ from .polygons import (
     Polygon,
     canonicalize,
     edge_normals,
-    interior_margin,
     polar_about,
 )
 
@@ -65,19 +70,32 @@ CUT_RATIO = 1.2
 # polygon under a map of condition 1e3
 FIELD_POOL = 5
 FIELD_SLACK = 1e-10
+# bodies of at most BASIS_MAX_N vertices take their John and Loewner
+# ellipses from _basis_optimum, larger ones from the barrier: the time of a
+# John solve crosses between 15 and 16 vertices, as the candidates grow like
+# C(n, 5) and the barrier's steps do not (Loewner's between 16 and 17)
+BASIS_MAX_N = 15
+# _basis_optimum's tie-break weight on a candidate's least slack, where it is
+# negative: above the sum of the multipliers, which in the frame of _whiten
+# is 2 for Loewner and 4 / r for John, r about the inradius (1 on a square)
+BASIS_PENALTY = 10.0
+# the residual of a closed-form solve: the rounding unit
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class Ellipse:
     """The set {center + shape @ u : |u| <= 1} with shape symmetric PD.
 
-    A solved ellipse records its solve.  ``iterations`` counts the Newton
-    steps of the barrier and of every attempt to finish on John's
-    conditions.  ``residual`` is, after an accepted finish, the size of its
-    last Newton step in the solver's normalized frame (at least the
-    rounding unit).  Only where no finish was accepted is it the barrier's
-    final duality gap n_con / t.  Both are 0 for an ellipse built any other
-    way.
+    A solved ellipse records its solve.  A closed-form basis solve (at most
+    BASIS_MAX_N vertices) has ``iterations`` 0 and ``residual`` the
+    rounding unit, the floor of a finish.  Past that, ``iterations`` counts
+    the Newton steps of the barrier and of every attempt to finish on
+    John's conditions, and ``residual`` is, after an accepted finish, the
+    size of its last Newton step in the solver's normalized frame (at least
+    the rounding unit); only where no finish was accepted is it the
+    barrier's final duality gap n_con / t.  Both are 0 for an ellipse built
+    any other way.
     """
 
     center: np.ndarray
@@ -241,7 +259,7 @@ def _finish(theta, s, aux, t, slack_fn, slack_terms, rejected, last):
             break
         j = int(np.argmin(sc))
         if lam.min() > 0.0 and sc[j] >= -FINISH_SLACK:
-            return done, max(size, np.finfo(float).eps), steps, touching
+            return done, max(size, EPS), steps, touching
         rejected.add(frozenset(S.tolist()))
         if lam.min() <= 0.0:
             S = S[lam > 0.0]
@@ -344,6 +362,150 @@ def _barrier_maxlogdet(theta0, slack_fn, slack_terms, n_con):
         t *= 10.0
 
 
+@functools.cache
+def _subsets(n: int):
+    """Index arrays of the 3-, 4- and 5-subsets of range(n) for
+    ``_basis_optimum``: the triples (i, j, k) as a (3, m3) array, and as
+    their pairs (j, k), (k, i), (i, j), flat in the n x n grid; the pairs
+    (i, j), (k, l), (i, k), (j, l) of each 4-subset, flat in that grid; and
+    each 5-subset as the index of its first four, and as its fifth and that
+    index flat in the grid of constraints by 4-subsets."""
+    comb = itertools.combinations
+    i, j, k = np.array(list(comb(range(n), 3)), dtype=np.intp).reshape(-1, 3).T
+    a, b, c, d = np.array(list(comb(range(n), 4)), dtype=np.intp).reshape(-1, 4).T
+    first, fifth = np.array([(q, e) for q, last in enumerate(d.tolist())
+                             for e in range(last + 1, n)], dtype=np.intp).reshape(-1, 2).T
+    return (np.stack([i, j, k]), np.stack([j * n + k, k * n + i, i * n + j]),
+            np.stack([a * n + b, c * n + d, a * n + c, b * n + d]), first,
+            fifth * len(a) + first)
+
+
+def _pair(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The entries (00, 01, 02, 11, 12, 22) of p q^T + q p^T, as rows, for
+    the columns p and q of two (3, m) arrays."""
+    return np.stack([2.0 * p[0] * q[0], p[0] * q[1] + p[1] * q[0], p[0] * q[2] + p[2] * q[0],
+                     2.0 * p[1] * q[1], p[1] * q[2] + p[2] * q[1], 2.0 * p[2] * q[2]])
+
+
+def _basis_optimum(V: np.ndarray, lines: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The John (``lines``) or Loewner ellipse of a small body, as the best
+    feasible candidate over all sets of 3 to 5 of its constraints.
+
+    The rows of V are the constraints in homogeneous coordinates and in the
+    body's cyclic order: the edge lines (a, -b) of {a.x <= b}, or the
+    vertices (y, 1).  The ellipse {c + L u : |u| <= 1} has the point conic
+    C (x^T C x <= 0 for x = (y, 1)) and the line conic C* ~ C^-1; it
+    touches a vertex v where v^T C v = 0 and an edge line v where
+    v^T C* v = 0.  Write Q for C (Loewner) or C* (John); v^T Q v = 0 is
+    linear in Q, so by projective duality both problems take the same
+    candidates:
+    - 3 constraints: the Steiner ellipse of the triangle, with center the
+      mean g of its vertices x_i and M = L^2 = sum (x_i - g)(x_i - g)^T / 6
+      (inscribed) or 2 / 3 of that sum (circumscribed);
+    - 4 constraints v_i, v_j, v_k, v_l: the pencil Q(s) = A + s C of the
+      two line pairs A = sym(v_i x v_j, v_k x v_l) and
+      C = sym(v_i x v_k, v_j x v_l), sym(p, q) = p q^T + q p^T.  Its
+      degenerate members are A, A - C and C, so det Q(s) ~ s (1 + s).
+      John maximizes det M = det Q / h^3, h = Q_22 = h0 + h1 s, at a root
+      of -h1 s^2 + 2 (h0 - h1) s + h0; Loewner maximizes
+      det L^-2 = det(Q')^3 / det(Q)^2, with Q' the 2x2 block of Q and
+      det Q' = d0 + d1 s + d2 s^2, at a root of
+      2 d2 s^3 + (4 d2 - d1) s^2 + (d1 - 4 d0) s - 2 d0.  Its leading
+      coefficient is not 0, as d2 = -|n_ik x n_jl|^2 for the normals n of
+      the two diagonals, which cross; and it is <= 0 at s = -1 (the line
+      pair A - C) and >= 0 at s = 0, so the ellipses, between those two,
+      hold its middle root, given by Viete's trigonometric form;
+    - 5 constraints: the member of the first four's pencil through the
+      fifth, v^T (A + s C) v = 0.
+    Both problems are LP-type of combinatorial dimension 5 (Welzl 1991;
+    Gaertner and Schoenherr 1998): the optimum is the optimum over some 3
+    to 5 constraints, all tight there, and so a candidate, and no feasible
+    ellipse is better.  A candidate is feasible when no slack is below
+    -FINISH_SLACK (distances to the edges, or 1 - |L^-1 (y - c)|^2).  Where
+    contacts tie, as on a regular polygon, many candidates give the
+    optimum to rounding, and one a little outside has a little larger
+    det; so the best is the one of largest
+    log det X + BASIS_PENALTY * min(least slack, 0).
+
+    Expects the frame of ``_whiten``.  Returns (c, X) with X = M (John) or
+    X = M^-1 (Loewner), the entries (x11, x12, x22).  Each candidate is a
+    column of (2, m) and (3, m) arrays, so that every reduction over the
+    constraints runs along the long axis.
+    """
+    n = len(V)
+    tri, tri_pairs, (ij, kl, ik, jl), first, fifth = _subsets(n)
+    v = V.T
+    # the cross products of every pair of constraints
+    W = np.stack([np.outer(v[1], v[2]) - np.outer(v[2], v[1]),
+                  np.outer(v[2], v[0]) - np.outer(v[0], v[2]),
+                  np.outer(v[0], v[1]) - np.outer(v[1], v[0])]).reshape(3, -1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = W[:, tri_pairs] if lines else v[:, tri]
+        x = x[:2] / x[2]
+        g = x.mean(axis=1)
+        y = x - g[:, None]
+        m = np.stack([(y[0] * y[0]).sum(axis=0), (y[0] * y[1]).sum(axis=0),
+                      (y[1] * y[1]).sum(axis=0)])
+        X3 = m / 6.0 if lines else m[::-1] * [[1.5], [-1.5], [1.5]] / (m[0] * m[2] - m[1] ** 2)
+        p, q, r, t = W[:, ij], W[:, kl], W[:, ik], W[:, jl]
+        A, C = _pair(p, q), _pair(r, t)
+        if lines:
+            h0, h1 = A[5], C[5]
+            e = h0 - h1
+            f = -(e + np.copysign(np.sqrt(e * e + h0 * h1), e))
+            s = np.stack([-f / h1, h0 / f])
+        else:
+            d0 = A[0] * A[3] - A[1] ** 2
+            d1 = A[0] * C[3] + A[3] * C[0] - 2.0 * A[1] * C[1]
+            d2 = C[0] * C[3] - C[1] ** 2
+            b2, b1, b0 = (4.0 * d2 - d1) / (2.0 * d2), (d1 - 4.0 * d0) / (2.0 * d2), -d0 / d2
+            # the middle root of s^3 + b2 s^2 + b1 s + b0, by Viete
+            rad = np.sqrt(np.maximum(b2 * b2 / 9.0 - b1 / 3.0, 0.0))
+            cos3 = (b2 * (b1 / 6.0 - b2 * b2 / 27.0) - 0.5 * b0) / rad ** 3
+            s = (2.0 * rad * np.cos((np.arccos(np.clip(cos3, -1.0, 1.0)) - 2.0 * np.pi) / 3.0)
+                 - b2 / 3.0)[None]
+        s5 = -((V @ p) * (V @ q) / ((V @ r) * (V @ t))).reshape(-1)[fifth]
+        Q = np.concatenate([(A[:, None] + s * C[:, None]).reshape(6, -1),
+                            A[:, first] + s5 * C[:, first]], axis=1)
+        if lines:
+            # C* = h [[c c^T - M, c], [c^T, 1]]
+            c = Q[[2, 4]] / Q[5]
+            X = np.stack([c[0] * c[0], c[0] * c[1], c[1] * c[1]]) - Q[[0, 1, 3]] / Q[5]
+        else:
+            # C = kappa [[X, -X c], [-c^T X, c^T X c - 1]]
+            c = np.stack([Q[1] * Q[4] - Q[3] * Q[2], Q[1] * Q[2] - Q[0] * Q[4]]) \
+                / (Q[0] * Q[3] - Q[1] ** 2)
+            X = Q[[0, 1, 3]] / -(Q[5] + Q[2] * c[0] + Q[4] * c[1])
+        c, X = np.concatenate([g, c], axis=1), np.concatenate([X3, X], axis=1)
+        det = X[0] * X[2] - X[1] ** 2
+        keep = np.flatnonzero((X[0] > 0.0) & (det > 0.0) & (det < np.inf))
+        c, X, det = c[:, keep], X[:, keep], det[keep]
+        a0, a1 = v[0], v[1]
+        if lines:
+            # b - a.c - |L a| for b = -v2, in place: (n, m) arrays dominate
+            # the memory of a solve
+            w = np.column_stack([a0 * a0, 2.0 * a0 * a1, a1 * a1]) @ X
+            np.sqrt(w, out=w)
+            w += V[:, :2] @ c
+            w += v[2][:, None]
+            least = -w.max(axis=0)
+        else:
+            Xc = np.stack([X[0] * c[0] + X[1] * c[1], X[1] * c[0] + X[2] * c[1]])
+            coef = np.concatenate([X[:1], 2.0 * X[1:2], X[2:], -2.0 * Xc, (Xc * c).sum(axis=0)[None]])
+            least = 1.0 - (np.column_stack([a0 * a0, a0 * a1, a1 * a1, a0, a1, v[2]]) @ coef).max(axis=0)
+    ok = least >= -FINISH_SLACK
+    if not ok.any():
+        raise ConvergenceFailure("no feasible basis")
+    best = np.argmax(np.where(ok, np.log(det) + BASIS_PENALTY * np.minimum(least, 0.0), -np.inf))
+    return c[:, best], X[:, best]
+
+
+def _sqrtm(x: np.ndarray) -> np.ndarray:
+    """The symmetric PD square root of the 2x2 matrix (x11, x12, x22)."""
+    d = math.sqrt(x[0] * x[2] - x[1] * x[1])
+    return np.array([[x[0] + d, x[1]], [x[1], x[2] + d]]) / math.sqrt(x[0] + x[2] + 2.0 * d)
+
+
 def _normalize(P: Polygon) -> tuple[np.ndarray, float, np.ndarray]:
     g = P.centroid
     d = P.diameter
@@ -376,17 +538,17 @@ def _john_problem(P: Polygon):
     A, b = edge_normals(Q)
     n = len(b)
     # w_i = L a_i = B_i l with B_i = [[a0, a1, 0], [0, a0, a1]] for the
-    # normal a_i = (a0, a1) and l = (l11, l12, l22); NB holds -B_i
-    NB = np.zeros((n, 2, 3))
-    NB[:, 0, :2] = NB[:, 1, 1:] = -A
+    # normal a_i = (a0, a1) and l = (l11, l12, l22)
+    a0, a1 = A[:, 0], A[:, 1]
     J = np.empty((n, 5))
     J[:, :2] = -A
+    q = np.empty((n, 3))
     Hs = np.zeros((5, 5))
 
     def slacks(theta):
-        # one product gives a_i.c, w_i and w_i turned by 90 degrees
+        # one product gives a_i.c and w_i
         cx, cy, l11, l12, l22 = theta.tolist()
-        W = A @ np.array([[cx, l11, l12, -l12, l11], [cy, l12, l22, -l22, l12]])
+        W = A @ np.array([[cx, l11, l12], [cy, l12, l22]])
         wl = np.hypot(W[:, 1], W[:, 2])
         return b - W[:, 0] - wl, (W, wl)
 
@@ -395,14 +557,18 @@ def _john_problem(P: Polygon):
         # -(a_i, B_i^T nu); and in 2D the Hessian of |w| over w is
         # tau tau^T / |w|, so hess s_i = -q q^T / |w_i| with q = B_i^T tau
         W, wl = aux
-        V = (W[:, 1:] / wl[:, None]).reshape(n, 2, 2) @ NB
-        J[:, 2:] = V[:, 0]
-        q = V[:, 1]
+        nu0, nu1 = W[:, 1] / wl, W[:, 2] / wl
+        J[:, 2] = -(nu0 * a0)
+        J[:, 3] = -(nu0 * a1) - nu1 * a0
+        J[:, 4] = -(nu1 * a1)
+        q[:, 0] = nu1 * a0
+        q[:, 1] = nu1 * a1 - nu0 * a0
+        q[:, 2] = -(nu0 * a1)
         Hs[2:, 2:] = -(q.T * (wts / wl)) @ q
         return J, Hs
 
     c0 = Q.centroid
-    r0 = 0.45 * interior_margin(Q, c0)
+    r0 = 0.45 * float(np.min(b - A @ c0))
     if r0 <= 0.0:
         raise ConvergenceFailure("center not interior")
     theta0 = np.array([c0[0], c0[1], r0, 0.0, r0])
@@ -410,7 +576,13 @@ def _john_problem(P: Polygon):
 
 
 def john_ellipse(P: Polygon) -> Ellipse:
-    """Maximum-area ellipse inscribed in the polygon."""
+    """Maximum-area ellipse inscribed in the polygon: the best feasible
+    basis candidate up to BASIS_MAX_N vertices, else the barrier's."""
+    if P.n <= BASIS_MAX_N:
+        Y, S, g = _whiten(P)
+        A, b = edge_normals(Polygon(Y))
+        c, M = _basis_optimum(np.column_stack([A, -b]), lines=True)
+        return Ellipse(g + S @ c, _gram_root(S @ _sqrtm(M)), residual=EPS)
     theta0, slacks, terms, m, d, g = _john_problem(P)
     theta, steps, gap = _barrier_maxlogdet(theta0, slacks, terms, m)
     c = g + d * theta[:2]
@@ -695,7 +867,14 @@ def _loewner_problem(P: Polygon):
 
 
 def loewner_ellipse(P: Polygon) -> Ellipse:
-    """Minimum-area ellipse enclosing the polygon."""
+    """Minimum-area ellipse enclosing the polygon: the best feasible basis
+    candidate up to BASIS_MAX_N vertices, else the barrier's."""
+    if P.n <= BASIS_MAX_N:
+        Y, S, g = _whiten(P)
+        c, X = _basis_optimum(np.column_stack([Y, np.ones(len(Y))]), lines=False)
+        # {S y : |X^1/2 (y - c)| <= 1} = {S (c + X^-1/2 u) : |u| <= 1}
+        B = np.linalg.solve(_sqrtm(X), S.T).T
+        return Ellipse(g + S @ c, _gram_root(B), residual=EPS)
     theta0, slacks, terms, m, S, g = _loewner_problem(P)
     theta, steps, gap = _barrier_maxlogdet(theta0, slacks, terms, m)
     # {S y : |A y - b| <= 1} = {S A^-1 (b + u) : |u| <= 1}

@@ -32,7 +32,9 @@ def _clean(obj):
 
 
 def dumps(obj) -> str:
-    return json.dumps(_clean(obj), separators=(", ", ": "), sort_keys=True)
+    """One JSON document; raises ValueError on a NaN or infinite float,
+    which JSON cannot hold."""
+    return json.dumps(_clean(obj), separators=(", ", ": "), sort_keys=True, allow_nan=False)
 
 
 def polygon_to_dict(P: Polygon) -> dict:

@@ -244,6 +244,14 @@ def test_usage_error_exit_2():
      "--tol", "-1e-6"],
     ["point", "--body", "ngon:1000000000000", "--id", "centroid"],
     ["point", "--body", "random:1000000000000,1", "--id", "centroid"],
+    # the centroid's cubic sums overflow, with numpy's RuntimeWarning, into
+    # [-Infinity, -Infinity], which is no JSON; run as the console script
+    # runs, where that warning only prints
+    pytest.param(["point", "--body", "file:{tmp}/huge.json", "--id", "centroid"],
+                 marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
+    ["iterate-product", "--body", "square", "--p", "john", "--r", "santalo",
+     "--k", "100000000"],
+    ["dual-check", "--p", "centroid", "--q", "santalo", "--trials", "100000000"],
 ])
 def test_bad_input_exit_2(argv, tmp_path, monkeypatch, capsys):
     from affpoints import cli
@@ -252,6 +260,8 @@ def test_bad_input_exit_2(argv, tmp_path, monkeypatch, capsys):
     (tmp_path / "no_vertices.json").write_text('{"kind": "polygon"}\n')
     (tmp_path / "nan.json").write_text(
         '{"kind": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [NaN, 1]]}\n')
+    (tmp_path / "huge.json").write_text(
+        '{"kind": "polygon", "vertices": [[0, 0], [1e103, 0], [0, 1e103]]}\n')
     argv = [a.format(tmp=tmp_path) for a in argv]
     monkeypatch.setattr(sys, "argv", ["affpoints", *argv])
     with pytest.raises(SystemExit) as exc:

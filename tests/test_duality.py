@@ -9,7 +9,7 @@ from affpoints.duality import (
     phi,
     polar_preimage,
     product_apply,
-    product_iterate,
+    product_iterates,
     random_polygons,
 )
 from affpoints.errors import PointNotInterior
@@ -109,7 +109,7 @@ class TestProduct:
 
     def test_iterate_linear_cost(self):
         K = body_kab(1.0, 2.0)
-        v1 = product_iterate(G, G, K, 1)
+        v1 = product_iterates(G, G, K, 1)[1]
         direct = product_apply(G, G, G, K)
         assert np.allclose(v1, direct, atol=1e-12)
 

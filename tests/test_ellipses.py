@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from affpoints.bodies import ngon, random_body, random_map
+from affpoints.bodies import ngon, parse_spec, random_body, random_map
 from affpoints.duality import random_polygons
 from affpoints.ellipses import (
     BARRIER_GAP,
+    BASIS_MAX_N,
     CONTACT_TOL,
     Ellipse,
     _centered_john,
@@ -711,6 +712,39 @@ def _rotation(t):
     return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
 
 
+# a map of condition 1e3
+_T1E3 = AffineMap(_rotation(0.7) @ np.diag([1.0, 1e-3]) @ _rotation(2.9), np.array([3.0, -2.0]))
+
+
+@pytest.mark.parametrize("mapped", [False, True], ids=["plain", "mapped"])
+@pytest.mark.parametrize("spec", ["square", "kab:0.4,0.9", "kab:1,2", "simplex", "ngon:5",
+                                  "ngon:6", "ngon:8", "ngon:12", f"ngon:{BASIS_MAX_N}",
+                                  f"ngon:{BASIS_MAX_N + 1}"])
+def test_basis_solve_against_reference(spec, mapped):
+    # bodies where a first basis solve failed: on quadrilaterals a Loewner
+    # cubic in another pencil lost its leading coefficient, and solved in
+    # the frame of _normalize, John read 4.6e-12 of the diameter under the
+    # map; and regular polygons either side of BASIS_MAX_N.  The reference
+    # is the oracle's optimum of the plain body, or the in- and circumcircle
+    # of a regular one, where contacts tie and the oracle's Newton matrix
+    # is singular, carried by the map; against a long-double basis solve
+    # it reads up to 3e-14 of the diameter on these bodies
+    P = parse_spec(spec)
+    T = _T1E3 if mapped else AffineMap.identity()
+    for solve, oracle, mode, r in ((john_ellipse, _oracle_john, "inscribed", np.cos(np.pi / P.n)),
+                                   (loewner_ellipse, _oracle_loewner, "enclosing", 1.0)):
+        ref = Ellipse(np.zeros(2), r * np.eye(2)) if spec.startswith("ngon") else \
+            Ellipse(*oracle(P))
+        ref = ref.affine_image(T)
+        Q = affine_apply(T, P) if mapped else P
+        E = solve(Q)
+        assert np.linalg.norm(E.center - ref.center) <= 1e-13 * Q.diameter
+        assert np.abs(E.shape - ref.shape).max() <= 1e-13 * Q.diameter
+        cert = verify_john_conditions(Q, E, mode)
+        assert np.linalg.norm(cert.residual_sum) <= 1e-12
+        assert cert.residual_identity <= 1e-12
+
+
 def _finish_cases():
     # regular polygons, whose contacts tie, plain and under a map of
     # condition 1e3; and the benchmark's 1024-vertex limacon, whose John
@@ -719,7 +753,7 @@ def _finish_cases():
     # most five multipliers above their slacks, or on a clear top five,
     # they took 59-87 steps, and all but the limacon's Loewner solves ran
     # the barrier to its end
-    T = AffineMap(_rotation(0.7) @ np.diag([1.0, 1e-3]) @ _rotation(2.9), np.array([3.0, -2.0]))
+    T = _T1E3
     cases = []
     for m in (6, 8, 200):
         cases.append(pytest.param(ngon(m), 40, 40, id=f"ngon{m}"))

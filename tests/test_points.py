@@ -3,6 +3,7 @@ import pytest
 
 from affpoints import points
 from affpoints.bodies import b_eta, body_kab, ngon, parse_spec, random_body, random_map
+from affpoints.ellipses import BASIS_MAX_N
 from affpoints.errors import BadParams
 from affpoints.points import (
     PointFunction,
@@ -50,8 +51,15 @@ def test_eval_dispatch(square, triangle):
 
 
 def test_ellipse_points_report_the_solve(triangle):
+    # a closed-form basis solve (at most BASIS_MAX_N vertices) takes no
+    # steps and leaves the rounding unit; the barrier, past that, reports its
+    # Newton steps and the size of its last one
+    big = ngon(BASIS_MAX_N + 1)
     for pid in ("john", "loewner"):
         res = eval_point(PointFunction(pid), triangle)
+        assert res.iterations == 0
+        assert res.residual == np.finfo(float).eps
+        res = eval_point(PointFunction(pid), big)
         assert res.iterations > 0
         assert 0.0 < res.residual < 1e-10
 
