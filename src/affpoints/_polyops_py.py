@@ -7,16 +7,27 @@ layer by this module's name.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
 def area_centroid(verts: np.ndarray) -> tuple[float, float, float]:
     """Shoelace area and centroid, summed about the centre of the bounding
     box: the rounding does not grow with the distance from the origin, and
-    a body symmetric about an axis stays so.  Returns (area, cx, cy)."""
+    a body symmetric about an axis stays so.  The sums run on the
+    coordinates divided by s = 2^floor(log2 of the larger extent), so that
+    their cubic terms neither overflow nor underflow at any scale; that
+    division is exact, so p(2^k K) = 2^k p(K) to the bit.  Returns
+    (area, cx, cy); the area itself overflows to inf past extents of about
+    1e154.
+    """
     w = np.ascontiguousarray(verts.T)
-    o = 0.5 * (w.min(axis=1) + w.max(axis=1))
-    v = w - o[:, None]
+    lo, hi = w.min(axis=1), w.max(axis=1)
+    o = 0.5 * (lo + hi)
+    (x0, y0), (x1, y1) = lo.tolist(), hi.tolist()
+    s = math.ldexp(1.0, math.frexp(max(x1 - x0, y1 - y0))[1] - 1)
+    v = (w - o[:, None]) / s
     (x, y), (xn, yn) = v, np.concatenate((v[:, 1:], v[:, :1]), axis=1)
     cross = x * yn - xn * y
     area = 0.5 * float(cross.sum())
@@ -24,7 +35,7 @@ def area_centroid(verts: np.ndarray) -> tuple[float, float, float]:
         return 0.0, 0.0, 0.0
     cx = float(((x + xn) * cross).sum()) / (6.0 * area)
     cy = float(((y + yn) * cross).sum()) / (6.0 * area)
-    return area, float(o[0]) + cx, float(o[1]) + cy
+    return area * s * s, float(o[0]) + cx * s, float(o[1]) + cy * s
 
 
 def support(verts: np.ndarray, ux: float, uy: float) -> float:

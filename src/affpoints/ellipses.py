@@ -1,25 +1,17 @@
 """Analytic ellipses plus the John (max inscribed) and Loewner (min enclosing)
 ellipse solvers for convex polygons.
 
-A body of at most BASIS_MAX_N vertices gets both ellipses in closed form
-(``_basis_optimum``): in the plane each problem is LP-type with at most five
-contacts, so its optimum is the best feasible ellipse over all sets of 3 to
-5 constraints, each a Steiner ellipse or a pencil member from a root of a
-quadratic or cubic, found in one numpy batch without iterating.
-Larger bodies run one damped-Newton log-barrier driver on five parameters:
-a center (John's c + L (unit disk)) or offset (Loewner's {y : |A y - b| <= 1})
-and a symmetric 2x2 shape, whose log det they maximize over concave slacks,
-so each barrier is convex.  Each problem gives its slacks, their Jacobian
-and the closed-form sum of their Hessians from one pass over its
-constraints, and the Loewner problem (like both basis solves) runs on the
-vertices whitened to unit scatter, so its conditioning does not depend on
-the body's.  The path starts at t = max(1, n_con / 10), a gap of at most
-10, and from t = 1e2 on each stage ends with an attempt to leave it
-(``_finish``): the slacks and barrier multipliers name a contact set,
-reduced to at most five positive weights where more touch, and Newton on
-John's conditions restricted to it lands on the optimum to rounding, or the
-barrier goes on from where it stopped.  The results are
-certificate-checkable via the John contact conditions.
+Both run on the vertices whitened to unit scatter (``_whiten``).  In the
+plane each problem is LP-type with at most five contacts, so its optimum is
+the best feasible ellipse over all sets of 3 to 5 constraints, each a
+Steiner ellipse or a pencil member from a root of a quadratic or cubic
+(``_basis_optimum``): so on all constraints up to BASIS_MAX_N vertices.  A
+larger body runs a damped-Newton log-barrier on a center (John's
+c + L (unit disk)) or offset (Loewner's {y : |A y - b| <= 1}) and a
+symmetric 2x2 shape, maximizing log det over concave slacks, and its
+stages end with the basis solve of a pool of constraints that the barrier
+multipliers name, accepted if it is feasible for every constraint and
+certified by John's conditions (``_solve``).
 The fixed-center John field f_K has constraints linear in M = L^2, so one
 barrier runs over many centers at once (``_centered_john``), and after
 each stage every center tries the pairs and triples of contacts that its
@@ -38,31 +30,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, CertificationFailure, ConvergenceFailure, NoContacts
-from .polygons import (
-    AffineMap,
-    Polygon,
-    canonicalize,
-    edge_normals,
-    polar_about,
-)
+from .polygons import AffineMap, Polygon, canonicalize, edge_normals, polar_about
 
 CONTACT_TOL = 1e-6
 CERT_RESIDUAL_TOL = 1e-6
 # the log-det barriers stop at this duality gap n_con / t
 BARRIER_GAP = 1e-10
-# from the stage at t = FINISH_FROM on, the barriers try to finish by
-# Newton on John's conditions (see _finish), on at most MAX_CONTACTS
-# contacts (one per parameter), for at most FINISH_STEPS steps
+# from the stage at t = FINISH_FROM on, the free-center barriers may finish
+# by the basis solve of FINISH_POOL constraints (see _pool)
 FINISH_FROM = 1e2
-MAX_CONTACTS = 5
-FINISH_STEPS = 10
-# a finish leaves no slack below -FINISH_SLACK, the rounding of the frame:
-# under a map of condition 1e3, a regular polygon's tied vertices read
-# slacks down to -1.0e-12 there, and a wrong contact set one below -2.5e-8
+FINISH_POOL = 9
+# a finish leaves no slack below -FINISH_SLACK, the rounding of the frame,
+# and meets John's conditions to it: under a map of condition 1e3, a regular
+# polygon's tied vertices read slacks down to -1.0e-12 there, and a wrong
+# contact set one below -2.5e-8
 FINISH_SLACK = 1e-12
-# past MAX_CONTACTS candidates, the contact set ends at the last place where
-# the next slack is this many times the one before (not tied to it)
-CUT_RATIO = 1.2
 # the fixed-center John field finishes on the pairs and triples of the
 # FIELD_POOL largest barrier multipliers of a row, and accepts a set that
 # leaves no slack 1 - u^T M u below -FIELD_SLACK (see _field_finish): the
@@ -87,15 +69,11 @@ EPS = float(np.finfo(float).eps)
 class Ellipse:
     """The set {center + shape @ u : |u| <= 1} with shape symmetric PD.
 
-    A solved ellipse records its solve.  A closed-form basis solve (at most
-    BASIS_MAX_N vertices) has ``iterations`` 0 and ``residual`` the
-    rounding unit, the floor of a finish.  Past that, ``iterations`` counts
-    the Newton steps of the barrier and of every attempt to finish on
-    John's conditions, and ``residual`` is, after an accepted finish, the
-    size of its last Newton step in the solver's normalized frame (at least
-    the rounding unit); only where no finish was accepted is it the
-    barrier's final duality gap n_con / t.  Both are 0 for an ellipse built
-    any other way.
+    A solved ellipse records its solve: ``iterations`` counts the Newton
+    steps of the barrier (0 for a body of at most BASIS_MAX_N vertices), and
+    ``residual`` is the rounding unit after any accepted basis solve, or the
+    barrier's final duality gap n_con / t where none was.  Both are 0 for an
+    ellipse built any other way.
     """
 
     center: np.ndarray
@@ -147,140 +125,6 @@ def _sym(t3: np.ndarray) -> np.ndarray:
 _LOGDET3_M = np.array([[0.0, 0.0, 1.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
 
 
-def _kkt_newton(theta, lam, S, slack_fn, slack_terms):
-    """Newton on John's conditions restricted to the contact set S: the
-    contact equations s_i = 0 for i in S and stationarity
-    grad logdet + sum_S lam_i grad s_i = 0, in the 5 + |S| unknowns theta
-    and lam.  The sum of lam_i hess(s_i) comes from the problem's
-    ``slack_terms``, with weight 0 off S.
-
-    Returns (theta, lam, slacks, size of the last step, steps taken), with
-    theta None unless the steps shrank every time and the last one fell to
-    1e-13 of theta (so the next would be below rounding), within
-    FINISH_STEPS.
-    """
-    theta, lam = theta.copy(), lam.copy()
-    k, m = len(theta), len(S)
-    K = np.zeros((k + m, k + m))
-    r = np.empty(k + m)
-    s, aux = slack_fn(theta)
-    wts = np.zeros(len(s))
-    prev = np.inf
-    for it in range(1, FINISH_STEPS + 1):
-        l11, l12, l22 = theta[2:].tolist()
-        det = l11 * l22 - l12 * l12
-        if not (l11 > 0.0 and det > 0.0):
-            break
-        v = np.array([l22, -2.0 * l12, l11]) / det
-        wts[S] = lam
-        J, Hs = slack_terms(theta, aux, wts)
-        JS = J[S]
-        r[:k] = lam @ JS
-        r[2:k] += v
-        r[k:] = s[S]
-        K[:k, :k] = Hs
-        K[2:k, 2:k] += _LOGDET3_M / det - np.outer(v, v)
-        K[:k, k:] = JS.T
-        K[k:, :k] = JS
-        try:
-            step = np.linalg.solve(K, -r)
-        except np.linalg.LinAlgError:
-            break
-        size = float(np.abs(step[:k]).max())
-        if not size < prev:
-            break
-        prev = size
-        theta += step[:k]
-        lam += step[k:]
-        s, aux = slack_fn(theta)
-        if size <= 1e-13 * float(np.abs(theta).max()):
-            return theta, lam, s, size, it
-    return None, lam, s, prev, it
-
-
-def _finish(theta, s, aux, t, slack_fn, slack_terms, rejected, last):
-    """Leave the barrier at its point theta (slacks s, their ``aux``) of the
-    stage at t, by ``_kkt_newton`` on a contact set S read off the slacks.
-
-    The barrier multipliers are mu_i = 1 / (t s_i).  Up to MAX_CONTACTS
-    constraints with mu_i > s_i make S, with weights mu.  Past that, S is
-    the 2 * MAX_CONTACTS smallest slacks, cut at the last place where one
-    is CUT_RATIO times the one before, so that no group of tied slacks is
-    split, and keeping at least 3.  The mu > s set itself is S if it is
-    ``last``, the one of the stage before, and either has at most
-    2 * MAX_CONTACTS members or no such cut exists: tied contacts, as on a
-    regular polygon, whose multipliers an affine map can spread some
-    fourfold.  A set of more than MAX_CONTACTS is reduced to the positive
-    weights of ``_nnls`` on stationarity, min |J_S^T lam + grad logdet| over
-    lam >= 0, solved in lam / mu so that of tied weights the larger
-    multipliers are kept: more contacts than parameters make Newton's
-    system singular, and fewer than 3 cannot meet John's conditions.
-
-    Newton's result is the optimum if every lam_i > 0 and no slack is below
-    -FINISH_SLACK, since John's conditions then hold to rounding.
-    Otherwise, if it converged, its set is recorded in ``rejected`` and the
-    next set is tried, with weights mu: without the contacts of negative
-    lam; or, if there are none, with the most violated constraint added, in
-    place of the contact whose weight first falls to 0 as the new one's
-    grows if S is full (a simplex pivot).  A set Newton did not converge on
-    is tried again at the next stage, from a point nearer the optimum.
-
-    Returns (theta or None, size of Newton's last step, Newton steps taken,
-    the mu > s set).
-    """
-    mu = 1.0 / (t * s)
-    S = np.flatnonzero(mu > s)
-    touching = frozenset(S.tolist())
-    if len(S) <= MAX_CONTACTS:
-        S = S[np.argsort(-mu[S], kind="stable")]
-        lam = mu[S]
-    else:
-        stable = touching == last
-        near = np.argsort(s, kind="stable")[:2 * MAX_CONTACTS]
-        cut = np.flatnonzero(s[near[1:]] >= CUT_RATIO * s[near[:-1]])
-        if not (stable and len(S) <= 2 * MAX_CONTACTS) and cut.size and cut[-1] >= 2:
-            S = near[:cut[-1] + 1]
-        elif not stable:
-            return None, 0.0, 0, touching
-        lam = mu[S]
-        if len(S) > MAX_CONTACTS:
-            l11, l12, l22 = theta[2:].tolist()
-            det = l11 * l22 - l12 * l12
-            grad = np.zeros(len(theta))
-            grad[2:] = (l22 / det, -2.0 * l12 / det, l11 / det)
-            J, _ = slack_terms(theta, aux, np.zeros(len(s)))
-            w = _nnls(J[S].T * lam, -grad) * lam
-            S, lam = S[w > 0.0], w[w > 0.0]
-    steps = 0
-    while 3 <= len(S) <= MAX_CONTACTS and frozenset(S.tolist()) not in rejected:
-        done, lam, sc, size, k = _kkt_newton(theta, lam, S, slack_fn, slack_terms)
-        steps += k
-        if done is None:
-            break
-        j = int(np.argmin(sc))
-        if lam.min() > 0.0 and sc[j] >= -FINISH_SLACK:
-            return done, max(size, EPS), steps, touching
-        rejected.add(frozenset(S.tolist()))
-        if lam.min() <= 0.0:
-            S = S[lam > 0.0]
-        elif len(S) < MAX_CONTACTS:
-            S = np.append(S, j)
-        else:
-            # j's weight grows with J_S^T lam + lam_j grad s_j held fixed
-            J, _ = slack_terms(done, slack_fn(done)[1], np.zeros(len(s)))
-            try:
-                c = np.linalg.solve(J[S].T, J[j])
-            except np.linalg.LinAlgError:
-                break
-            out = np.flatnonzero(c > 0.0)
-            if not out.size:
-                break
-            out = out[np.argmin(lam[out] / c[out])]
-            S = np.append(np.delete(S, out), j)
-        lam = mu[S]
-    return None, 0.0, steps, touching
-
-
 def _barrier_maxlogdet(theta0, slack_fn, slack_terms, n_con):
     """Minimize -t*logdet(shape) - sum log(slacks) along an increasing-t path
     that starts at t = max(1, n_con / 10), a first duality gap n_con / t of
@@ -295,11 +139,9 @@ def _barrier_maxlogdet(theta0, slack_fn, slack_terms, n_con):
     ``slack_terms(theta, aux, wts)`` returns the slack Jacobian (n_con, 5)
     and the weighted sum of the constraint Hessians, sum_i wts_i * hess(s_i),
     as one (5, 5) matrix, both in buffers that its next call overwrites.
-    The log-det terms are added from Python scalars.  Each stage from
-    t = FINISH_FROM on ends with ``_finish``, which may return the optimum
-    instead.  Returns (theta, Newton steps taken, residual): after an
-    accepted finish the size of its last Newton step, and otherwise the
-    final gap n_con / t.
+    The log-det terms are added from Python scalars.  Yields (theta, t,
+    slacks, Newton steps so far) after each stage, the last at a gap below
+    BARRIER_GAP: the caller may leave the path after any stage.
     """
     theta = np.array(theta0, dtype=float)
     s, aux = slack_fn(theta)
@@ -310,9 +152,7 @@ def _barrier_maxlogdet(theta0, slack_fn, slack_terms, n_con):
     # neither the next Newton step nor its line search evaluates them again
     log_s = float(np.log(s).sum())
     steps = 0
-    rejected = set()
     t = max(1.0, n_con / 10.0)
-    last = None
     while True:
         for _ in range(60):
             l11, l12, l22 = theta[2:].tolist()
@@ -351,14 +191,9 @@ def _barrier_maxlogdet(theta0, slack_fn, slack_terms, n_con):
                 alpha *= 0.5
             else:
                 break
-        if t >= FINISH_FROM:
-            done, res, k, last = _finish(theta, s, aux, t, slack_fn, slack_terms,
-                                         rejected, last)
-            steps += k
-            if done is not None:
-                return done, steps, res
+        yield theta, t, s, steps
         if n_con / t < BARRIER_GAP:
-            return theta, steps, n_con / t
+            return
         t *= 10.0
 
 
@@ -480,24 +315,29 @@ def _basis_optimum(V: np.ndarray, lines: bool) -> tuple[np.ndarray, np.ndarray]:
         det = X[0] * X[2] - X[1] ** 2
         keep = np.flatnonzero((X[0] > 0.0) & (det > 0.0) & (det < np.inf))
         c, X, det = c[:, keep], X[:, keep], det[keep]
-        a0, a1 = v[0], v[1]
-        if lines:
-            # b - a.c - |L a| for b = -v2, in place: (n, m) arrays dominate
-            # the memory of a solve
-            w = np.column_stack([a0 * a0, 2.0 * a0 * a1, a1 * a1]) @ X
-            np.sqrt(w, out=w)
-            w += V[:, :2] @ c
-            w += v[2][:, None]
-            least = -w.max(axis=0)
-        else:
-            Xc = np.stack([X[0] * c[0] + X[1] * c[1], X[1] * c[0] + X[2] * c[1]])
-            coef = np.concatenate([X[:1], 2.0 * X[1:2], X[2:], -2.0 * Xc, (Xc * c).sum(axis=0)[None]])
-            least = 1.0 - (np.column_stack([a0 * a0, a0 * a1, a1 * a1, a0, a1, v[2]]) @ coef).max(axis=0)
+        least = _least_slack(V, c, X, lines)
     ok = least >= -FINISH_SLACK
     if not ok.any():
         raise ConvergenceFailure("no feasible basis")
     best = np.argmax(np.where(ok, np.log(det) + BASIS_PENALTY * np.minimum(least, 0.0), -np.inf))
     return c[:, best], X[:, best]
+
+
+def _least_slack(V: np.ndarray, c: np.ndarray, X: np.ndarray, lines: bool) -> np.ndarray:
+    """Over the constraints V of ``_basis_optimum``, the least slack of each
+    ellipse (c, X), a column of the (2, m) and (3, m) arrays c and X."""
+    a0, a1, a2 = V.T
+    if lines:
+        # b - a.c - |L a| for b = -a2, in place: (n, m) arrays dominate the
+        # memory of a solve
+        w = np.column_stack([a0 * a0, 2.0 * a0 * a1, a1 * a1]) @ X
+        np.sqrt(w, out=w)
+        w += V[:, :2] @ c
+        w += a2[:, None]
+        return -w.max(axis=0)
+    Xc = np.stack([X[0] * c[0] + X[1] * c[1], X[1] * c[0] + X[2] * c[1]])
+    coef = np.concatenate([X[:1], 2.0 * X[1:2], X[2:], -2.0 * Xc, (Xc * c).sum(axis=0)[None]])
+    return 1.0 - (np.column_stack([a0 * a0, a0 * a1, a1 * a1, a0, a1, a2]) @ coef).max(axis=0)
 
 
 def _sqrtm(x: np.ndarray) -> np.ndarray:
@@ -532,10 +372,10 @@ def _whiten(P: Polygon) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # <a_i, c> + |L a_i| <= b_i.
 
 
-def _john_problem(P: Polygon):
-    verts, d, g = _normalize(P)
-    Q = Polygon(verts)
-    A, b = edge_normals(Q)
+def _john_problem(A: np.ndarray, b: np.ndarray):
+    """The barrier problem of the John ellipse of {y : A y <= b}, A with
+    unit rows, in the frame of ``_whiten``: it starts at the disk of 0.45
+    times the distance of the nearest edge from the centroid, the origin."""
     n = len(b)
     # w_i = L a_i = B_i l with B_i = [[a0, a1, 0], [0, a0, a1]] for the
     # normal a_i = (a0, a1) and l = (l11, l12, l22)
@@ -567,27 +407,103 @@ def _john_problem(P: Polygon):
         Hs[2:, 2:] = -(q.T * (wts / wl)) @ q
         return J, Hs
 
-    c0 = Q.centroid
-    r0 = 0.45 * float(np.min(b - A @ c0))
-    if r0 <= 0.0:
-        raise ConvergenceFailure("center not interior")
-    theta0 = np.array([c0[0], c0[1], r0, 0.0, r0])
-    return theta0, slacks, terms, n, d, g
+    r0 = 0.45 * float(b.min())
+    return np.array([0.0, 0.0, r0, 0.0, r0]), slacks, terms
+
+
+def _to_ellipse(c, X, S, g, lines: bool, steps: int = 0) -> Ellipse:
+    """The ellipse (c, X) of ``_basis_optimum``, in the frame of ``_whiten``
+    given by (S, g), as an Ellipse in the body's own frame."""
+    # John's X = L^2; Loewner's {S y : |X^1/2 (y - c)| <= 1} is
+    # {S (c + X^-1/2 u) : |u| <= 1}
+    B = S @ _sqrtm(X) if lines else np.linalg.solve(_sqrtm(X), S.T).T
+    return Ellipse(g + S @ c, _gram_root(B), steps, EPS)
+
+
+def _pool(mu: np.ndarray, last: bool):
+    """The FINISH_POOL constraints, in cyclic order, that a barrier stage
+    with the multipliers mu_i = 1 / (t s_i) names for ``_pool_finish``.
+
+    Where more than FINISH_POOL have mu_i >= max mu / 2 and tie to
+    CONTACT_TOL, as on a regular polygon, they are evenly spaced among those
+    (the top ones alone are a cluster, whose problem is not the body's); at
+    the last stage, among all, for many contacts that do not tie (vertices
+    on a circle); else the largest, if at most 2 FINISH_POOL are near the
+    largest.  Else None: the barrier is still far from the optimum.
+    """
+    top = mu.max()
+    near = np.flatnonzero(mu >= 0.5 * top)
+    if len(near) > FINISH_POOL and mu[near].min() >= (1.0 - CONTACT_TOL) * top:
+        return near[np.arange(FINISH_POOL) * len(near) // FINISH_POOL]
+    if last:
+        return np.arange(FINISH_POOL) * len(mu) // FINISH_POOL
+    if len(near) <= 2 * FINISH_POOL:
+        return np.sort(np.argpartition(-mu, FINISH_POOL)[:FINISH_POOL])
+    return None
+
+
+def _pool_finish(P: Polygon, V: np.ndarray, pool: np.ndarray, lines: bool, S, g, steps: int):
+    """The basis solve of the constraints V[pool] of P, in the frame (S, g)
+    of ``_whiten``, as P's ellipse if it leaves no slack below -FINISH_SLACK
+    over all of V and meets John's conditions to FINISH_SLACK, else None.
+    A pool's best candidate is its optimum only where the pool's own problem
+    is well posed: of five consecutive vertices of a limacon, one enclosing
+    every vertex but 1.1% larger than the optimum passed the first test.
+    """
+    try:
+        c, X = _basis_optimum(V[pool], lines)
+    except ConvergenceFailure:
+        return None
+    if _least_slack(V, c[:, None], X[:, None], lines)[0] < -FINISH_SLACK:
+        return None
+    E = _to_ellipse(c, X, S, g, lines, steps)
+    try:
+        cert = verify_john_conditions(P, E, "inscribed" if lines else "enclosing")
+    except (NoContacts, CertificationFailure):
+        return None
+    if max(np.linalg.norm(cert.residual_sum), cert.residual_identity) > FINISH_SLACK:
+        return None
+    return E
+
+
+def _solve(P: Polygon, lines: bool) -> Ellipse:
+    """The John (``lines``) or Loewner ellipse of P, in the frame of
+    ``_whiten``: the basis solve on all constraints up to BASIS_MAX_N, else
+    the barrier, whose stages from t = FINISH_FROM on may end with
+    ``_pool_finish`` on the pool that ``_pool`` names (once per pool: the
+    result depends on the pool alone), or else its own end point.
+    """
+    Y, S, g = _whiten(P)
+    if lines:
+        A, b = edge_normals(Polygon(Y))
+        V = np.column_stack([A, -b])
+    else:
+        V = np.column_stack([Y, np.ones(len(Y))])
+    if len(V) <= BASIS_MAX_N:
+        return _to_ellipse(*_basis_optimum(V, lines), S, g, lines)
+    problem = _john_problem(A, b) if lines else _loewner_problem(Y)
+    tried = set()
+    for theta, t, s, steps in _barrier_maxlogdet(*problem, len(V)):
+        if t < FINISH_FROM:
+            continue
+        pool = _pool(1.0 / (t * s), len(V) / t < BARRIER_GAP)
+        if pool is None or pool.tobytes() in tried:
+            continue
+        tried.add(pool.tobytes())
+        E = _pool_finish(P, V, pool, lines, S, g, steps)
+        if E is not None:
+            return E
+    gap = len(V) / t
+    if lines:
+        return Ellipse(g + S @ theta[:2], _gram_root(S @ _sym(theta[2:])), steps, gap)
+    # {S y : |A y - b| <= 1} = {S A^-1 (b + u) : |u| <= 1}
+    B = np.linalg.solve(_sym(theta[2:]), S.T).T
+    return Ellipse(g + B @ theta[:2], _gram_root(B), steps, gap)
 
 
 def john_ellipse(P: Polygon) -> Ellipse:
-    """Maximum-area ellipse inscribed in the polygon: the best feasible
-    basis candidate up to BASIS_MAX_N vertices, else the barrier's."""
-    if P.n <= BASIS_MAX_N:
-        Y, S, g = _whiten(P)
-        A, b = edge_normals(Polygon(Y))
-        c, M = _basis_optimum(np.column_stack([A, -b]), lines=True)
-        return Ellipse(g + S @ c, _gram_root(S @ _sqrtm(M)), residual=EPS)
-    theta0, slacks, terms, m, d, g = _john_problem(P)
-    theta, steps, gap = _barrier_maxlogdet(theta0, slacks, terms, m)
-    c = g + d * theta[:2]
-    L = d * _sym(theta[2:])
-    return Ellipse(c, L, iterations=steps, residual=gap)
+    """Maximum-area ellipse inscribed in the polygon (see ``_solve``)."""
+    return _solve(P, lines=True)
 
 
 def _spread_sets(u0, u1, mu, m):
@@ -831,20 +747,19 @@ def max_centered_area(P: Polygon, x) -> float:
 # 1 - |G_i theta|^2 is concave and the barrier convex, as John's.
 
 
-def _loewner_problem(P: Polygon):
-    # in the frame of _whiten: at a similarity's scale, the barrier's
-    # centring error grew with the body's conditioning, up to 3e-4 of the
-    # diameter in the equivariance of the center under maps of condition 1e3
-    verts, S, g = _whiten(P)
-    n = len(verts)
-    y0, y1 = verts.T
+def _loewner_problem(Y: np.ndarray):
+    """The barrier problem of the Loewner ellipse of the vertices Y, in the
+    frame of ``_whiten`` (at a similarity's scale, the center's equivariance
+    erred by up to 3e-4 of the diameter under maps of condition 1e3)."""
+    n = len(Y)
+    y0, y1 = Y.T
     mono = np.column_stack([np.ones(n), y0, y1, y0 * y0, y0 * y1, y1 * y1])
     J = np.empty((n, 5))
     Hs = np.empty((5, 5))
 
     def slacks(theta):
         b0, b1, a11, a12, a22 = theta.tolist()
-        w = verts @ np.array([[a11, a12], [a12, a22]]) - (b0, b1)
+        w = Y @ np.array([[a11, a12], [a12, a22]]) - (b0, b1)
         return 1.0 - (w * w).sum(axis=1), w
 
     def terms(theta, w, wts):
@@ -862,24 +777,13 @@ def _loewner_problem(P: Polygon):
         return J, Hs
 
     # a disk twice the circumradius about the centroid: every slack is >= 3/4
-    a0 = 0.5 / float(np.linalg.norm(verts, axis=1).max())
-    return np.array([0.0, 0.0, a0, 0.0, a0]), slacks, terms, n, S, g
+    a0 = 0.5 / float(np.linalg.norm(Y, axis=1).max())
+    return np.array([0.0, 0.0, a0, 0.0, a0]), slacks, terms
 
 
 def loewner_ellipse(P: Polygon) -> Ellipse:
-    """Minimum-area ellipse enclosing the polygon: the best feasible basis
-    candidate up to BASIS_MAX_N vertices, else the barrier's."""
-    if P.n <= BASIS_MAX_N:
-        Y, S, g = _whiten(P)
-        c, X = _basis_optimum(np.column_stack([Y, np.ones(len(Y))]), lines=False)
-        # {S y : |X^1/2 (y - c)| <= 1} = {S (c + X^-1/2 u) : |u| <= 1}
-        B = np.linalg.solve(_sqrtm(X), S.T).T
-        return Ellipse(g + S @ c, _gram_root(B), residual=EPS)
-    theta0, slacks, terms, m, S, g = _loewner_problem(P)
-    theta, steps, gap = _barrier_maxlogdet(theta0, slacks, terms, m)
-    # {S y : |A y - b| <= 1} = {S A^-1 (b + u) : |u| <= 1}
-    B = np.linalg.solve(_sym(theta[2:]), S.T).T
-    return Ellipse(g + B @ theta[:2], _gram_root(B), iterations=steps, residual=gap)
+    """Minimum-area ellipse enclosing the polygon (see ``_solve``)."""
+    return _solve(P, lines=False)
 
 
 def min_centered_inverse_area(P: Polygon, x) -> float:

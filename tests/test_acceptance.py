@@ -7,7 +7,6 @@ under capture, then asserts it.
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from affpoints import regions
 from affpoints.bodies import b_eta, body_kab, ngon, random_body, random_map
@@ -24,7 +23,7 @@ from affpoints.ellipses import (
     max_centered_area,
     verify_john_conditions,
 )
-from affpoints.noninjective import alpha, certify, default_eps
+from affpoints.noninjective import alpha, certify
 from affpoints.points import PointFunction, eval_point, santalo_point
 from affpoints.polygons import (
     affine_apply,

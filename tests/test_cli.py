@@ -244,9 +244,11 @@ def test_usage_error_exit_2():
      "--tol", "-1e-6"],
     ["point", "--body", "ngon:1000000000000", "--id", "centroid"],
     ["point", "--body", "random:1000000000000,1", "--id", "centroid"],
-    # the centroid's cubic sums overflow, with numpy's RuntimeWarning, into
-    # [-Infinity, -Infinity], which is no JSON; run as the console script
-    # runs, where that warning only prints
+    # past about 1e154 the area overflows, and canonicalize's cross
+    # products with it, with numpy's RuntimeWarning; run as the console
+    # script runs, where that warning only prints.  At 1e103 the centroid's
+    # cubic sums overflowed into [-Infinity, -Infinity], which is no JSON,
+    # until they ran at unit scale (test_point_at_extreme_scales)
     pytest.param(["point", "--body", "file:{tmp}/huge.json", "--id", "centroid"],
                  marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
     ["iterate-product", "--body", "square", "--p", "john", "--r", "santalo",
@@ -261,13 +263,27 @@ def test_bad_input_exit_2(argv, tmp_path, monkeypatch, capsys):
     (tmp_path / "nan.json").write_text(
         '{"kind": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [NaN, 1]]}\n')
     (tmp_path / "huge.json").write_text(
-        '{"kind": "polygon", "vertices": [[0, 0], [1e103, 0], [0, 1e103]]}\n')
+        '{"kind": "polygon", "vertices": [[0, 0], [1e200, 0], [0, 1e200]]}\n')
     argv = [a.format(tmp=tmp_path) for a in argv]
     monkeypatch.setattr(sys, "argv", ["affpoints", *argv])
     with pytest.raises(SystemExit) as exc:
         cli.main()
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("s", [1e103, 1e-110])
+def test_point_at_extreme_scales(s, tmp_path):
+    # the triangle (0, 0), (s, 0), (0, s) has its centroid at s / 3, and so
+    # has every affine invariant point; at 1e103 centroid printed
+    # [-Infinity, -Infinity], and at 1e-110 the centre of the bounding box,
+    # (5e-111, 5e-111), with exit 0
+    body = tmp_path / "tri.json"
+    body.write_text(json.dumps({"kind": "polygon", "vertices": [[0, 0], [s, 0], [0, s]]}))
+    for pid in ("centroid", "santalo", "john", "loewner", "symcore"):
+        code, out = run(["point", "--body", f"file:{body}", "--id", pid])
+        assert code == 0
+        assert np.abs(np.array(json.loads(out)["value"]) / (s / 3) - 1.0).max() <= 1e-15
 
 
 def _readme_examples():

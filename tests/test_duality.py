@@ -3,7 +3,6 @@ import pytest
 
 from affpoints.bodies import body_kab, ngon, random_body
 from affpoints.duality import (
-    DualityReport,
     dual_residual,
     invariance_check,
     phi,
@@ -20,7 +19,6 @@ from affpoints.polygons import (
     affine_apply,
     hausdorff,
     k_sub_z,
-    polar_about,
 )
 
 G = PointFunction("centroid")

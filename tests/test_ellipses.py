@@ -6,20 +6,26 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from affpoints.bodies import ngon, parse_spec, random_body, random_map
+from affpoints.bodies import ngon, parse_spec, random_map
 from affpoints.duality import random_polygons
 from affpoints.ellipses import (
     BARRIER_GAP,
     BASIS_MAX_N,
     CONTACT_TOL,
+    FINISH_SLACK,
     Ellipse,
+    _basis_optimum,
     _centered_john,
     _contact_dirs,
     _john_problem,
+    _least_slack,
     _normalize,
+    _pool_finish,
     _sym,
     _loewner_problem,
     _nnls,
+    _to_ellipse,
+    _whiten,
     john_ellipse,
     loewner_ellipse,
     max_centered_area,
@@ -50,8 +56,6 @@ class TestJohn:
         assert E.area == pytest.approx(np.pi / (6 * np.sqrt(3)), abs=1e-9)
 
     def test_edges_respected(self):
-        from affpoints.polygons import edge_normals
-
         for P in random_bodies(20, 51):
             E = john_ellipse(P)
             A, b = edge_normals(P)
@@ -430,8 +434,6 @@ class TestEllipseDuality:
     def test_loewner_is_polar_of_john(self):
         # the inscribed ellipse of P, recentred, is polar-dual to the
         # enclosing ellipse of the polar body about the same point
-        from affpoints.polygons import polar_about
-
         for P in random_bodies(10, 58):
             J = john_ellipse(P)
             Q = polar_about(P, J.center)
@@ -493,8 +495,8 @@ class TestNNLS:
 
 class TestSlackHessians:
     @pytest.mark.parametrize("setup", [
-        pytest.param(_john_problem, id="free-john"),
-        pytest.param(_loewner_problem, id="free-loewner")])
+        pytest.param(lambda P: _john_problem(*edge_normals(P)), id="free-john"),
+        pytest.param(lambda P: _loewner_problem(P.vertices), id="free-loewner")])
     def test_matches_jacobian_differences(self, setup):
         # slack_hess(theta, w) = sum_i w_i hess(s_i), against central
         # differences of the w-weighted constraint Jacobian
@@ -752,12 +754,15 @@ def _finish_cases():
     # bounds on the John and the Loewner steps.  With a finish only on at
     # most five multipliers above their slacks, or on a clear top five,
     # they took 59-87 steps, and all but the limacon's Loewner solves ran
-    # the barrier to its end
+    # the barrier to its end.  The pool finish takes 10 and 9 steps on
+    # ngon(200), plain and mapped (the smaller ones are basis solves), and
+    # 40 and 37 on the limacon (Newton on John's conditions: 27-34 and
+    # 47-53 and 40)
     T = _T1E3
     cases = []
     for m in (6, 8, 200):
-        cases.append(pytest.param(ngon(m), 40, 40, id=f"ngon{m}"))
-        cases.append(pytest.param(affine_apply(T, ngon(m)), 40, 40, id=f"ngon{m}-mapped"))
+        cases.append(pytest.param(ngon(m), 15, 15, id=f"ngon{m}"))
+        cases.append(pytest.param(affine_apply(T, ngon(m)), 15, 15, id=f"ngon{m}-mapped"))
     rng = np.random.default_rng(2101)
     base = canonicalize(limacon(1024))
     for i in range(3):
@@ -771,12 +776,48 @@ def test_finish_past_five_contacts(P, john_steps, loewner_steps):
                                (loewner_ellipse, "enclosing", loewner_steps)):
         E = solve(P)
         # a barrier end leaves a gap of at least 1e-11; an accepted finish
-        # leaves the size of its last Newton step
+        # leaves the rounding unit
         assert E.residual < 1e-11
         cert = verify_john_conditions(P, E, mode)
         assert np.linalg.norm(cert.residual_sum) <= 1e-12
         assert cert.residual_identity <= 1e-12
         assert E.iterations <= bound
+
+
+def test_pool_finish_rejects_a_feasible_candidate_off_the_optimum():
+    # five consecutive vertices of the benchmark's limacon under its fourth
+    # map at seed 1: their own problem is near degenerate, and its best
+    # candidate encloses every vertex, yet is 1.1% larger than the optimum
+    # and 5.1e-3 of the diameter off it.  John's conditions reject it
+    rng = np.random.default_rng(1)
+    for _ in range(4):
+        T = random_map(rng)
+    T = AffineMap(T.matrix / np.linalg.svd(T.matrix, compute_uv=False)[-1], T.translation)
+    P = affine_apply(T, canonicalize(limacon(1024)))
+    Y, S, g = _whiten(P)
+    V = np.column_stack([Y, np.ones(len(Y))])
+    pool = np.arange(978, 983)
+    c, X = _basis_optimum(V[pool], lines=False)
+    assert _least_slack(V, c[:, None], X[:, None], lines=False)[0] >= -FINISH_SLACK
+    E, opt = _to_ellipse(c, X, S, g, lines=False), loewner_ellipse(P)
+    assert np.linalg.norm(E.center - opt.center) > 1e-3 * P.diameter
+    with pytest.raises(CertificationFailure):
+        verify_john_conditions(P, E, "enclosing")
+    assert _pool_finish(P, V, pool, False, S, g, 0) is None
+
+
+def test_pool_finish_on_contacts_that_do_not_tie():
+    # 40 vertices at random angles on the unit circle: each touches the
+    # Loewner ellipse, the circle, with its own weight, and each edge of the
+    # polar touches the incircle.  No pool of the largest or of tied
+    # multipliers certifies; the last stage's pool, spread over all the
+    # constraints, does (without it both solves ended at the barrier's gap)
+    t = np.sort(np.random.default_rng(11).uniform(0.0, 2.0 * np.pi, 40))
+    P = canonicalize(np.column_stack([np.cos(t), np.sin(t)]))
+    for E in (loewner_ellipse(P), john_ellipse(polar_about(P, (0.0, 0.0)))):
+        assert E.residual == np.finfo(float).eps
+        assert np.abs(E.center).max() <= 1e-14
+        assert np.abs(E.shape - np.eye(2)).max() <= 1e-13
 
 
 def test_free_center_solves_agree_with_the_fields():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from affpoints.bodies import b_eta, body_kab, cross, random_map, square
-from affpoints.errors import BadParams, CertificationFailure, NoRoot
+from affpoints.errors import BadParams, NoRoot
 from affpoints.noninjective import (
     alpha,
     cap_function,

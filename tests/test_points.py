@@ -53,7 +53,7 @@ def test_eval_dispatch(square, triangle):
 def test_ellipse_points_report_the_solve(triangle):
     # a closed-form basis solve (at most BASIS_MAX_N vertices) takes no
     # steps and leaves the rounding unit; the barrier, past that, reports its
-    # Newton steps and the size of its last one
+    # Newton steps, and its basis finish the rounding unit too
     big = ngon(BASIS_MAX_N + 1)
     for pid in ("john", "loewner"):
         res = eval_point(PointFunction(pid), triangle)

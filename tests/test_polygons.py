@@ -184,6 +184,26 @@ class TestAreaCentroid:
         for eta in (0.25, 0.5, 0.7):
             assert b_eta(eta).centroid[1] == 0.0
 
+    def test_scale_exact(self):
+        # a scaling by 2^k is exact, and the kernel's sums run at unit
+        # scale: the centroid of 2^k V is 2^k times V's to the bit for every
+        # k that keeps V's coordinates and centroid normal (with a factor 4
+        # to spare, for the bounding-box centre), and so is the area (4^k)
+        # while it is representable.  Before, the cubic sums overflowed
+        # past 1e102 (to -inf) and underflowed below 1e-102 (to the
+        # bounding-box centre)
+        bodies = [P.vertices for P in random_polygons(6, 3)]
+        bodies += [np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), limacon(64)]
+        for V in bodies:
+            a, cx, cy = kernels.area_centroid(V)
+            x = np.abs(np.append(V, (cx, cy)))
+            _, e = np.frexp(x[x != 0.0])
+            for k in range(-1019 - int(e.min()), 1023 - int(e.max())):
+                a2, cx2, cy2 = kernels.area_centroid(np.ldexp(V, k))
+                assert (cx2, cy2) == (np.ldexp(cx, k), np.ldexp(cy, k))
+                if abs(2 * k) < 1000:
+                    assert a2 == np.ldexp(a, 2 * k)
+
 
 class TestPolar:
     def test_square_cross(self, square, cross):
