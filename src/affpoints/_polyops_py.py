@@ -80,30 +80,43 @@ def polar_vertices(verts: np.ndarray, zx: float, zy: float) -> np.ndarray:
     return np.column_stack([ux, uy])
 
 
+def _successors(x: np.ndarray) -> np.ndarray:
+    """The rows of x along its second-last axis moved up by one, the first
+    last: each vertex's or edge's successor (a copy, cheaper than a gather
+    at large n)."""
+    return np.concatenate([x[..., 1:, :], x[..., :1, :]], axis=-2)
+
+
 def polar_terms(verts: np.ndarray):
     """The per-edge terms of the polar area, formed once per body for
-    ``polar_calculus``.
+    ``polar_calculus``; ``verts`` is one body's (n, 2) vertices, or a
+    (k, n, 2) stack of k bodies of n vertices each.
 
     Edge i lies on {y : <a_i, y> = b_i}, a_i its edge vector turned by -90
-    degrees.  Returns (a, b, half_det, nxt): the a_i as an (n, 2) array,
-    the b_i, 1/2 det(a_i, a_i+1), and the index of each edge's successor,
-    by which the kernel shifts its arrays (np.roll costs more than the
-    sums on arrays this small).
+    degrees.  Returns (a, an, b, half_det, nxt): the a_i as an (n, 2)
+    array ((k, n, 2) for a stack), the a_i+1, the b_i, 1/2 det(a_i, a_i+1),
+    and the index of each edge's successor, by which the kernel shifts its
+    slacks (np.roll costs more than the sums on arrays this small).  A
+    body's terms are the same bits alone or in a stack.
     """
-    n = len(verts)
+    n = verts.shape[-2]
     nxt = np.arange(1, n + 1)
     nxt[-1] = 0
-    e = verts[nxt] - verts
-    a = np.column_stack([e[:, 1], -e[:, 0]])
-    b = a[:, 0] * verts[:, 0] + a[:, 1] * verts[:, 1]
-    half_det = 0.5 * (a[:, 0] * a[nxt, 1] - a[:, 1] * a[nxt, 0])
-    return a, b, half_det, nxt
+    e = _successors(verts) - verts
+    a = np.empty_like(e)
+    a[..., 0] = e[..., 1]
+    np.negative(e[..., 0], out=a[..., 1])
+    an = _successors(a)
+    b = a[..., 0] * verts[..., 0] + a[..., 1] * verts[..., 1]
+    half_det = 0.5 * (a[..., 0] * an[..., 1] - a[..., 1] * an[..., 0])
+    return a, an, b, half_det, nxt
 
 
 def polar_calculus(terms, X: np.ndarray, hessian: bool = False):
     """Area V of the polar (P - x)° at each row x of X (k, 2), with its
     gradient and, if asked, its Hessian in x; ``terms`` is
-    ``polar_terms(P's vertices)``.
+    ``polar_terms(P's vertices)``, or the terms of a (k, n, 2) stack of
+    bodies, one for each row of X.
 
     The polar about x has the vertex u_i = a_i / s_i, with the slack
     s_i = b_i - <a_i, x>, so V = sum_i T_i with
@@ -117,22 +130,25 @@ def polar_calculus(terms, X: np.ndarray, hessian: bool = False):
     row's result does not depend on the other rows.  Returns
     (V, grad, Hess or None, s) of shapes (k,), (k, 2), (k, 2, 2) and
     (k, n); the values of a row with a slack <= 0 (x not interior) mean
-    nothing.
+    nothing, and computing them may raise numpy's floating-point warnings,
+    which a caller that passes such rows silences (the Santalo solve calls
+    this some four times per body, under one errstate of its own).
     """
-    a, b, half_det, nxt = terms
-    s = b - (X[:, :1] * a[:, 0] + X[:, 1:] * a[:, 1])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = a / s[:, :, None]
-        un = u[:, nxt]
-        w = u + un
-        T = half_det / (s * s[:, nxt])
-        grad = (T[:, :, None] * w).sum(axis=1)
-        if not hessian:
-            return T.sum(axis=1), grad, None, s
-        # the three sums of outer products as one, over 3n rows
-        Z = np.concatenate([w, u, un], axis=1)
-        TZ = Z * np.concatenate([T, T, T], axis=1)[:, :, None]
-        H = (TZ[:, :, :, None] * Z[:, :, None, :]).sum(axis=1)
+    a, an, b, half_det, nxt = terms
+    s = b - (X[:, :1] * a[..., 0] + X[:, 1:] * a[..., 1])
+    sn = s[:, nxt]
+    u = a / s[:, :, None]
+    # u_i+1 by its own division: the same bits as a shift of u, for less
+    un = an / sn[:, :, None]
+    w = u + un
+    T = half_det / (s * sn)
+    grad = (T[:, :, None] * w).sum(axis=1)
+    if not hessian:
+        return T.sum(axis=1), grad, None, s
+    # the three sums of outer products as one, over 3n rows
+    Z = np.concatenate([w, u, un], axis=1)
+    TZ = (Z.reshape(len(T), 3, -1, 2) * T[:, None, :, None]).reshape(Z.shape)
+    H = (TZ[:, :, :, None] * Z[:, :, None, :]).sum(axis=1)
     return T.sum(axis=1), grad, H, s
 
 
@@ -141,7 +157,8 @@ def polar_areas(verts: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
     by ``polar_calculus``.  A row with a slack <= 0 (x not interior) gets
     V = inf.
     """
-    V, grad, _, s = polar_calculus(polar_terms(verts), X)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        V, grad, _, s = polar_calculus(polar_terms(verts), X)
     V[(s <= 0.0).any(axis=1)] = np.inf
     return V, grad
 

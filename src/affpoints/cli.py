@@ -225,10 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _residual_worker(args):
-    """Residual and failures of body ``i`` of the trial stream."""
-    p, q, i, P = args
-    rep = dual_residual(p, q, [P])
-    return rep.max_residual, [(i, msg) for _, msg in rep.failures]
+    """Residual and failures of a run of the trial stream that starts at
+    body ``offset``, with the failures under the bodies' own indices."""
+    p, q, offset, bodies = args
+    rep = dual_residual(p, q, bodies)
+    return rep.max_residual, [(offset + i, msg) for i, msg in rep.failures]
 
 
 def _cpus() -> int:
@@ -241,15 +242,18 @@ def _cpus() -> int:
 
 def _dual_check(args) -> int:
     p, q = _point(args.p), _point(args.q)
-    work = [(p, q, i, P)
-            for i, P in enumerate(random_polygons(args.trials, args.seed))]
+    bodies = list(random_polygons(args.trials, args.seed))
     if args.jobs > 1:
         from multiprocessing import get_context
 
-        with get_context("fork").Pool(min(args.jobs, args.trials, _cpus())) as pool:
+        # one contiguous run of the trials per process
+        procs = min(args.jobs, args.trials, _cpus())
+        cuts = [args.trials * j // procs for j in range(procs + 1)]
+        work = [(p, q, a, bodies[a:b]) for a, b in zip(cuts, cuts[1:])]
+        with get_context("fork").Pool(procs) as pool:
             results = pool.map(_residual_worker, work)
     else:
-        results = list(map(_residual_worker, work))
+        results = [_residual_worker((p, q, 0, bodies))]
     worst = max(r for r, _ in results)
     failures = [f for _, fs in results for f in fs]
     passed = worst < args.tol and not failures

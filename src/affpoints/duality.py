@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import random_body, random_map
-from .points import PointFunction, central_differences, eval_point, polar_root
+from .points import (
+    PointFunction,
+    _eval_points,
+    central_differences,
+    eval_point,
+    eval_points,
+    polar_root,
+)
 from .polygons import Polygon, affine_apply, polar_about
 
 
@@ -29,35 +36,52 @@ class DualityReport:
 
 
 def phi(pf: PointFunction, P: Polygon) -> Polygon:
-    """The body K^{p(K)}: polar about the p-point, kept at the same spot."""
-    x = eval_point(pf, P).value
-    return polar_about(P, x, translate=True)
+    """The body K^{p(K)}: polar about the p-point, kept at the same spot.
+
+    Built once per polygon object and ``pf``, and kept on P as
+    ``points.eval_point`` keeps points, so the duality checks and the
+    products that meet the same polar share it, and its own points.
+    """
+    memo = P.__dict__.setdefault("_phi", {})
+    Q = memo.get(pf)
+    if Q is None:
+        Q = memo[pf] = polar_about(P, eval_point(pf, P).value, translate=True)
+    return Q
 
 
 def dual_residual(p: PointFunction, q: PointFunction, bodies) -> DualityReport:
     """Worst-case |q(K^{p(K)}) - p(K)| over the given bodies.
 
-    Per-body evaluation errors are recorded in the report rather than
-    raised, so one degenerate sample cannot hide the aggregate.
+    p runs over all bodies, then q over all their polars, each as one
+    ``points.eval_points`` call.  Per-body evaluation errors are recorded
+    in the report rather than raised, so one degenerate sample cannot hide
+    the aggregate.
     """
+    bodies = list(bodies)
+    ps = _eval_points(p, bodies)
+    polars = {}
+    for i, (P, res) in enumerate(zip(bodies, ps)):
+        if not isinstance(res, Exception):
+            try:
+                polars[i] = phi(p, P)
+            except Exception as exc:
+                ps[i] = exc
+    qs = dict(zip(polars, _eval_points(q, polars.values())))
     worst_rel = 0.0
     worst_abs = 0.0
     worst = ""
     failures = []
-    count = 0
-    for i, P in enumerate(bodies):
-        count += 1
-        try:
-            px = eval_point(p, P).value
-            qx = eval_point(q, polar_about(P, px, translate=True)).value
-        except Exception as exc:
-            failures.append((i, repr(exc)))
+    for i, (P, px) in enumerate(zip(bodies, ps)):
+        # q's point, or the error that stopped the body before it
+        qx = qs.get(i, px)
+        if isinstance(qx, Exception):
+            failures.append((i, repr(qx)))
             continue
-        r_abs = float(np.linalg.norm(qx - px))
+        r_abs = float(np.linalg.norm(qx.value - px.value))
         r_rel = r_abs / P.diameter
         if r_rel > worst_rel:
             worst_rel, worst_abs, worst = r_rel, r_abs, f"body[{i}]"
-    return DualityReport(pair=(p.id, q.id), bodies_tested=count,
+    return DualityReport(pair=(p.id, q.id), bodies_tested=len(bodies),
                          max_residual=worst_rel, max_residual_abs=worst_abs,
                          worst_body=worst, failures=tuple(failures))
 
@@ -94,14 +118,17 @@ def product_iterates(p: PointFunction, r: PointFunction, P: Polygon,
 
 def invariance_check(pf: PointFunction, P: Polygon, trials: int,
                      seed: int) -> float:
-    """Max relative deviation of p(T(P)) from T(p(P)) over random maps."""
+    """Max relative deviation of p(T(P)) from T(p(P)) over random maps.
+
+    P and its ``trials`` images go through one ``points.eval_points`` call.
+    """
     rng = np.random.default_rng(seed)
-    base = eval_point(pf, P).value
+    maps = [random_map(rng) for _ in range(trials)]
+    images = [affine_apply(T, P) for T in maps]
+    base, *mapped = eval_points(pf, [P, *images])
     worst = 0.0
-    for _ in range(trials):
-        T = random_map(rng)
-        Q = affine_apply(T, P)
-        dev = float(np.linalg.norm(eval_point(pf, Q).value - T(base)))
+    for T, Q, res in zip(maps, images, mapped):
+        dev = float(np.linalg.norm(res.value - T(base.value)))
         worst = max(worst, dev / Q.diameter)
     return worst
 

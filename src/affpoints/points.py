@@ -6,11 +6,15 @@ point m (maximizer of the overlap area with the reflected body), and the
 two-cap family built from the polar-centroid direction.
 
 ``polar_root`` is the one damped-Newton driver for zeros of a point of
-the polar (P - z)°: the Santalo point runs on it with the exact Jacobian
-of its closed-form polar centroid, and ``duality.polar_preimage`` with a
-Jacobian by central differences.  Symcore runs on the exact, batched
-overlap model ``_overlap_model``, and ``_ray_roots`` is the one batched
-ray root-finder, here and in ``regions``.
+the polar (P - z)°, over k bodies at once, one row each: the Santalo
+point runs on it with the exact Jacobian of its closed-form polar
+centroid, and ``duality.polar_preimage`` with a Jacobian by central
+differences.  ``eval_points`` solves the Santalo points of a list of
+bodies in one ``polar_root`` call per vertex count; a body that fails
+keeps its own error, and each result is the bits of its solve alone.
+Symcore runs on the exact, batched overlap model ``_overlap_model``, and
+``_ray_roots`` is the one batched ray root-finder, here and in
+``regions``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from . import _polyops_py as kernels
 from .ellipses import _normalize, _whiten, john_ellipse, loewner_ellipse
-from .errors import BadParams, ConvergenceFailure, PointNotInterior
+from .errors import BadParams, ConvergenceFailure, GeometryError, PointNotInterior
 from .polygons import (
     EPS_GEOM,
     Halfplane,
@@ -69,9 +73,61 @@ def eval_point(pf: PointFunction, P: Polygon) -> PointResult:
     memo = P.__dict__.setdefault("_points", {})
     res = memo.get(pf)
     if res is None:
-        res = _solve_point(pf, P)
-        res.value.setflags(write=False)
-        memo[pf] = res
+        res = _remember(memo, pf, _solve_point(pf, P))
+    return res
+
+
+def eval_points(pf: PointFunction, bodies) -> list[PointResult]:
+    """``eval_point(pf, P)`` for each body P of a list: the same memo and
+    the same results, to the bit; raises the error of the first body, in
+    list order, that fails.
+
+    Santalo points not yet in the memo are solved by one ``polar_root``
+    call per vertex count, so numpy's cost per call is paid per group of
+    bodies rather than per body.  The other ids run ``eval_point`` body by
+    body (centroids are read off the bodies).
+    """
+    out = _eval_points(pf, bodies)
+    for res in out:
+        if isinstance(res, Exception):
+            raise res
+    return out
+
+
+def _eval_points(pf: PointFunction, bodies) -> list:
+    """``eval_points`` with each failing body's error in its place, so a
+    failure does not stop the other bodies."""
+    bodies = list(bodies)
+    memos = [P.__dict__.setdefault("_points", {}) for P in bodies]
+    out = [memo.get(pf) for memo in memos]
+    todo = [i for i, res in enumerate(out) if res is None]
+    if pf.id == "santalo":
+        groups: dict[int, list[int]] = {}
+        for i in todo:
+            groups.setdefault(bodies[i].n, []).append(i)
+        todo = []
+        for rows in groups.values():
+            try:
+                roots = polar_root(_santalo_model, [bodies[i] for i in rows], None, SANTALO_TOL)
+            except Exception:
+                # not one row's GeometryError: the bodies run alone, so that
+                # the error lands on its own body
+                todo += rows
+                continue
+            for i, root in zip(rows, roots):
+                out[i] = root if isinstance(root, GeometryError) else _remember(
+                    memos[i], pf, PointResult(root[0], iterations=root[1], residual=root[2]))
+    for i in sorted(todo):
+        try:
+            out[i] = eval_point(pf, bodies[i])
+        except Exception as exc:
+            out[i] = exc
+    return out
+
+
+def _remember(memo: dict, pf: PointFunction, res: PointResult) -> PointResult:
+    res.value.setflags(write=False)
+    memo[pf] = res
     return res
 
 
@@ -103,91 +159,211 @@ POLAR_MARGIN = 10.0 * EPS_GEOM
 def central_differences(F):
     """``polar_root``'s model of a black-box point F(Q, w) of the polar
     (Q - w)°: F where the margin passes, and a Jacobian by central
-    differences, four more calls of F, formed only when a step needs it."""
+    differences, four more calls of F, formed only when a step needs it.
+    F takes one point, so the rows run one by one."""
 
-    def model(Q: Polygon):
-        normals, offsets = edge_normals(Q)
+    def model(bodies):
+        cons = [edge_normals(Q) for Q in bodies]
 
-        def at(w):
-            margin = float(np.min(offsets - normals @ w))
-            if margin <= POLAR_MARGIN:
-                return margin, None, None
+        def at(W, rows):
+            rows = range(len(W)) if rows is None else rows
+            margin = np.array([float(np.min(cons[r][1] - cons[r][0] @ w))
+                               for r, w in zip(rows, W)])
+            FW = np.array([F(bodies[r], w) if not m <= POLAR_MARGIN else (np.nan, np.nan)
+                           for r, w, m in zip(rows, W, margin)])
+            return margin, FW, (W,)
 
-            def jac():
-                E = 1e-6 * np.eye(2)
-                return np.column_stack([(F(Q, w + e) - F(Q, w - e)) / 2e-6 for e in E])
+        def jac(aux, rows):
+            (W,) = aux
+            rows = range(len(W)) if rows is None else rows
+            E = 1e-6 * np.eye(2)
+            return np.array([np.column_stack([(F(bodies[r], w + e) - F(bodies[r], w - e)) / 2e-6
+                                              for e in E]) for r, w in zip(rows, W)])
 
-            return margin, F(Q, w), jac
-
-        return at
+        return at, jac
 
     return model
 
 
-def polar_root(model, P: Polygon, z0, tol: float):
-    """A z in int(P) at which a point F of the polar (P - z)° vanishes, by
-    damped Newton from the interior point z0 (None: the centroid); returns
-    (z, steps, |F|).
+def _norms(F: np.ndarray) -> np.ndarray:
+    # |F| of each row as np.linalg.norm gives it, by the same dot product
+    return np.sqrt(np.vecdot(F, F))
+
+
+def _newton_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """J^-1 F for each row, and F where J is singular: the Newton steps
+    with their sign flipped, which rounding does not see, so the caller
+    subtracts them and no negation is spent."""
+    try:
+        return np.linalg.solve(J, F[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        step = F.copy()
+        for i in range(len(F)):
+            try:
+                step[i] = np.linalg.solve(J[i], F[i])
+            except np.linalg.LinAlgError:
+                pass
+        return step
+
+
+def polar_root(model, P, z0, tol: float):
+    """Zeros z in int(B) of a point F of the polar (B - z)°, by damped
+    Newton from the interior point z0 (None: the centroid), for one body
+    B = P or for each body of a list P at once.
+
+    For one body, returns (z, steps, |F|) or raises.  For a list (with z0
+    None or a list of starts), returns one entry per body: that triple, or
+    the ``GeometryError`` that a solve of the body alone would raise, so a
+    failing body does not stop the others.  Each body is one row of a
+    (k, 2) batch; a row leaves the batch once it stops or fails, and every
+    row does the arithmetic of its solve alone, so its result is the same
+    bits in any batch.
 
     The solve runs in the frame of ``ellipses._whiten``, on
-    Q = S^-1 (P - g) and w = S^-1 (z - g).  ``model(Q)`` is called once
-    per solve and returns at(w) -> (margin, F, jac): the interior margin
-    of w in Q and, where it exceeds POLAR_MARGIN, F at w, an affine
-    invariant point of (Q - w)° such as its centroid, and a callable that
-    gives F's Jacobian in w (else F is None).  ``central_differences``
-    builds the model of a black-box F; the Santalo point has an exact one.
-    Q has unit scatter whatever the scale and conditioning of P, so the
-    absolute step bound and difference step fit it (in P's own frame, or
-    at diameter 1, the solve stalled under maps of condition 1e3).  Each
-    step is capped at 0.25 and halved until |F| decreases.  It stops when
-    |F| is below ``tol`` times the circumradius 1/margin of that polar.
+    Q = S^-1 (B - g) and w = S^-1 (z - g).  ``model(Qs)`` is called once,
+    on the list of whitened bodies, and returns (at, jac).  at(W, rows)
+    gets a point w of each listed body (rows None: every body, in order)
+    and returns (margin, F, aux): the interior margins of the w and, for
+    the rows whose margin exceeds POLAR_MARGIN, F at w, an affine
+    invariant point of (Q - w)° such as its centroid (other rows' F means
+    nothing).  jac(aux, rows) gives F's Jacobians there, formed only when
+    a step needs them.  ``central_differences`` builds the model of a
+    black-box F; the Santalo point has an exact one, which wants bodies of
+    one vertex count.  Q has unit scatter whatever the scale and
+    conditioning of B, so the absolute step bound and difference step fit
+    it (in B's own frame, or at diameter 1, the solve stalled under maps of
+    condition 1e3).  Each step is capped at 0.25 and halved until |F|
+    decreases; only the rows still halving are evaluated again.  A row
+    stops when |F| is below ``tol`` times the circumradius 1/margin of
+    that polar, and fails after 120 steps.
     """
-    verts, S, g = _whiten(P)
-    at = model(Polygon(verts))
-    z = np.zeros(2) if z0 is None else np.linalg.solve(S, np.asarray(z0, dtype=float) - g)
-    margin, fz, jac = at(z)
-    if fz is None:
-        raise PointNotInterior(f"start point {(g + S @ z).tolist()} not interior")
-    for it in range(120):
-        nrm = float(np.linalg.norm(fz))
-        if nrm * margin < tol:
-            return g + S @ z, it, nrm
-        try:
-            step = np.linalg.solve(jac(), -fz)
-        except np.linalg.LinAlgError:
-            step = -fz
-        if np.linalg.norm(step) > 0.25:
-            step *= 0.25 / np.linalg.norm(step)
-        alpha = 1.0
-        while alpha > 1e-12:
-            cand = z + alpha * step
-            m, fc, jc = at(cand)
-            if fc is not None and np.linalg.norm(fc) < nrm:
-                z, fz, jac, margin = cand, fc, jc, m
-                break
-            alpha *= 0.5
+    one = isinstance(P, Polygon)
+    bodies = [P] if one else list(P)
+    k = len(bodies)
+    frames = [_whiten(B) for B in bodies]
+    at, jac = model([Polygon(v) for v, _, _ in frames])
+    z = np.zeros((k, 2))
+    for i, x in enumerate([z0] if one else () if z0 is None else z0):
+        if x is not None:
+            _, S, g = frames[i]
+            z[i] = np.linalg.solve(S, np.asarray(x, dtype=float) - g)
+
+    def point(i, w):
+        _, S, g = frames[i]
+        return g + S @ w
+
+    # out[i]: body i's (z, steps, |F|), or its error once it has one;
+    # live: the bodies of the rows still solving, None while all are;
+    # gone: the rows that failed since the last test, None if none did
+    out = [None] * k
+    live = None
+    # 0-d arrays: numpy compares an array with them faster than with floats
+    tol, least, cap = np.asarray(tol), np.asarray(POLAR_MARGIN), np.asarray(0.25)
+    # the models compute garbage for rows that are not interior
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        margin, F, aux = at(z, None)
+        nrm = _norms(F)
+        gone = margin <= least
+        if np.count_nonzero(gone):
+            for i in np.flatnonzero(gone):
+                out[i] = PointNotInterior(f"start point {point(i, z[i]).tolist()} not interior")
         else:
-            raise ConvergenceFailure(f"polar root stalled at |F|={nrm:.3e}")
-    raise ConvergenceFailure("polar root: no convergence in 120 steps")
+            gone = None
+        for it in range(120):
+            done = nrm * margin < tol
+            if gone is not None:
+                done |= gone
+                gone = None
+            stops = np.count_nonzero(done)
+            if stops:
+                ids = range(k) if live is None else live
+                for i in range(len(z)) if stops == len(z) else np.flatnonzero(done):
+                    if out[ids[i]] is None:
+                        out[ids[i]] = (point(ids[i], z[i]), it, float(nrm[i]))
+                if stops == len(z):
+                    break
+                on = ~done
+                live = np.flatnonzero(on) if live is None else live[on]
+                z, F, margin, nrm = z[on], F[on], margin[on], nrm[on]
+                aux = tuple(a[on] for a in aux)
+            step = _newton_steps(jac(aux, live), F)
+            size = _norms(step)
+            big = size > cap
+            if np.count_nonzero(big):
+                step[big] *= (0.25 / size[big])[:, None]
+            # the line search; todo: the rows still halving, None while all are
+            alpha, todo = 1.0, None
+            while alpha > 1e-12:
+                if todo is None:
+                    cand = z - alpha * step
+                    m, fc, ac = at(cand, live)
+                    nc = _norms(fc)
+                    ok = (m > least) & (nc < nrm)
+                    if np.count_nonzero(ok) == len(ok):
+                        z, F, margin, aux, nrm = cand, fc, m, ac, nc
+                        break
+                    todo = np.arange(len(z))
+                else:
+                    cand = z[todo] - alpha * step[todo]
+                    m, fc, ac = at(cand, todo if live is None else live[todo])
+                    nc = _norms(fc)
+                    ok = (m > least) & (nc < nrm[todo])
+                took = todo[ok]
+                z[took], F[took], margin[took], nrm[took] = cand[ok], fc[ok], m[ok], nc[ok]
+                for a, b in zip(aux, ac):
+                    a[took] = b[ok]
+                todo = todo[~ok]
+                if not todo.size:
+                    break
+                alpha *= 0.5
+            else:
+                gone = np.zeros(len(z), dtype=bool)
+                gone[todo] = True
+                for i in todo:
+                    out[i if live is None else live[i]] = ConvergenceFailure(
+                        f"polar root stalled at |F|={nrm[i]:.3e}")
+        else:
+            for r in range(k) if live is None else live:
+                if out[r] is None:
+                    out[r] = ConvergenceFailure("polar root: no convergence in 120 steps")
+    if not one:
+        return out
+    if isinstance(out[0], GeometryError):
+        raise out[0]
+    return out[0]
 
 
-def _santalo_model(Q: Polygon):
-    """``polar_root``'s exact model for the Santalo point: F = grad V / 3V,
-    the centroid of (Q - w)°, with the Jacobian
-    (Hess V / V - grad V grad V^T / V^2) / 3, all from one
-    ``kernels.polar_calculus`` call on the terms of Q formed here; the
-    margin is the least slack over the length of its edge normal."""
-    terms = kernels.polar_terms(Q.vertices)
-    norms = np.hypot(terms[0][:, 0], terms[0][:, 1])
+def _santalo_model(bodies):
+    """``polar_root``'s exact model for the Santalo point of bodies of one
+    vertex count: F = grad V / 3V, the centroid of (Q - w)°, with the
+    Jacobian (Hess V / V - grad V grad V^T / V^2) / 3, all from one
+    ``kernels.polar_calculus`` call on the stacked terms of the bodies
+    formed here; the margin is the least slack over the length of its edge
+    normal."""
+    terms = kernels.polar_terms(np.array([Q.vertices for Q in bodies]))
+    norms = np.hypot(terms[0][..., 0], terms[0][..., 1])
 
-    def at(w):
-        (V,), (grad,), (H,), (s,) = kernels.polar_calculus(terms, w[None], hessian=True)
-        margin = float((s / norms).min())
-        if margin <= POLAR_MARGIN:
-            return margin, None, None
-        return margin, grad / (3.0 * V), lambda: (H / V - np.outer(grad, grad) / V**2) / 3.0
+    def at(W, rows):
+        a, an, b, half_det, nxt = terms
+        nr = norms
+        if rows is not None:
+            a, an, b, half_det, nr = a[rows], an[rows], b[rows], half_det[rows], norms[rows]
+        V, grad, H, s = kernels.polar_calculus((a, an, b, half_det, nxt), W, hessian=True)
+        return (s / nr).min(axis=1), grad / (3.0 * V)[:, None], (V, grad, H)
 
-    return at
+    def jac(aux, rows):
+        V, grad, H = aux
+        V = V[:, None, None]
+        # float_power is the C pow of the scalar V**2 that this model took
+        # before it ran k rows: it differs from V*V in the last bit
+        return (H / V - grad[:, :, None] * grad[:, None, :] / np.float_power(V, 2)) / 3.0
+
+    return at, jac
+
+
+# the stop rule of the Santalo solve: |F| below this times the circumradius
+# of the polar
+SANTALO_TOL = 1e-12
 
 
 def santalo_point(P: Polygon) -> PointResult:
@@ -198,9 +374,11 @@ def santalo_point(P: Polygon) -> PointResult:
     Solved by ``polar_root`` from the centroid with the exact model
     ``_santalo_model``: the closed-form V, gradient and Hessian of
     ``kernels.polar_calculus``, so a Newton step costs one kernel call and
-    no differences.
+    no differences.  This is the one-row call; ``eval_points`` solves the
+    Santalo points of many bodies in one call per vertex count, to the
+    same bits.
     """
-    z, steps, nrm = polar_root(_santalo_model, P, None, 1e-12)
+    z, steps, nrm = polar_root(_santalo_model, P, None, SANTALO_TOL)
     return PointResult(z, iterations=steps, residual=nrm)
 
 

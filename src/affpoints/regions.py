@@ -16,9 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import _polyops_py as kernels
-from .ellipses import _centered_john, _normalize, john_ellipse
+from .ellipses import _centered_john, _normalize
 from .errors import BadParams, DegenerateInput, EmptyResult
-from .points import _overlap_model, _ray_roots, santalo_point, symcore_point
+from .points import PointFunction, _overlap_model, _ray_roots, eval_point
 from .polygons import Polygon, canonicalize, edge_normals
 
 DEFAULT_RAYS = 256
@@ -143,7 +143,7 @@ def santalo_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:
         raise BadParams(f"need a finite c > 0, got {c}")
     verts, d, g = _normalize(P)
     Q = Polygon(verts)
-    s = (santalo_point(P).value - g) / d
+    s = (eval_point(PointFunction("santalo"), P).value - g) / d
     log_target = np.log1p(c) + np.log(kernels.polar_areas(Q.vertices, s[None])[0][0])
 
     def field(X, U):
@@ -166,7 +166,7 @@ def john_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:
     verts, d, g = _normalize(P)
     Q = Polygon(verts)
     A, b = edge_normals(Q)
-    j = (john_ellipse(P).center - g) / d
+    j = (eval_point(PointFunction("john"), P).value - g) / d
     log_target = np.log(c * _centered_john(A, b, j)[0][0])
 
     def field(X, U):
@@ -191,7 +191,7 @@ def symcore_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:
     verts, d, g = _normalize(P)
     Q = Polygon(verts)
     f, _ = _overlap_model(Q)
-    m0 = (symcore_point(P).value - g) / d
+    m0 = (eval_point(PointFunction("symcore"), P).value - g) / d
     log_target = np.log(c * f(m0[None])[0][0])
 
     def field(X, U):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from affpoints.bodies import body_kab, ngon, random_body
+from affpoints.bodies import body_kab, ngon, random_body, random_map
 from affpoints.duality import (
     dual_residual,
     invariance_check,
@@ -19,6 +19,7 @@ from affpoints.polygons import (
     affine_apply,
     hausdorff,
     k_sub_z,
+    polar_about,
 )
 
 G = PointFunction("centroid")
@@ -128,6 +129,47 @@ class TestInvariance:
         # one of these five maps of an affine image
         P = list(random_polygons(50, 4))[49]
         assert invariance_check(S, P, 5, 4049) < 1e-6
+
+
+class TestBatched:
+    # dual_residual and invariance_check solve their Santalo points in
+    # batches; each must return the floats of a solve body by body
+    def test_dual_residual_matches_body_by_body(self):
+        bodies = list(random_polygons(50, 92))
+        worst = max(float(np.linalg.norm(
+            santalo_point(polar_about(P, P.centroid, translate=True)).value - P.centroid))
+            / P.diameter for P in bodies)
+        assert dual_residual(G, S, bodies).max_residual == worst
+        bodies = list(random_polygons(50, 93))
+        worst = 0.0
+        for P in bodies:
+            s = santalo_point(P).value
+            worst = max(worst, float(np.linalg.norm(
+                polar_about(P, s, translate=True).centroid - s)) / P.diameter)
+        assert dual_residual(S, G, bodies).max_residual == worst
+
+    def test_invariance_matches_body_by_body(self):
+        for P, seed in [(list(random_polygons(50, 4))[49], 4049),
+                        *((P, i) for i, P in enumerate(random_polygons(20, 1)))]:
+            rng = np.random.default_rng(seed)
+            base = santalo_point(P).value
+            worst = 0.0
+            for _ in range(5):
+                T = random_map(rng)
+                Q = affine_apply(T, P)
+                worst = max(worst, float(np.linalg.norm(santalo_point(Q).value - T(base)))
+                            / Q.diameter)
+            assert invariance_check(S, P, 5, seed) == worst
+
+    def test_phi_is_kept(self):
+        P = body_kab(1.0, 2.0)
+        A = phi(G, P)
+        assert phi(G, P) is A and phi(S, P) is not A
+        # the product reads the polar that dual_residual solved on
+        dual_residual(G, S, [P])
+        res = eval_point(S, A)
+        product_apply(G, S, G, P)
+        assert eval_point(S, phi(G, P)) is res
 
 
 class TestPreimage:

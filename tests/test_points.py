@@ -4,7 +4,7 @@ import pytest
 from affpoints import points
 from affpoints.bodies import b_eta, body_kab, ngon, parse_spec, random_body, random_map
 from affpoints.ellipses import BASIS_MAX_N
-from affpoints.errors import BadParams
+from affpoints.errors import BadParams, ConvergenceFailure, PointNotInterior
 from affpoints.points import (
     PointFunction,
     _newton_ascent,
@@ -14,6 +14,7 @@ from affpoints.points import (
     caps,
     central_differences,
     eval_point,
+    eval_points,
     polar_root,
     santalo_point,
     symcore_point,
@@ -26,6 +27,7 @@ from affpoints.polygons import (
     affine_apply,
     canonicalize,
     clip_halfplane,
+    edge_normals,
     hausdorff,
     intersect,
     polar_about,
@@ -179,6 +181,130 @@ class TestSantalo:
         S = PointFunction("santalo")
         for i, P in enumerate(random_polygons(600, 1)):
             assert invariance_check(S, P, 5, i) <= 1e-10
+
+
+def _mixed_bodies():
+    """Bodies of many vertex counts: the stream bodies and the n-gons under
+    maps of condition 1e3 of ``test_matches_the_finite_difference_oracle``,
+    and the polars of both about their centroids."""
+    rng = np.random.default_rng(64)
+    ngons = [affine_apply(AffineMap(_rotation(rng.uniform(0, np.pi)) @ np.diag([1.0, 1e-3])
+                                    @ _rotation(rng.uniform(0, np.pi)), rng.normal(size=2)),
+                          ngon(m)) for m in (4, 6, 8, 12, 32, 200)]
+    bodies = [*random_polygons(200, 65), *ngons]
+    return bodies + [polar_about(P, P.centroid) for P in bodies]
+
+
+def _same_bits(a, b):
+    return (a.value.tobytes() == b.value.tobytes() and a.iterations == b.iterations
+            and a.residual == b.residual)
+
+
+def _step_model(d):
+    """A ``polar_root`` model with F(w) = w - 0.05 and the Jacobian d_i I
+    for body i: d = 1 steps onto the root, d = 0.3 overshoots and is
+    halved, d = -1 points uphill and stalls, and d = 1e3 crawls past the
+    step budget."""
+
+    def model(bodies):
+        cons = [edge_normals(Q) for Q in bodies]
+
+        def at(W, rows):
+            rows = range(len(W)) if rows is None else rows
+            margin = np.array([np.min(cons[r][1] - cons[r][0] @ w) for r, w in zip(rows, W)])
+            return margin, W - 0.05, (np.array([d[r] for r in rows]),)
+
+        def jac(aux, rows):
+            return aux[0][:, None, None] * np.eye(2)
+
+        return at, jac
+
+    return model
+
+
+class TestEvalPoints:
+    S = PointFunction("santalo")
+
+    def test_santalo_matches_one_body_solves_to_the_bit(self):
+        bodies = _mixed_bodies()
+        assert len({P.n for P in bodies}) >= 10
+        for P, res in zip(bodies, eval_points(self.S, bodies)):
+            # santalo_point keeps no memo, so this is a fresh one-row solve
+            assert _same_bits(res, santalo_point(P))
+
+    def test_other_ids_match_eval_point(self):
+        bodies = list(random_polygons(6, 69))
+        for pf in (PointFunction("centroid"), PointFunction("john")):
+            batch = eval_points(pf, bodies)
+            for P, res in zip(bodies, batch):
+                assert _same_bits(res, eval_point(pf, Polygon(P.vertices)))
+
+    def test_fills_the_memo(self):
+        bodies = list(random_polygons(12, 66))
+        first = eval_points(self.S, bodies[:6])
+        assert all(eval_point(self.S, P) is res for P, res in zip(bodies, first))
+        # a second call reads the memo for the first six and solves the rest
+        both = eval_points(self.S, bodies)
+        assert all(a is b for a, b in zip(both, first))
+        assert all(eval_point(self.S, P) is res for P, res in zip(bodies, both))
+        with pytest.raises(ValueError):
+            both[-1].value[0] = 0.0
+
+    def test_a_failing_start_leaves_the_other_rows(self):
+        bodies = [P for P in random_polygons(60, 67) if P.n == 8][:4]
+        assert len(bodies) == 4
+        outside = 2.0 * bodies[1].vertices[0] - bodies[1].centroid
+        out = polar_root(points._santalo_model, bodies, [None, outside, None, None], 1e-12)
+        with pytest.raises(PointNotInterior) as alone:
+            polar_root(points._santalo_model, bodies[1], outside, 1e-12)
+        assert type(out[1]) is PointNotInterior and str(out[1]) == str(alone.value)
+        for i in (0, 2, 3):
+            z, steps, nrm = polar_root(points._santalo_model, bodies[i], None, 1e-12)
+            assert out[i][0].tobytes() == z.tobytes() and out[i][1:] == (steps, nrm)
+
+    def test_rows_halve_stall_and_run_out_on_their_own(self):
+        d = [1.0, 0.3, -1.0, 1e3, 0.3]
+        bodies = list(random_polygons(5, 70))
+        out = polar_root(_step_model(d), bodies, None, 1e-12)
+        kinds = []
+        for i, P in enumerate(bodies):
+            try:
+                z, steps, nrm = polar_root(_step_model([d[i]]), P, None, 1e-12)
+            except ConvergenceFailure as exc:
+                assert type(out[i]) is ConvergenceFailure and str(out[i]) == str(exc)
+                kinds.append(str(exc).split(" at ")[0])
+            else:
+                assert out[i][0].tobytes() == z.tobytes() and out[i][1:] == (steps, nrm)
+                kinds.append(steps)
+        assert kinds[0] == 1 and kinds[1] > 10
+        assert kinds[2] == "polar root stalled"
+        assert kinds[3] == "polar root: no convergence in 120 steps"
+
+    def test_raises_the_first_failure_in_list_order(self, monkeypatch):
+        bodies = list(random_polygons(4, 68))
+        # no row can meet a negative tolerance, so each fails
+        monkeypatch.setattr(points, "SANTALO_TOL", -1.0)
+        with pytest.raises(ConvergenceFailure) as first:
+            eval_points(self.S, bodies)
+        with pytest.raises(ConvergenceFailure) as alone:
+            polar_root(points._santalo_model, bodies[0], None, -1.0)
+        assert str(first.value) == str(alone.value)
+        assert all(self.S not in P.__dict__.get("_points", {}) for P in bodies)
+
+    def test_an_error_outside_the_rows_stays_with_its_body(self):
+        class Boom(Polygon):
+            @property
+            def centroid(self):
+                raise RuntimeError("boom")
+
+        good = list(random_polygons(3, 68))
+        bodies = [good[0], Boom(good[1].vertices), Boom(good[1].vertices), good[2]]
+        with pytest.raises(RuntimeError, match="boom"):
+            eval_points(self.S, bodies)
+        for P in (good[0], good[2]):
+            assert _same_bits(eval_point(self.S, P), santalo_point(P))
+        out = points._eval_points(self.S, bodies)
+        assert [type(r) for r in out[1:3]] == [RuntimeError, RuntimeError]
 
 
 class TestSymcore:
