@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import random_body, random_map
+from .errors import GeometryError
 from .points import (
     PointFunction,
     _eval_points,
@@ -141,7 +142,10 @@ def polar_preimage(pf: PointFunction, C: Polygon, init=None) -> np.ndarray:
     starting point selects which root is found.
     """
     F = central_differences(lambda Q, z: eval_point(pf, polar_about(Q, z)).value)
-    return polar_root(F, C, init, 1e-9)[0]
+    root, = polar_root(F, [C], [init], 1e-9)
+    if isinstance(root, GeometryError):
+        raise root
+    return root[0]
 
 
 def random_polygons(count: int, seed: int, k_range=(5, 30)):

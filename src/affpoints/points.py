@@ -185,9 +185,20 @@ def central_differences(F):
     return model
 
 
-def _norms(F: np.ndarray) -> np.ndarray:
-    # |F| of each row as np.linalg.norm gives it, by the same dot product
+def _dot_norms(F: np.ndarray) -> np.ndarray:
+    # |F| of each row as np.linalg.norm gives it, by the same dot product (a
+    # sum of squares differs in the last bit, as OpenBLAS's dot fuses): a
+    # (1, 2) @ (2, 1) matmul, which numpy hands to that dot
+    return np.sqrt(np.matmul(F[:, None], F[..., None])[:, 0, 0])
+
+
+def _vecdot_norms(F: np.ndarray) -> np.ndarray:
+    # the same by np.vecdot (numpy 2.0 on), which calls that dot at less
+    # cost: the matmul cost a one-row Santalo solve 2-4% more
     return np.sqrt(np.vecdot(F, F))
+
+
+_norms = _vecdot_norms if hasattr(np, "vecdot") else _dot_norms
 
 
 def _newton_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -206,18 +217,17 @@ def _newton_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
         return step
 
 
-def polar_root(model, P, z0, tol: float):
-    """Zeros z in int(B) of a point F of the polar (B - z)°, by damped
-    Newton from the interior point z0 (None: the centroid), for one body
-    B = P or for each body of a list P at once.
+def polar_root(model, bodies, starts, tol: float) -> list:
+    """Zeros z in int(B) of a point F of the polar (B - z)°, for each body
+    B of a list at once, by damped Newton from the interior point of
+    ``starts`` (None, or a None entry: the body's centroid).
 
-    For one body, returns (z, steps, |F|) or raises.  For a list (with z0
-    None or a list of starts), returns one entry per body: that triple, or
-    the ``GeometryError`` that a solve of the body alone would raise, so a
-    failing body does not stop the others.  Each body is one row of a
-    (k, 2) batch; a row leaves the batch once it stops or fails, and every
-    row does the arithmetic of its solve alone, so its result is the same
-    bits in any batch.
+    Returns one entry per body: (z, steps, |F|), or the ``GeometryError``
+    that the body's solve raised, so a failing body does not stop the
+    others; a caller of one body unpacks its one entry and raises it if it
+    is an error.  Each body is one row of a (k, 2) batch; a row leaves the
+    batch once it stops or fails, and every row does the arithmetic of its
+    solve alone, so its result is the same bits in any batch.
 
     The solve runs in the frame of ``ellipses._whiten``, on
     Q = S^-1 (B - g) and w = S^-1 (z - g).  ``model(Qs)`` is called once,
@@ -237,13 +247,12 @@ def polar_root(model, P, z0, tol: float):
     stops when |F| is below ``tol`` times the circumradius 1/margin of
     that polar, and fails after 120 steps.
     """
-    one = isinstance(P, Polygon)
-    bodies = [P] if one else list(P)
+    bodies = list(bodies)
     k = len(bodies)
     frames = [_whiten(B) for B in bodies]
     at, jac = model([Polygon(v) for v, _, _ in frames])
     z = np.zeros((k, 2))
-    for i, x in enumerate([z0] if one else () if z0 is None else z0):
+    for i, x in enumerate(() if starts is None else starts):
         if x is not None:
             _, S, g = frames[i]
             z[i] = np.linalg.solve(S, np.asarray(x, dtype=float) - g)
@@ -291,7 +300,9 @@ def polar_root(model, P, z0, tol: float):
             big = size > cap
             if np.count_nonzero(big):
                 step[big] *= (0.25 / size[big])[:, None]
-            # the line search; todo: the rows still halving, None while all are
+            # the line search; todo: the rows still halving, None while all
+            # are, so that a one-row solve slices nothing (slicing each time
+            # cost a one-row Santalo solve a third more)
             alpha, todo = 1.0, None
             while alpha > 1e-12:
                 if todo is None:
@@ -326,11 +337,7 @@ def polar_root(model, P, z0, tol: float):
             for r in range(k) if live is None else live:
                 if out[r] is None:
                     out[r] = ConvergenceFailure("polar root: no convergence in 120 steps")
-    if not one:
-        return out
-    if isinstance(out[0], GeometryError):
-        raise out[0]
-    return out[0]
+    return out
 
 
 def _santalo_model(bodies):
@@ -378,7 +385,10 @@ def santalo_point(P: Polygon) -> PointResult:
     Santalo points of many bodies in one call per vertex count, to the
     same bits.
     """
-    z, steps, nrm = polar_root(_santalo_model, P, None, SANTALO_TOL)
+    root, = polar_root(_santalo_model, [P], None, SANTALO_TOL)
+    if isinstance(root, GeometryError):
+        raise root
+    z, steps, nrm = root
     return PointResult(z, iterations=steps, residual=nrm)
 
 

@@ -170,7 +170,8 @@ class TestSantalo:
                               ngon(m)) for m in (4, 6, 8, 12, 32, 200)]
         for P in [*random_polygons(200, 65), *ngons]:
             res = santalo_point(P)
-            z, steps, _ = polar_root(central_differences(_polar_centroid), P, P.centroid, 1e-12)
+            (z, steps, _), = polar_root(central_differences(_polar_centroid), [P], [P.centroid],
+                                        1e-12)
             assert np.linalg.norm(res.value - z) <= 1e-12 * P.diameter
             assert res.iterations <= steps
 
@@ -255,11 +256,10 @@ class TestEvalPoints:
         assert len(bodies) == 4
         outside = 2.0 * bodies[1].vertices[0] - bodies[1].centroid
         out = polar_root(points._santalo_model, bodies, [None, outside, None, None], 1e-12)
-        with pytest.raises(PointNotInterior) as alone:
-            polar_root(points._santalo_model, bodies[1], outside, 1e-12)
-        assert type(out[1]) is PointNotInterior and str(out[1]) == str(alone.value)
+        alone, = polar_root(points._santalo_model, [bodies[1]], [outside], 1e-12)
+        assert type(out[1]) is PointNotInterior and str(out[1]) == str(alone)
         for i in (0, 2, 3):
-            z, steps, nrm = polar_root(points._santalo_model, bodies[i], None, 1e-12)
+            (z, steps, nrm), = polar_root(points._santalo_model, [bodies[i]], None, 1e-12)
             assert out[i][0].tobytes() == z.tobytes() and out[i][1:] == (steps, nrm)
 
     def test_rows_halve_stall_and_run_out_on_their_own(self):
@@ -268,12 +268,12 @@ class TestEvalPoints:
         out = polar_root(_step_model(d), bodies, None, 1e-12)
         kinds = []
         for i, P in enumerate(bodies):
-            try:
-                z, steps, nrm = polar_root(_step_model([d[i]]), P, None, 1e-12)
-            except ConvergenceFailure as exc:
-                assert type(out[i]) is ConvergenceFailure and str(out[i]) == str(exc)
-                kinds.append(str(exc).split(" at ")[0])
+            alone, = polar_root(_step_model([d[i]]), [P], None, 1e-12)
+            if isinstance(alone, ConvergenceFailure):
+                assert type(out[i]) is ConvergenceFailure and str(out[i]) == str(alone)
+                kinds.append(str(alone).split(" at ")[0])
             else:
+                z, steps, nrm = alone
                 assert out[i][0].tobytes() == z.tobytes() and out[i][1:] == (steps, nrm)
                 kinds.append(steps)
         assert kinds[0] == 1 and kinds[1] > 10
@@ -286,9 +286,8 @@ class TestEvalPoints:
         monkeypatch.setattr(points, "SANTALO_TOL", -1.0)
         with pytest.raises(ConvergenceFailure) as first:
             eval_points(self.S, bodies)
-        with pytest.raises(ConvergenceFailure) as alone:
-            polar_root(points._santalo_model, bodies[0], None, -1.0)
-        assert str(first.value) == str(alone.value)
+        alone, = polar_root(points._santalo_model, [bodies[0]], None, -1.0)
+        assert type(alone) is ConvergenceFailure and str(first.value) == str(alone)
         assert all(self.S not in P.__dict__.get("_points", {}) for P in bodies)
 
     def test_an_error_outside_the_rows_stays_with_its_body(self):
@@ -305,6 +304,15 @@ class TestEvalPoints:
             assert _same_bits(eval_point(self.S, P), santalo_point(P))
         out = points._eval_points(self.S, bodies)
         assert [type(r) for r in out[1:3]] == [RuntimeError, RuntimeError]
+
+    def test_row_norms_are_linalg_norms(self):
+        # the driver's |F| per row, by np.vecdot or by the matmul that
+        # numpy before 2.0 runs, is np.linalg.norm of the row to the bit
+        rng = np.random.default_rng(71)
+        F = rng.standard_normal((20000, 2)) * np.exp(rng.uniform(-30, 30, (20000, 1)))
+        want = np.array([np.linalg.norm(f) for f in F]).tobytes()
+        assert points._dot_norms(F).tobytes() == want
+        assert points._norms(F).tobytes() == want
 
 
 class TestSymcore:
