@@ -113,10 +113,8 @@ def parse_spec(text: str):
         if name == "beta":
             return b_eta(float(arg))
         if name == "random":
-            parts = arg.split(",")
-            k = _spec_count(int(parts[0]))
-            seed = int(parts[1]) if len(parts) > 1 else 0
-            return random_body(k, seed)
+            k, seed = arg.split(",") if "," in arg else (arg, 0)
+            return random_body(_spec_count(int(k)), int(seed))
         if name == "file":
             return load_polygon(arg)
     except (ValueError, TypeError, OSError) as exc:

@@ -6,12 +6,10 @@ plane each problem is LP-type with at most five contacts, so its optimum is
 the best feasible ellipse over all sets of 3 to 5 constraints, each a
 Steiner ellipse or a pencil member from a root of a quadratic or cubic
 (``_basis_optimum``): so on all constraints up to BASIS_MAX_N vertices.  A
-larger body runs a damped-Newton log-barrier on a center (John's
-c + L (unit disk)) or offset (Loewner's {y : |A y - b| <= 1}) and a
-symmetric 2x2 shape, maximizing log det over concave slacks, and its
-stages end with the basis solve of a pool of constraints that the barrier
-multipliers name, accepted if it is feasible for every constraint and
-certified by John's conditions (``_solve``).
+larger body runs a basis iteration: it solves pools of FINISH_POOL
+constraints so, each the last pool's basis and the constraints that its
+optimum violates most, until an optimum is feasible for every constraint
+and certified by John's conditions (``_solve``).
 The fixed-center John field f_K has constraints linear in M = L^2, so one
 barrier runs over many centers at once (``_centered_john``), and after
 each stage every center tries the pairs and triples of contacts that its
@@ -34,16 +32,15 @@ from .polygons import AffineMap, Polygon, canonicalize, edge_normals, polar_abou
 
 CONTACT_TOL = 1e-6
 CERT_RESIDUAL_TOL = 1e-6
-# the log-det barriers stop at this duality gap n_con / t
+# the fixed-center field's log-det barrier stops at this duality gap n / t
 BARRIER_GAP = 1e-10
-# from the stage at t = FINISH_FROM on, the free-center barriers may finish
-# by the basis solve of FINISH_POOL constraints (see _pool)
-FINISH_FROM = 1e2
+# past BASIS_MAX_N constraints, the basis iteration solves pools of
+# FINISH_POOL of them (see _solve)
 FINISH_POOL = 9
-# a finish leaves no slack below -FINISH_SLACK, the rounding of the frame,
-# and meets John's conditions to it: under a map of condition 1e3, a regular
-# polygon's tied vertices read slacks down to -1.0e-12 there, and a wrong
-# contact set one below -2.5e-8
+# an accepted basis leaves no slack below -FINISH_SLACK, the rounding of the
+# frame, and a partial pool's meets John's conditions to it: under a map of
+# condition 1e3, a regular polygon's tied vertices read slacks down to
+# -1.0e-12 there, and a wrong contact set one below -2.5e-8
 FINISH_SLACK = 1e-12
 # the fixed-center John field finishes on the pairs and triples of the
 # FIELD_POOL largest barrier multipliers of a row, and accepts a set that
@@ -53,15 +50,14 @@ FINISH_SLACK = 1e-12
 FIELD_POOL = 5
 FIELD_SLACK = 1e-10
 # bodies of at most BASIS_MAX_N vertices take their John and Loewner
-# ellipses from _basis_optimum, larger ones from the barrier: the time of a
-# John solve crosses between 15 and 16 vertices, as the candidates grow like
-# C(n, 5) and the barrier's steps do not (Loewner's between 16 and 17)
+# ellipses from one _basis_optimum on all constraints, larger ones from the
+# basis iteration on pools of FINISH_POOL: the candidates grow like C(n, 5)
 BASIS_MAX_N = 15
 # _basis_optimum's tie-break weight on a candidate's least slack, where it is
 # negative: above the sum of the multipliers, which in the frame of _whiten
 # is 2 for Loewner and 4 / r for John, r about the inradius (1 on a square)
 BASIS_PENALTY = 10.0
-# the residual of a closed-form solve: the rounding unit
+# the residual of a John or Loewner solve: the rounding unit
 EPS = float(np.finfo(float).eps)
 
 
@@ -69,11 +65,10 @@ EPS = float(np.finfo(float).eps)
 class Ellipse:
     """The set {center + shape @ u : |u| <= 1} with shape symmetric PD.
 
-    A solved ellipse records its solve: ``iterations`` counts the Newton
-    steps of the barrier (0 for a body of at most BASIS_MAX_N vertices), and
-    ``residual`` is the rounding unit after any accepted basis solve, or the
-    barrier's final duality gap n_con / t where none was.  Both are 0 for an
-    ellipse built any other way.
+    A solved ellipse records its solve: ``iterations`` counts the pools
+    that the basis iteration solved after its first (0 for a body of at
+    most BASIS_MAX_N vertices), and ``residual`` is the rounding unit.  Both
+    are 0 for an ellipse built any other way.
     """
 
     center: np.ndarray
@@ -116,85 +111,9 @@ def _gram_root(B: np.ndarray) -> np.ndarray:
     return (W * sig) @ W.T
 
 
-def _sym(t3: np.ndarray) -> np.ndarray:
-    return np.array([[t3[0], t3[1]], [t3[1], t3[2]]])
-
-
 # logdet over l = (l11, l12, l22) has the gradient v = (l22, -2 l12, l11) / det
 # and the Hessian _LOGDET3_M / det - v v^T
 _LOGDET3_M = np.array([[0.0, 0.0, 1.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
-
-
-def _barrier_maxlogdet(theta0, slack_fn, slack_terms, n_con):
-    """Minimize -t*logdet(shape) - sum log(slacks) along an increasing-t path
-    that starts at t = max(1, n_con / 10), a first duality gap n_con / t of
-    at most 10, and goes up by tenfold steps until the gap is below
-    BARRIER_GAP.  Both problems are convex, so each Newton matrix is
-    positive definite and its step a descent direction.
-
-    theta holds two center or offset entries, then the shape entries
-    (l11, l12, l22).  A problem evaluates its constraints in one pass,
-    split over two calls: ``slack_fn(theta)`` returns the slacks and an
-    ``aux`` of what their derivatives reuse, and
-    ``slack_terms(theta, aux, wts)`` returns the slack Jacobian (n_con, 5)
-    and the weighted sum of the constraint Hessians, sum_i wts_i * hess(s_i),
-    as one (5, 5) matrix, both in buffers that its next call overwrites.
-    The log-det terms are added from Python scalars.  Yields (theta, t,
-    slacks, Newton steps so far) after each stage, the last at a gap below
-    BARRIER_GAP: the caller may leave the path after any stage.
-    """
-    theta = np.array(theta0, dtype=float)
-    s, aux = slack_fn(theta)
-    l11, l12, l22 = theta[2:].tolist()
-    if not (s.min() > 0.0 and l11 > 0.0 and l11 * l22 - l12 * l12 > 0.0):
-        raise ConvergenceFailure("infeasible barrier start")
-    # the accepted iterate carries its slacks, their log sum and aux, so
-    # neither the next Newton step nor its line search evaluates them again
-    log_s = float(np.log(s).sum())
-    steps = 0
-    t = max(1.0, n_con / 10.0)
-    while True:
-        for _ in range(60):
-            l11, l12, l22 = theta[2:].tolist()
-            det = l11 * l22 - l12 * l12
-            wts = 1.0 / s
-            J, Hs = slack_terms(theta, aux, wts)
-            Js = J * wts[:, None]
-            g = -(wts @ J)
-            H = Js.T @ Js
-            H -= Hs
-            v0, v1, v2 = l22 / det, -2.0 * l12 / det, l11 / det
-            h02, h11 = v0 * v2 - 1.0 / det, v1 * v1 + 2.0 / det
-            g[2:] -= (t * v0, t * v1, t * v2)
-            H[2:, 2:] += ((t * v0 * v0, t * v0 * v1, t * h02),
-                          (t * v0 * v1, t * h11, t * v1 * v2),
-                          (t * h02, t * v1 * v2, t * v2 * v2))
-            step = np.linalg.solve(H, -g)
-            # lam2 is finite only if the step is
-            lam2 = float(-g @ step)
-            if not (math.isfinite(lam2) and lam2 > 2.0 * t * 1e-13):
-                break
-            base = -t * math.log(det) - log_s
-            alpha = 1.0
-            while alpha > 1e-14:
-                cand = theta + alpha * step
-                c11, c12, c22 = cand[2:].tolist()
-                dc = c11 * c22 - c12 * c12
-                if c11 > 0.0 and dc > 0.0:
-                    sc, ac = slack_fn(cand)
-                    if sc.min() > 0.0:
-                        lc = float(np.log(sc).sum())
-                        if -t * math.log(dc) - lc < base:
-                            theta, s, aux, log_s = cand, sc, ac, lc
-                            steps += 1
-                            break
-                alpha *= 0.5
-            else:
-                break
-        yield theta, t, s, steps
-        if n_con / t < BARRIER_GAP:
-            return
-        t *= 10.0
 
 
 @functools.cache
@@ -315,7 +234,7 @@ def _basis_optimum(V: np.ndarray, lines: bool) -> tuple[np.ndarray, np.ndarray]:
         det = X[0] * X[2] - X[1] ** 2
         keep = np.flatnonzero((X[0] > 0.0) & (det > 0.0) & (det < np.inf))
         c, X, det = c[:, keep], X[:, keep], det[keep]
-        least = _least_slack(V, c, X, lines)
+        least = _slacks(V, c, X, lines).min(axis=0)
     ok = least >= -FINISH_SLACK
     if not ok.any():
         raise ConvergenceFailure("no feasible basis")
@@ -323,21 +242,24 @@ def _basis_optimum(V: np.ndarray, lines: bool) -> tuple[np.ndarray, np.ndarray]:
     return c[:, best], X[:, best]
 
 
-def _least_slack(V: np.ndarray, c: np.ndarray, X: np.ndarray, lines: bool) -> np.ndarray:
-    """Over the constraints V of ``_basis_optimum``, the least slack of each
-    ellipse (c, X), a column of the (2, m) and (3, m) arrays c and X."""
+def _slacks(V: np.ndarray, c: np.ndarray, X: np.ndarray, lines: bool) -> np.ndarray:
+    """The slack of each constraint V of ``_basis_optimum`` (rows) for each
+    ellipse (c, X), a column of the (2, m) and (3, m) arrays c and X: the
+    distance b - a.c - |L a| from the ellipse to the edge line, or
+    1 - |L^-1 (y - c)|^2 at the vertex y."""
     a0, a1, a2 = V.T
     if lines:
-        # b - a.c - |L a| for b = -a2, in place: (n, m) arrays dominate the
+        # a.c + |L a| - b for b = -a2, in place: (n, m) arrays dominate the
         # memory of a solve
         w = np.column_stack([a0 * a0, 2.0 * a0 * a1, a1 * a1]) @ X
         np.sqrt(w, out=w)
         w += V[:, :2] @ c
         w += a2[:, None]
-        return -w.max(axis=0)
+        return np.negative(w, out=w)
     Xc = np.stack([X[0] * c[0] + X[1] * c[1], X[1] * c[0] + X[2] * c[1]])
     coef = np.concatenate([X[:1], 2.0 * X[1:2], X[2:], -2.0 * Xc, (Xc * c).sum(axis=0)[None]])
-    return 1.0 - (np.column_stack([a0 * a0, a0 * a1, a1 * a1, a0, a1, a2]) @ coef).max(axis=0)
+    w = np.column_stack([a0 * a0, a0 * a1, a1 * a1, a0, a1, a2]) @ coef
+    return np.subtract(1.0, w, out=w)
 
 
 def _sqrtm(x: np.ndarray) -> np.ndarray:
@@ -367,111 +289,34 @@ def _whiten(P: Polygon) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.linalg.solve(S, Y.T).T, S, g
 
 
-# ---------------------------------------------------------------------------
-# Inscribed (John) side: variables (cx, cy, l11, l12, l22), constraints per edge
-# <a_i, c> + |L a_i| <= b_i.
-
-
-def _john_problem(A: np.ndarray, b: np.ndarray):
-    """The barrier problem of the John ellipse of {y : A y <= b}, A with
-    unit rows, in the frame of ``_whiten``: it starts at the disk of 0.45
-    times the distance of the nearest edge from the centroid, the origin."""
-    n = len(b)
-    # w_i = L a_i = B_i l with B_i = [[a0, a1, 0], [0, a0, a1]] for the
-    # normal a_i = (a0, a1) and l = (l11, l12, l22)
-    a0, a1 = A[:, 0], A[:, 1]
-    J = np.empty((n, 5))
-    J[:, :2] = -A
-    q = np.empty((n, 3))
-    Hs = np.zeros((5, 5))
-
-    def slacks(theta):
-        # one product gives a_i.c and w_i
-        cx, cy, l11, l12, l22 = theta.tolist()
-        W = A @ np.array([[cx, l11, l12], [cy, l12, l22]])
-        wl = np.hypot(W[:, 1], W[:, 2])
-        return b - W[:, 0] - wl, (W, wl)
-
-    def terms(theta, aux, wts):
-        # with nu the unit w_i and tau = (-nu1, nu0), grad s_i is
-        # -(a_i, B_i^T nu); and in 2D the Hessian of |w| over w is
-        # tau tau^T / |w|, so hess s_i = -q q^T / |w_i| with q = B_i^T tau
-        W, wl = aux
-        nu0, nu1 = W[:, 1] / wl, W[:, 2] / wl
-        J[:, 2] = -(nu0 * a0)
-        J[:, 3] = -(nu0 * a1) - nu1 * a0
-        J[:, 4] = -(nu1 * a1)
-        q[:, 0] = nu1 * a0
-        q[:, 1] = nu1 * a1 - nu0 * a0
-        q[:, 2] = -(nu0 * a1)
-        Hs[2:, 2:] = -(q.T * (wts / wl)) @ q
-        return J, Hs
-
-    r0 = 0.45 * float(b.min())
-    return np.array([0.0, 0.0, r0, 0.0, r0]), slacks, terms
-
-
-def _to_ellipse(c, X, S, g, lines: bool, steps: int = 0) -> Ellipse:
+def _to_ellipse(c, X, S, g, lines: bool, iterations: int = 0) -> Ellipse:
     """The ellipse (c, X) of ``_basis_optimum``, in the frame of ``_whiten``
     given by (S, g), as an Ellipse in the body's own frame."""
     # John's X = L^2; Loewner's {S y : |X^1/2 (y - c)| <= 1} is
     # {S (c + X^-1/2 u) : |u| <= 1}
     B = S @ _sqrtm(X) if lines else np.linalg.solve(_sqrtm(X), S.T).T
-    return Ellipse(g + S @ c, _gram_root(B), steps, EPS)
-
-
-def _pool(mu: np.ndarray, last: bool):
-    """The FINISH_POOL constraints, in cyclic order, that a barrier stage
-    with the multipliers mu_i = 1 / (t s_i) names for ``_pool_finish``.
-
-    Where more than FINISH_POOL have mu_i >= max mu / 2 and tie to
-    CONTACT_TOL, as on a regular polygon, they are evenly spaced among those
-    (the top ones alone are a cluster, whose problem is not the body's); at
-    the last stage, among all, for many contacts that do not tie (vertices
-    on a circle); else the largest, if at most 2 FINISH_POOL are near the
-    largest.  Else None: the barrier is still far from the optimum.
-    """
-    top = mu.max()
-    near = np.flatnonzero(mu >= 0.5 * top)
-    if len(near) > FINISH_POOL and mu[near].min() >= (1.0 - CONTACT_TOL) * top:
-        return near[np.arange(FINISH_POOL) * len(near) // FINISH_POOL]
-    if last:
-        return np.arange(FINISH_POOL) * len(mu) // FINISH_POOL
-    if len(near) <= 2 * FINISH_POOL:
-        return np.sort(np.argpartition(-mu, FINISH_POOL)[:FINISH_POOL])
-    return None
-
-
-def _pool_finish(P: Polygon, V: np.ndarray, pool: np.ndarray, lines: bool, S, g, steps: int):
-    """The basis solve of the constraints V[pool] of P, in the frame (S, g)
-    of ``_whiten``, as P's ellipse if it leaves no slack below -FINISH_SLACK
-    over all of V and meets John's conditions to FINISH_SLACK, else None.
-    A pool's best candidate is its optimum only where the pool's own problem
-    is well posed: of five consecutive vertices of a limacon, one enclosing
-    every vertex but 1.1% larger than the optimum passed the first test.
-    """
-    try:
-        c, X = _basis_optimum(V[pool], lines)
-    except ConvergenceFailure:
-        return None
-    if _least_slack(V, c[:, None], X[:, None], lines)[0] < -FINISH_SLACK:
-        return None
-    E = _to_ellipse(c, X, S, g, lines, steps)
-    try:
-        cert = verify_john_conditions(P, E, "inscribed" if lines else "enclosing")
-    except (NoContacts, CertificationFailure):
-        return None
-    if max(np.linalg.norm(cert.residual_sum), cert.residual_identity) > FINISH_SLACK:
-        return None
-    return E
+    return Ellipse(g + S @ c, _gram_root(B), iterations, EPS)
 
 
 def _solve(P: Polygon, lines: bool) -> Ellipse:
-    """The John (``lines``) or Loewner ellipse of P, in the frame of
-    ``_whiten``: the basis solve on all constraints up to BASIS_MAX_N, else
-    the barrier, whose stages from t = FINISH_FROM on may end with
-    ``_pool_finish`` on the pool that ``_pool`` names (once per pool: the
-    result depends on the pool alone), or else its own end point.
+    """The John (``lines``) or Loewner ellipse of P, by a basis iteration
+    on ``_basis_optimum`` in the frame of ``_whiten`` (Matousek, Sharir and
+    Welzl 1996).
+
+    The first pool is every constraint up to BASIS_MAX_N, else FINISH_POOL
+    of them evenly spaced in cyclic order.  Each round solves the pool.
+    While its candidate leaves a slack below -FINISH_SLACK over the whole
+    body, the next pool is the candidate's basis, the at most five pool
+    constraints of least slack that are tight to 1e-9, and the constraints
+    of least slack over the whole body, FINISH_POOL in all: a pool that
+    holds a basis and a constraint it violates has an optimum of smaller
+    area than the basis's (larger for Loewner), so no pool comes back.  A
+    feasible candidate of a partial pool is the optimum only where the
+    pool's own problem is well posed (of five consecutive vertices of a
+    limacon, one enclosing every vertex was 1.1% larger than the optimum),
+    so it is accepted only if John's conditions certify it to
+    FINISH_SLACK, and else taken as infeasible.  A repeated pool, or more
+    than 100, raises ConvergenceFailure.
     """
     Y, S, g = _whiten(P)
     if lines:
@@ -479,31 +324,42 @@ def _solve(P: Polygon, lines: bool) -> Ellipse:
         V = np.column_stack([A, -b])
     else:
         V = np.column_stack([Y, np.ones(len(Y))])
-    if len(V) <= BASIS_MAX_N:
-        return _to_ellipse(*_basis_optimum(V, lines), S, g, lines)
-    problem = _john_problem(A, b) if lines else _loewner_problem(Y)
-    tried = set()
-    for theta, t, s, steps in _barrier_maxlogdet(*problem, len(V)):
-        if t < FINISH_FROM:
-            continue
-        pool = _pool(1.0 / (t * s), len(V) / t < BARRIER_GAP)
-        if pool is None or pool.tobytes() in tried:
-            continue
+    n = len(V)
+    pool = np.arange(n) if n <= BASIS_MAX_N else np.arange(FINISH_POOL) * n // FINISH_POOL
+    tried = {pool.tobytes()}
+    for pools in range(100):
+        c, X = _basis_optimum(V[pool], lines)
+        if len(pool) == n:
+            return _to_ellipse(c, X, S, g, lines, pools)
+        s = _slacks(V, c[:, None], X[:, None], lines)[:, 0]
+        if s.min() >= -FINISH_SLACK:
+            E = _to_ellipse(c, X, S, g, lines, pools)
+            try:
+                cert = verify_john_conditions(P, E, "inscribed" if lines else "enclosing")
+            except (NoContacts, CertificationFailure):
+                cert = None
+            if cert is not None and max(np.linalg.norm(cert.residual_sum),
+                                        cert.residual_identity) <= FINISH_SLACK:
+                return E
+        least = np.argsort(s[pool], kind="stable")[:5]
+        basis = pool[least[s[pool[least]] <= 1e-9]]
+        rest = np.argsort(s, kind="stable")
+        rest = rest[~np.isin(rest, basis)][:FINISH_POOL - len(basis)]
+        pool = np.sort(np.concatenate([basis, rest]))
+        if pool.tobytes() in tried:
+            raise ConvergenceFailure("the basis iteration repeated a pool")
         tried.add(pool.tobytes())
-        E = _pool_finish(P, V, pool, lines, S, g, steps)
-        if E is not None:
-            return E
-    gap = len(V) / t
-    if lines:
-        return Ellipse(g + S @ theta[:2], _gram_root(S @ _sym(theta[2:])), steps, gap)
-    # {S y : |A y - b| <= 1} = {S A^-1 (b + u) : |u| <= 1}
-    B = np.linalg.solve(_sym(theta[2:]), S.T).T
-    return Ellipse(g + B @ theta[:2], _gram_root(B), steps, gap)
+    raise ConvergenceFailure("the basis iteration solved 100 pools")
 
 
 def john_ellipse(P: Polygon) -> Ellipse:
     """Maximum-area ellipse inscribed in the polygon (see ``_solve``)."""
     return _solve(P, lines=True)
+
+
+def loewner_ellipse(P: Polygon) -> Ellipse:
+    """Minimum-area ellipse enclosing the polygon (see ``_solve``)."""
+    return _solve(P, lines=False)
 
 
 def _spread_sets(u0, u1, mu, m):
@@ -737,53 +593,6 @@ def max_centered_area(P: Polygon, x) -> float:
     A, b = edge_normals(Polygon(verts))
     det, _ = _centered_john(A, b, (np.asarray(x, dtype=float) - g) / d)
     return math.pi * float(det[0]) * d * d
-
-
-# ---------------------------------------------------------------------------
-# Enclosing (Loewner) side: variables (b0, b1, a11, a12, a22) of the ellipse
-# {y : |A y - b| <= 1}, A symmetric PD, constraints per vertex
-# |A y_i - b| <= 1; area is pi / det A.  Each w_i = A y_i - b is G_i theta,
-# with G_i = [[-1, 0, y0, y1, 0], [0, -1, 0, y0, y1]], so the slack
-# 1 - |G_i theta|^2 is concave and the barrier convex, as John's.
-
-
-def _loewner_problem(Y: np.ndarray):
-    """The barrier problem of the Loewner ellipse of the vertices Y, in the
-    frame of ``_whiten`` (at a similarity's scale, the center's equivariance
-    erred by up to 3e-4 of the diameter under maps of condition 1e3)."""
-    n = len(Y)
-    y0, y1 = Y.T
-    mono = np.column_stack([np.ones(n), y0, y1, y0 * y0, y0 * y1, y1 * y1])
-    J = np.empty((n, 5))
-    Hs = np.empty((5, 5))
-
-    def slacks(theta):
-        b0, b1, a11, a12, a22 = theta.tolist()
-        w = Y @ np.array([[a11, a12], [a12, a22]]) - (b0, b1)
-        return 1.0 - (w * w).sum(axis=1), w
-
-    def terms(theta, w, wts):
-        # grad s_i = -2 G_i^T w_i, and hess s_i = -2 G_i^T G_i does not
-        # depend on theta: its weighted sum is linear in the weighted moments
-        w0, w1 = w.T
-        J[:, :2] = 2.0 * w
-        J[:, 2] = -2.0 * w0 * y0
-        J[:, 3] = -2.0 * (w0 * y1 + w1 * y0)
-        J[:, 4] = -2.0 * w1 * y1
-        k, m0, m1, m00, m01, m11 = (-2.0 * (wts @ mono)).tolist()
-        Hs[:] = ((k, 0.0, -m0, -m1, 0.0), (0.0, k, 0.0, -m0, -m1),
-                 (-m0, 0.0, m00, m01, 0.0), (-m1, -m0, m01, m00 + m11, m01),
-                 (0.0, -m1, 0.0, m01, m11))
-        return J, Hs
-
-    # a disk twice the circumradius about the centroid: every slack is >= 3/4
-    a0 = 0.5 / float(np.linalg.norm(Y, axis=1).max())
-    return np.array([0.0, 0.0, a0, 0.0, a0]), slacks, terms
-
-
-def loewner_ellipse(P: Polygon) -> Ellipse:
-    """Minimum-area ellipse enclosing the polygon (see ``_solve``)."""
-    return _solve(P, lines=False)
 
 
 def min_centered_inverse_area(P: Polygon, x) -> float:

@@ -207,6 +207,7 @@ def test_usage_error_exit_2():
 @pytest.mark.parametrize("argv", [
     ["point", "--body", "ngon:abc", "--id", "centroid"],
     ["point", "--body", "kab:1", "--id", "centroid"],
+    ["point", "--body", "random:9,85,3", "--id", "centroid"],
     ["point", "--body", "file:/nonexistent", "--id", "centroid"],
     ["point", "--body", "file:{tmp}/not_json.json", "--id", "centroid"],
     ["point", "--body", "file:{tmp}/no_vertices.json", "--id", "centroid"],

@@ -17,13 +17,9 @@ from affpoints.ellipses import (
     _basis_optimum,
     _centered_john,
     _contact_dirs,
-    _john_problem,
-    _least_slack,
     _normalize,
-    _pool_finish,
-    _sym,
-    _loewner_problem,
     _nnls,
+    _slacks,
     _to_ellipse,
     _whiten,
     john_ellipse,
@@ -493,32 +489,6 @@ class TestNNLS:
         assert np.allclose(w[:4] + w[4:], 0.5, atol=1e-14)
 
 
-class TestSlackHessians:
-    @pytest.mark.parametrize("setup", [
-        pytest.param(lambda P: _john_problem(*edge_normals(P)), id="free-john"),
-        pytest.param(lambda P: _loewner_problem(P.vertices), id="free-loewner")])
-    def test_matches_jacobian_differences(self, setup):
-        # slack_hess(theta, w) = sum_i w_i hess(s_i), against central
-        # differences of the w-weighted constraint Jacobian
-        rng = np.random.default_rng(59)
-        h = 1e-6
-        for P in random_bodies(8, 60):
-            theta0, slacks, terms, *_ = setup(P)
-
-            def jac(theta):
-                # the problem's buffers are overwritten by its next call
-                s, aux = slacks(theta)
-                return terms(theta, aux, np.ones_like(s))[0].copy()
-
-            theta = theta0 + 0.1 * np.abs(theta0).max() * rng.normal(size=len(theta0))
-            wts = rng.uniform(0.5, 2.0, size=len(jac(theta)))
-            H = terms(theta, slacks(theta)[1], wts)[1].copy()
-            fd = np.column_stack([wts @ (jac(theta + e) - jac(theta - e))
-                                  for e in np.eye(len(theta)) * h]) / (2.0 * h)
-            assert np.abs(H - H.T).max() <= 1e-14 * np.abs(H).max()
-            assert np.abs(H - fd).max() <= 1e-6 * max(np.abs(H).max(), 1.0)
-
-
 # The barrier path as it stood before the lean step: a generic driver over
 # separate slack, Jacobian and Hessian-sum closures, with the log-det terms
 # as arrays, and both problems at the diameter's scale, the Loewner problem
@@ -526,6 +496,10 @@ class TestSlackHessians:
 # at a gap of 1e-10, some 5e-10 of the diameter from the optimum, so the
 # John and Loewner references are its end point refined by Newton on
 # John's conditions.
+
+def _sym(t3):
+    return np.array([[t3[0], t3[1]], [t3[1], t3[2]]])
+
 
 def _oracle_barrier(theta0, slack_fn, slack_jac, slack_hess, ss, n_con):
     def logdet(t3):
@@ -751,33 +725,28 @@ def _finish_cases():
     # regular polygons, whose contacts tie, plain and under a map of
     # condition 1e3; and the benchmark's 1024-vertex limacon, whose John
     # ellipse has six near-active edges, under three maps.  Each with the
-    # bounds on the John and the Loewner steps.  With a finish only on at
-    # most five multipliers above their slacks, or on a clear top five,
-    # they took 59-87 steps, and all but the limacon's Loewner solves ran
-    # the barrier to its end.  The pool finish takes 10 and 9 steps on
-    # ngon(200), plain and mapped (the smaller ones are basis solves), and
-    # 40 and 37 on the limacon (Newton on John's conditions: 27-34 and
-    # 47-53 and 40)
+    # bounds on the John and the Loewner pools solved after the first.
+    # ngon(200)'s first pool of nine evenly spaced constraints is certified
+    # (the smaller ones are solved on all constraints), and the limacon
+    # takes 10-12 (John) and 11-13 (Loewner) more pools
     T = _T1E3
     cases = []
     for m in (6, 8, 200):
-        cases.append(pytest.param(ngon(m), 15, 15, id=f"ngon{m}"))
-        cases.append(pytest.param(affine_apply(T, ngon(m)), 15, 15, id=f"ngon{m}-mapped"))
+        cases.append(pytest.param(ngon(m), 0, 0, id=f"ngon{m}"))
+        cases.append(pytest.param(affine_apply(T, ngon(m)), 0, 0, id=f"ngon{m}-mapped"))
     rng = np.random.default_rng(2101)
     base = canonicalize(limacon(1024))
     for i in range(3):
-        cases.append(pytest.param(affine_apply(random_map(rng), base), 60, 70, id=f"limacon-{i}"))
+        cases.append(pytest.param(affine_apply(random_map(rng), base), 20, 20, id=f"limacon-{i}"))
     return cases
 
 
-@pytest.mark.parametrize("P, john_steps, loewner_steps", _finish_cases())
-def test_finish_past_five_contacts(P, john_steps, loewner_steps):
-    for solve, mode, bound in ((john_ellipse, "inscribed", john_steps),
-                               (loewner_ellipse, "enclosing", loewner_steps)):
+@pytest.mark.parametrize("P, john_pools, loewner_pools", _finish_cases())
+def test_finish_past_five_contacts(P, john_pools, loewner_pools):
+    for solve, mode, bound in ((john_ellipse, "inscribed", john_pools),
+                               (loewner_ellipse, "enclosing", loewner_pools)):
         E = solve(P)
-        # a barrier end leaves a gap of at least 1e-11; an accepted finish
-        # leaves the rounding unit
-        assert E.residual < 1e-11
+        assert E.residual == np.finfo(float).eps
         cert = verify_john_conditions(P, E, mode)
         assert np.linalg.norm(cert.residual_sum) <= 1e-12
         assert cert.residual_identity <= 1e-12
@@ -788,7 +757,9 @@ def test_pool_finish_rejects_a_feasible_candidate_off_the_optimum():
     # five consecutive vertices of the benchmark's limacon under its fourth
     # map at seed 1: their own problem is near degenerate, and its best
     # candidate encloses every vertex, yet is 1.1% larger than the optimum
-    # and 5.1e-3 of the diameter off it.  John's conditions reject it
+    # and 5.1e-3 of the diameter off it.  John's conditions reject it, and
+    # the basis iteration, which certifies such a candidate before it takes
+    # it, ends at the optimum
     rng = np.random.default_rng(1)
     for _ in range(4):
         T = random_map(rng)
@@ -796,28 +767,38 @@ def test_pool_finish_rejects_a_feasible_candidate_off_the_optimum():
     P = affine_apply(T, canonicalize(limacon(1024)))
     Y, S, g = _whiten(P)
     V = np.column_stack([Y, np.ones(len(Y))])
-    pool = np.arange(978, 983)
-    c, X = _basis_optimum(V[pool], lines=False)
-    assert _least_slack(V, c[:, None], X[:, None], lines=False)[0] >= -FINISH_SLACK
+    c, X = _basis_optimum(V[978:983], lines=False)
+    assert _slacks(V, c[:, None], X[:, None], lines=False).min() >= -FINISH_SLACK
     E, opt = _to_ellipse(c, X, S, g, lines=False), loewner_ellipse(P)
     assert np.linalg.norm(E.center - opt.center) > 1e-3 * P.diameter
     with pytest.raises(CertificationFailure):
         verify_john_conditions(P, E, "enclosing")
-    assert _pool_finish(P, V, pool, False, S, g, 0) is None
+    cert = verify_john_conditions(P, opt, "enclosing")
+    assert np.linalg.norm(cert.residual_sum) <= 1e-12
+    assert cert.residual_identity <= 1e-12
 
 
-def test_pool_finish_on_contacts_that_do_not_tie():
-    # 40 vertices at random angles on the unit circle: each touches the
+@pytest.mark.parametrize("polar", [False, True], ids=["circle", "polar"])
+@pytest.mark.parametrize("m", [20, 40, 60, 100, 150, 200, 250, 300])
+def test_pool_finish_on_contacts_that_do_not_tie(m, polar):
+    # m vertices at random angles on the unit circle: each touches the
     # Loewner ellipse, the circle, with its own weight, and each edge of the
-    # polar touches the incircle.  No pool of the largest or of tied
-    # multipliers certifies; the last stage's pool, spread over all the
-    # constraints, does (without it both solves ended at the barrier's gap)
-    t = np.sort(np.random.default_rng(11).uniform(0.0, 2.0 * np.pi, 40))
+    # polar about 0 touches the incircle.  The barrier that the basis
+    # iteration replaced ended at its gap on the 300 tangent lines, where
+    # every pool it tried read a slack of -2.3e-12
+    t = np.sort(np.random.default_rng(11).uniform(0.0, 2.0 * np.pi, m))
     P = canonicalize(np.column_stack([np.cos(t), np.sin(t)]))
-    for E in (loewner_ellipse(P), john_ellipse(polar_about(P, (0.0, 0.0)))):
+    if polar:
+        P = polar_about(P, (0.0, 0.0))
+    for solve, mode in ((john_ellipse, "inscribed"), (loewner_ellipse, "enclosing")):
+        E = solve(P)
         assert E.residual == np.finfo(float).eps
-        assert np.abs(E.center).max() <= 1e-14
-        assert np.abs(E.shape - np.eye(2)).max() <= 1e-13
+        cert = verify_john_conditions(P, E, mode)
+        assert np.linalg.norm(cert.residual_sum) <= 1e-12
+        assert cert.residual_identity <= 1e-12
+        if polar == (mode == "inscribed"):
+            assert np.abs(E.center).max() <= 1e-13
+            assert np.abs(E.shape - np.eye(2)).max() <= 1e-13
 
 
 def test_free_center_solves_agree_with_the_fields():

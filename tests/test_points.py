@@ -53,17 +53,17 @@ def test_eval_dispatch(square, triangle):
 
 
 def test_ellipse_points_report_the_solve(triangle):
-    # a closed-form basis solve (at most BASIS_MAX_N vertices) takes no
-    # steps and leaves the rounding unit; the barrier, past that, reports its
-    # Newton steps, and its basis finish the rounding unit too
-    big = ngon(BASIS_MAX_N + 1)
+    # a basis solve on all constraints (at most BASIS_MAX_N vertices) solves
+    # one pool; past that, iterations counts the pools solved after the
+    # first.  Both leave the rounding unit
+    big = canonicalize(limacon(BASIS_MAX_N + 1))
     for pid in ("john", "loewner"):
         res = eval_point(PointFunction(pid), triangle)
         assert res.iterations == 0
         assert res.residual == np.finfo(float).eps
         res = eval_point(PointFunction(pid), big)
         assert res.iterations > 0
-        assert 0.0 < res.residual < 1e-10
+        assert res.residual == np.finfo(float).eps
 
 
 def test_bad_point_function():

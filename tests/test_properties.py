@@ -14,7 +14,9 @@ image's diameter.  A set mapping on m rays must commute with T to within
 acceptance criterion 8's budget of 2 (2 pi / m) diam, and the floating and
 illumination bodies must sandwich the body.  The santalo and symcore
 points are also drawn on trapezoids and centrally symmetric hulls, whose
-antiparallel edges put kinks into the symcore objective.
+antiparallel edges put kinks into the symcore objective, and the john and
+loewner points on 16 to 300 points of a circle or a limacon, past the
+vertex count that one basis solve takes.
 """
 
 import math
@@ -122,12 +124,40 @@ def _polar_of_stream_body_87():
 # puts a negative weight on it
 @example((_polar_of_stream_body_87(), AffineMap(np.eye(2), np.zeros(2))))
 def test_john_and_loewner_meet_johns_conditions_to_rounding(case):
-    P, T = case
+    _assert_johns_conditions(*case)
+
+
+def _assert_johns_conditions(P, T):
     Q = affine_apply(T, P)
     for solve, mode in ((john_ellipse, "inscribed"), (loewner_ellipse, "enclosing")):
         cert = verify_john_conditions(Q, solve(Q), mode)
         assert np.linalg.norm(cert.residual_sum) <= 1e-12
         assert cert.residual_identity <= 1e-12
+
+
+@st.composite
+def large_bodies_and_maps(draw):
+    # 16 to 300 points at sorted random angles on the unit circle or on the
+    # limacon r = 1 + 0.2 cos t, past BASIS_MAX_N, where the John and
+    # Loewner solves run the basis iteration; under a map of maps()
+    n = draw(st.integers(16, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+    r = 1.0 + 0.2 * np.cos(t) if draw(st.booleans()) else 1.0
+    return canonicalize(np.column_stack([r * np.cos(t), r * np.sin(t)])), draw(maps())
+
+
+@PROPERTY
+@given(large_bodies_and_maps())
+def test_john_and_loewner_points_past_basis_max_n_are_affine_equivariant(case):
+    assert _deviation("john", *case) <= TOL
+    assert _deviation("loewner", *case) <= TOL
+
+
+@PROPERTY
+@given(large_bodies_and_maps())
+def test_john_and_loewner_past_basis_max_n_meet_johns_conditions(case):
+    _assert_johns_conditions(*case)
 
 
 @PROPERTY
