@@ -7,9 +7,10 @@ the best feasible ellipse over all sets of 3 to 5 constraints, each a
 Steiner ellipse or a pencil member from a root of a quadratic or cubic
 (``_basis_optimum``): so on all constraints up to BASIS_MAX_N vertices.  A
 larger body runs a basis iteration: it solves pools of FINISH_POOL
-constraints so, each the last pool's basis and the constraints that its
-optimum violates most, until an optimum is feasible for every constraint
-and certified by John's conditions (``_solve``).
+constraints so, the first spread over all directions and each later one
+the last pool's basis and the constraints that its optimum violates most,
+until an optimum is feasible for every constraint and certified by John's
+conditions (``_solve``).
 The fixed-center John field f_K has constraints linear in M = L^2, so one
 barrier runs over many centers at once (``_centered_john``), and after
 each stage every center tries the pairs and triples of contacts that its
@@ -51,7 +52,9 @@ FIELD_POOL = 5
 FIELD_SLACK = 1e-10
 # bodies of at most BASIS_MAX_N vertices take their John and Loewner
 # ellipses from one _basis_optimum on all constraints, larger ones from the
-# basis iteration on pools of FINISH_POOL: the candidates grow like C(n, 5)
+# basis iteration on pools of FINISH_POOL.  The value keeps the ellipses of
+# bodies up to 15 vertices bit for bit as the all-constraints solve gives
+# them, not the speed: the iteration is the faster from about 14 vertices
 BASIS_MAX_N = 15
 # _basis_optimum's tie-break weight on a candidate's least slack, where it is
 # negative: above the sum of the multipliers, which in the frame of _whiten
@@ -67,8 +70,10 @@ class Ellipse:
 
     A solved ellipse records its solve: ``iterations`` counts the pools
     that the basis iteration solved after its first (0 for a body of at
-    most BASIS_MAX_N vertices), and ``residual`` is the rounding unit.  Both
-    are 0 for an ellipse built any other way.
+    most BASIS_MAX_N vertices), and ``residual`` is the rounding unit, or
+    the residual of John's conditions where the iteration stalled at an
+    optimum that they certify only above FINISH_SLACK (see ``_solve``).
+    Both are 0 for an ellipse built any other way.
     """
 
     center: np.ndarray
@@ -303,20 +308,29 @@ def _solve(P: Polygon, lines: bool) -> Ellipse:
     on ``_basis_optimum`` in the frame of ``_whiten`` (Matousek, Sharir and
     Welzl 1996).
 
-    The first pool is every constraint up to BASIS_MAX_N, else FINISH_POOL
-    of them evenly spaced in cyclic order.  Each round solves the pool.
-    While its candidate leaves a slack below -FINISH_SLACK over the whole
-    body, the next pool is the candidate's basis, the at most five pool
-    constraints of least slack that are tight to 1e-9, and the constraints
-    of least slack over the whole body, FINISH_POOL in all: a pool that
-    holds a basis and a constraint it violates has an optimum of smaller
-    area than the basis's (larger for Loewner), so no pool comes back.  A
-    feasible candidate of a partial pool is the optimum only where the
-    pool's own problem is well posed (of five consecutive vertices of a
-    limacon, one enclosing every vertex was 1.1% larger than the optimum),
-    so it is accepted only if John's conditions certify it to
-    FINISH_SLACK, and else taken as infeasible.  A repeated pool, or more
-    than 100, raises ConvergenceFailure.
+    The first pool is every constraint up to BASIS_MAX_N, else the
+    constraints whose directions (an edge's unit normal, a vertex's
+    direction from the centroid) lie nearest FINISH_POOL evenly spaced
+    directions.  Those of a convex body leave no gap of pi, so neither do
+    the chosen ones, 40 degrees apart, and John's first pool is bounded.
+    Each round solves the pool.  While its candidate leaves a slack below
+    -FINISH_SLACK over the whole body, the next pool is the candidate's
+    basis, the at most five pool constraints of least slack that are tight
+    to 1e-9, and the constraints of least slack over the whole body,
+    FINISH_POOL in all: a pool that holds a basis, which is bounded, and a
+    constraint it violates has an optimum of smaller area than the basis's
+    (larger for Loewner), so no pool comes back while each optimum is
+    exact.  A feasible candidate of a partial pool is the optimum only
+    where the pool's own problem is well posed (of five consecutive
+    vertices of a limacon, one enclosing every vertex was 1.1% larger than
+    the optimum), so it is accepted only if John's conditions certify it
+    to FINISH_SLACK, and else taken as infeasible.
+    Where contacts crowd, as 200 vertices on an arc of a circle, the
+    optimum itself certifies only to a few 1e-12, and its pool comes back:
+    a feasible candidate whose next pool was solved before is accepted if
+    John's conditions certify it at all, with their residual as the
+    ellipse's.  Any other repeated pool, or more than 100, raises
+    ConvergenceFailure.
     """
     Y, S, g = _whiten(P)
     if lines:
@@ -325,21 +339,27 @@ def _solve(P: Polygon, lines: bool) -> Ellipse:
     else:
         V = np.column_stack([Y, np.ones(len(Y))])
     n = len(V)
-    pool = np.arange(n) if n <= BASIS_MAX_N else np.arange(FINISH_POOL) * n // FINISH_POOL
+    if n <= BASIS_MAX_N:
+        pool = np.arange(n)
+    else:
+        t = 2.0 * np.pi * np.arange(FINISH_POOL) / FINISH_POOL
+        d = V[:, :2] / np.linalg.norm(V[:, :2], axis=1)[:, None]
+        pool = np.unique(np.argmax(d @ np.stack([np.cos(t), np.sin(t)]), axis=0))
     tried = {pool.tobytes()}
     for pools in range(100):
         c, X = _basis_optimum(V[pool], lines)
         if len(pool) == n:
             return _to_ellipse(c, X, S, g, lines, pools)
         s = _slacks(V, c[:, None], X[:, None], lines)[:, 0]
+        res = None
         if s.min() >= -FINISH_SLACK:
             E = _to_ellipse(c, X, S, g, lines, pools)
             try:
                 cert = verify_john_conditions(P, E, "inscribed" if lines else "enclosing")
+                res = max(float(np.linalg.norm(cert.residual_sum)), cert.residual_identity)
             except (NoContacts, CertificationFailure):
-                cert = None
-            if cert is not None and max(np.linalg.norm(cert.residual_sum),
-                                        cert.residual_identity) <= FINISH_SLACK:
+                pass
+            if res is not None and res <= FINISH_SLACK:
                 return E
         least = np.argsort(s[pool], kind="stable")[:5]
         basis = pool[least[s[pool[least]] <= 1e-9]]
@@ -347,7 +367,9 @@ def _solve(P: Polygon, lines: bool) -> Ellipse:
         rest = rest[~np.isin(rest, basis)][:FINISH_POOL - len(basis)]
         pool = np.sort(np.concatenate([basis, rest]))
         if pool.tobytes() in tried:
-            raise ConvergenceFailure("the basis iteration repeated a pool")
+            if res is None:
+                raise ConvergenceFailure("the basis iteration repeated a pool")
+            return Ellipse(E.center, E.shape, pools, res)
         tried.add(pool.tobytes())
     raise ConvergenceFailure("the basis iteration solved 100 pools")
 
