@@ -8,9 +8,10 @@ Steiner ellipse or a pencil member from a root of a quadratic or cubic
 (``_basis_optimum``): so on all constraints up to BASIS_MAX_N vertices.  A
 larger body runs a basis iteration: it solves pools of FINISH_POOL
 constraints so, the first spread over all directions and each later one
-the last pool's basis and the constraints that its optimum violates most,
-until an optimum is feasible for every constraint and certified by John's
-conditions (``_solve``).
+the last pool's basis, the deepest violation of each arc of constraints
+that its optimum violates, and the constraints it violates most, until an
+optimum is feasible for every constraint and certified by John's
+conditions (``_solve``, ``_next_pool``).
 The fixed-center John field f_K has constraints linear in M = L^2, so one
 barrier runs over many centers at once (``_centered_john``), and after
 each stage every center tries the pairs and triples of contacts that its
@@ -54,7 +55,9 @@ FIELD_SLACK = 1e-10
 # ellipses from one _basis_optimum on all constraints, larger ones from the
 # basis iteration on pools of FINISH_POOL.  The value keeps the ellipses of
 # bodies up to 15 vertices bit for bit as the all-constraints solve gives
-# them, not the speed: the iteration is the faster from about 14 vertices
+# them, not the speed: John plus Loewner on limacons and random hulls took
+# 0.80 against 1.03 ms a solve at 13 vertices, 1.15 against 1.13 at 14 and
+# 1.8 against 1.2 at 15 (all constraints against the iteration)
 BASIS_MAX_N = 15
 # _basis_optimum's tie-break weight on a candidate's least slack, where it is
 # negative: above the sum of the multipliers, which in the frame of _whiten
@@ -314,11 +317,16 @@ def _solve(P: Polygon, lines: bool) -> Ellipse:
     directions.  Those of a convex body leave no gap of pi, so neither do
     the chosen ones, 40 degrees apart, and John's first pool is bounded.
     Each round solves the pool.  While its candidate leaves a slack below
-    -FINISH_SLACK over the whole body, the next pool is the candidate's
-    basis, the at most five pool constraints of least slack that are tight
-    to 1e-9, and the constraints of least slack over the whole body,
-    FINISH_POOL in all: a pool that holds a basis, which is bounded, and a
-    constraint it violates has an optimum of smaller area than the basis's
+    -FINISH_SLACK over the whole body, the next pool (``_next_pool``) is
+    the candidate's basis, the at most five pool constraints of least slack
+    that are tight to 1e-9; then the deepest violation of each violated
+    arc, the cyclic local minima of the slack below -FINISH_SLACK, deepest
+    first; then the constraints of least slack over the whole body,
+    FINISH_POOL in all: on a smooth body the constraints of least slack
+    over all are neighbours at one contact, so each violated arc gets its
+    own place.  The least slack over all is the deepest local minimum, so
+    every pool holds a basis, which is bounded, and a constraint it
+    violates; such a pool has an optimum of smaller area than the basis's
     (larger for Loewner), so no pool comes back while each optimum is
     exact.  A feasible candidate of a partial pool is the optimum only
     where the pool's own problem is well posed (of five consecutive
@@ -330,7 +338,8 @@ def _solve(P: Polygon, lines: bool) -> Ellipse:
     a feasible candidate whose next pool was solved before is accepted if
     John's conditions certify it at all, with their residual as the
     ellipse's.  Any other repeated pool, or more than 100, raises
-    ConvergenceFailure.
+    ConvergenceFailure, which gives the pools solved and the least slack of
+    the last optimum.
     """
     Y, S, g = _whiten(P)
     if lines:
@@ -361,17 +370,30 @@ def _solve(P: Polygon, lines: bool) -> Ellipse:
                 pass
             if res is not None and res <= FINISH_SLACK:
                 return E
-        least = np.argsort(s[pool], kind="stable")[:5]
-        basis = pool[least[s[pool[least]] <= 1e-9]]
-        rest = np.argsort(s, kind="stable")
-        rest = rest[~np.isin(rest, basis)][:FINISH_POOL - len(basis)]
-        pool = np.sort(np.concatenate([basis, rest]))
+        pool = _next_pool(s, pool)
         if pool.tobytes() in tried:
             if res is None:
-                raise ConvergenceFailure("the basis iteration repeated a pool")
+                raise ConvergenceFailure(f"the basis iteration repeated a pool: {pools + 1} "
+                                         f"pools solved, least slack {s.min():.3g}")
             return Ellipse(E.center, E.shape, pools, res)
         tried.add(pool.tobytes())
-    raise ConvergenceFailure("the basis iteration solved 100 pools")
+    raise ConvergenceFailure(f"the basis iteration solved 100 pools, least slack {s.min():.3g}")
+
+
+def _next_pool(s: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """The basis iteration's next pool by the rule of ``_solve``, as the
+    sorted indices of FINISH_POOL constraints, from the slacks s of all
+    constraints, in cyclic order, at the optimum of ``pool``."""
+    least = np.argsort(s[pool], kind="stable")[:5]
+    taken = np.zeros(len(s), dtype=bool)
+    taken[pool[least[s[pool[least]] <= 1e-9]]] = True
+    # a plateau of equal minima counts once, at its first constraint
+    dips = np.flatnonzero((s < -FINISH_SLACK) & (s < np.roll(s, 1)) & (s <= np.roll(s, -1))
+                          & ~taken)
+    taken[dips[np.argsort(s[dips], kind="stable")][:FINISH_POOL - taken.sum()]] = True
+    order = np.argsort(s, kind="stable")
+    taken[order[~taken[order]][:FINISH_POOL - taken.sum()]] = True
+    return np.flatnonzero(taken)
 
 
 def john_ellipse(P: Polygon) -> Ellipse:

@@ -18,6 +18,7 @@ from affpoints.ellipses import (
     _centered_john,
     _contact_dirs,
     _normalize,
+    _next_pool,
     _nnls,
     _slacks,
     _to_ellipse,
@@ -28,7 +29,7 @@ from affpoints.ellipses import (
     min_centered_inverse_area,
     verify_john_conditions,
 )
-from affpoints.errors import BadParams, CertificationFailure, NoContacts
+from affpoints.errors import BadParams, CertificationFailure, ConvergenceFailure, NoContacts
 from affpoints.polygons import (
     AffineMap,
     Polygon,
@@ -728,7 +729,8 @@ def _finish_cases():
     # bounds on the John and the Loewner pools solved after the first.
     # ngon(200)'s first pool of nine constraints spread over all directions
     # is certified (the smaller ones are solved on all constraints), and the
-    # limacon takes 12-15 (John) and 11-14 (Loewner) more pools
+    # limacon takes 6, 6, 6 (John) and 7, 7, 5 (Loewner) more pools; with
+    # the least slack alone filling each pool, 12-15 and 11-14
     T = _T1E3
     cases = []
     for m in (6, 8, 200):
@@ -737,7 +739,7 @@ def _finish_cases():
     rng = np.random.default_rng(2101)
     base = canonicalize(limacon(1024))
     for i in range(3):
-        cases.append(pytest.param(affine_apply(random_map(rng), base), 20, 20, id=f"limacon-{i}"))
+        cases.append(pytest.param(affine_apply(random_map(rng), base), 10, 10, id=f"limacon-{i}"))
     return cases
 
 
@@ -751,6 +753,78 @@ def test_finish_past_five_contacts(P, john_pools, loewner_pools):
         assert np.linalg.norm(cert.residual_sum) <= 1e-12
         assert cert.residual_identity <= 1e-12
         assert E.iterations <= bound
+
+
+def test_pools_on_the_benchmark_maps():
+    # the benchmark's limacon under its 12 maps of seed 1, each scaled so
+    # that its smaller singular value is 1.  Measured: 6.5 (John) and 6.6
+    # (Loewner) pools after the first on average, at most 8 each; with the
+    # least slack alone filling each pool, 12.4 and 13.1, at most 14 and 16
+    rng = np.random.default_rng(1)
+    base = canonicalize(limacon(1024))
+    pools = {"inscribed": [], "enclosing": []}
+    for _ in range(12):
+        T = random_map(rng)
+        T = AffineMap(T.matrix / np.linalg.svd(T.matrix, compute_uv=False)[-1], T.translation)
+        P = affine_apply(T, base)
+        for solve, mode in ((john_ellipse, "inscribed"), (loewner_ellipse, "enclosing")):
+            E = solve(P)
+            cert = verify_john_conditions(P, E, mode)
+            assert np.linalg.norm(cert.residual_sum) <= 1e-12
+            assert cert.residual_identity <= 1e-12
+            pools[mode].append(E.iterations)
+    for steps in pools.values():
+        assert np.mean(steps) <= 8 and max(steps) <= 12
+
+
+def _slack_profile(n, dips):
+    s = np.full(n, 0.5)
+    for i, v in dips.items():
+        s[i] = v
+    return s
+
+
+def test_next_pool_takes_each_violated_arc():
+    # a basis of five tight pool constraints (one feasible to rounding) and
+    # two violated arcs; the four constraints of least slack are all on the
+    # deeper arc, so the next pool holds the deepest of the other only as an
+    # arc's deepest violation
+    s = _slack_profile(30, {3: -0.1, 4: -0.4, 5: -0.2, 6: -0.05,
+                            16: -0.5, 17: -0.6, 18: -0.7, 19: -0.8, 20: -0.75,
+                            21: -0.65, 22: -0.55, 23: -0.45,
+                            9: 0.0, 11: -1e-13, 12: 1e-10, 26: 0.0, 28: 0.0, 13: 1e-8})
+    pool = np.array([9, 11, 12, 13, 26, 28])
+    assert _next_pool(s, pool).tolist() == [4, 9, 11, 12, 18, 19, 20, 26, 28]
+    # five single-constraint arcs and room for four: the deepest four, the
+    # least slack of all among them
+    s = _slack_profile(30, {2: -0.3, 6: -0.1, 14: -0.5, 20: -0.2, 24: -0.4,
+                            9: 0.0, 11: 0.0, 12: 0.0, 26: 0.0, 28: 0.0})
+    assert _next_pool(s, np.array([9, 11, 12, 26, 28])).tolist() == [2, 9, 11, 12, 14, 20,
+                                                                         24, 26, 28]
+
+
+def test_next_pool_takes_a_plateau_once():
+    # a plateau of three equal minima, a violated arc through index 0 whose
+    # two deepest tie, and a one-constraint arc: each arc gives the first of
+    # its deepest, in cyclic order, and the one free place goes to the least
+    # slack left, index 0.  Counting every member of a plateau would fill
+    # the four places before the arc at 19
+    s = _slack_profile(24, {3: -0.1, 4: -0.4, 5: -0.4, 6: -0.4, 7: -0.1,
+                            22: -0.2, 23: -0.5, 0: -0.5, 1: -0.2, 19: -0.3,
+                            9: 0.0, 11: 0.0, 13: 0.0, 15: 0.0, 17: 0.0})
+    assert _next_pool(s, np.array([9, 11, 13, 15, 17])).tolist() == [0, 4, 9, 11, 13, 15, 17,
+                                                                         19, 23]
+
+
+def test_failure_reports_the_pools_and_the_least_slack(monkeypatch):
+    # a solver that always returns the unit disk about (5, 5) in the frame
+    # of _whiten, which holds no vertex: the pools repeat, and the failure
+    # says how many were solved and how far the last optimum was infeasible
+    monkeypatch.setattr("affpoints.ellipses._basis_optimum",
+                        lambda V, lines: (np.array([5.0, 5.0]), np.array([1.0, 0.0, 1.0])))
+    with pytest.raises(ConvergenceFailure,
+                       match=r"repeated a pool: \d+ pools solved, least slack -\d"):
+        loewner_ellipse(canonicalize(limacon(64)))
 
 
 def test_pool_finish_rejects_a_feasible_candidate_off_the_optimum():
