@@ -12,12 +12,13 @@ the last pool's basis, the deepest violation of each arc of constraints
 that its optimum violates, and the constraints it violates most, until an
 optimum is feasible for every constraint and certified by John's
 conditions (``_solve``, ``_next_pool``).
-The fixed-center John field f_K has constraints linear in M = L^2, so one
-barrier runs over many centers at once (``_centered_john``), and after
-each stage every center tries the pairs and triples of contacts that its
-multipliers name against John's conditions: a certified set gives f_K and
-its gradient exactly.  ``max_centered_area`` is its one-row call.  By
-polarity, the fixed-center Loewner field lambda_K is f_K of a polar body.
+The fixed-center John field f_K has constraints linear in M = L^2 and
+three unknowns, so a pair or a triple of contacts fixes its optimum in
+closed form, and the same basis iteration runs over many centers at once,
+each on its own pool (``_centered_john``, ``_field_optimum``): the optimum
+it ends at meets John's conditions, so it gives f_K and its gradient
+exactly.  ``max_centered_area`` is its one-row call.  By polarity, the
+fixed-center Loewner field lambda_K is f_K of a polar body.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from .polygons import AffineMap, Polygon, canonicalize, edge_normals, polar_abou
 
 CONTACT_TOL = 1e-6
 CERT_RESIDUAL_TOL = 1e-6
-# the fixed-center field's log-det barrier stops at this duality gap n / t
-BARRIER_GAP = 1e-10
 # past BASIS_MAX_N constraints, the basis iteration solves pools of
 # FINISH_POOL of them (see _solve)
 FINISH_POOL = 9
@@ -44,12 +43,12 @@ FINISH_POOL = 9
 # condition 1e3, a regular polygon's tied vertices read slacks down to
 # -1.0e-12 there, and a wrong contact set one below -2.5e-8
 FINISH_SLACK = 1e-12
-# the fixed-center John field finishes on the pairs and triples of the
-# FIELD_POOL largest barrier multipliers of a row, and accepts a set that
-# leaves no slack 1 - u^T M u below -FIELD_SLACK (see _field_finish): the
-# sets accepted read down to -1e-13, at the tied contacts of a regular
+# the fixed-center John field runs the basis iteration on pools of
+# FIELD_POOL constraints per center, and takes a pair or triple of contacts
+# that leaves no slack 1 - u^T M u below -FIELD_SLACK (see _centered_john):
+# the sets taken read down to -1e-13, at the tied contacts of a regular
 # polygon under a map of condition 1e3
-FIELD_POOL = 5
+FIELD_POOL = 6
 FIELD_SLACK = 1e-10
 # bodies of at most BASIS_MAX_N vertices take their John and Loewner
 # ellipses from one _basis_optimum on all constraints, larger ones from the
@@ -117,11 +116,6 @@ def _gram_root(B: np.ndarray) -> np.ndarray:
     squared condition, would lose."""
     W, sig, _ = np.linalg.svd(B)
     return (W * sig) @ W.T
-
-
-# logdet over l = (l11, l12, l22) has the gradient v = (l22, -2 l12, l11) / det
-# and the Hessian _LOGDET3_M / det - v v^T
-_LOGDET3_M = np.array([[0.0, 0.0, 1.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 @functools.cache
@@ -370,7 +364,10 @@ def _solve(P: Polygon, lines: bool) -> Ellipse:
                 pass
             if res is not None and res <= FINISH_SLACK:
                 return E
-        pool = _next_pool(s, pool)
+        least = pool[np.argsort(s[pool], kind="stable")[:5]]
+        basis = np.zeros(n, dtype=bool)
+        basis[least[s[least] <= 1e-9]] = True
+        pool = _next_pool(s[None], basis[None], FINISH_POOL, FINISH_SLACK)[0]
         if pool.tobytes() in tried:
             if res is None:
                 raise ConvergenceFailure(f"the basis iteration repeated a pool: {pools + 1} "
@@ -380,20 +377,26 @@ def _solve(P: Polygon, lines: bool) -> Ellipse:
     raise ConvergenceFailure(f"the basis iteration solved 100 pools, least slack {s.min():.3g}")
 
 
-def _next_pool(s: np.ndarray, pool: np.ndarray) -> np.ndarray:
-    """The basis iteration's next pool by the rule of ``_solve``, as the
-    sorted indices of FINISH_POOL constraints, from the slacks s of all
-    constraints, in cyclic order, at the optimum of ``pool``."""
-    least = np.argsort(s[pool], kind="stable")[:5]
-    taken = np.zeros(len(s), dtype=bool)
-    taken[pool[least[s[pool[least]] <= 1e-9]]] = True
+def _next_pool(s: np.ndarray, basis: np.ndarray, size: int, tol: float) -> np.ndarray:
+    """The basis iteration's next pools by the rule of ``_solve``, as the
+    sorted indices of ``size`` constraints per row, from the slacks s of
+    all constraints, in cyclic order, at the optimum of each row's pool,
+    and the mask of that optimum's basis ((k, n) arrays): the basis, then
+    the cyclic local minima of s below -tol outside it, deepest first,
+    then the least slacks.  Ties go to the lower index."""
+    k = len(s)
     # a plateau of equal minima counts once, at its first constraint
-    dips = np.flatnonzero((s < -FINISH_SLACK) & (s < np.roll(s, 1)) & (s <= np.roll(s, -1))
-                          & ~taken)
-    taken[dips[np.argsort(s[dips], kind="stable")][:FINISH_POOL - taken.sum()]] = True
-    order = np.argsort(s, kind="stable")
-    taken[order[~taken[order]][:FINISH_POOL - taken.sum()]] = True
-    return np.flatnonzero(taken)
+    dips = (s < -tol) & (s < np.roll(s, 1, axis=1)) & (s <= np.roll(s, -1, axis=1)) & ~basis
+    # only the basis, the dips and the size least slacks outside the basis
+    # can be taken; ranked, they are sorted row by row
+    free = np.where(basis, np.inf, s)
+    cut = np.partition(free, size - 1, axis=1)[:, size - 1:size]
+    row, col = np.nonzero(basis | dips | ~(free > cut))
+    rank = np.where(basis[row, col], 0, np.where(dips[row, col], 1, 2))
+    order = np.lexsort((col, s[row, col], rank, row))
+    row, col = row[order], col[order]
+    first = np.arange(len(row)) - np.searchsorted(row, np.arange(k))[row] < size
+    return np.sort(col[first].reshape(k, size), axis=1)
 
 
 def john_ellipse(P: Polygon) -> Ellipse:
@@ -406,94 +409,70 @@ def loewner_ellipse(P: Polygon) -> Ellipse:
     return _solve(P, lines=False)
 
 
-def _spread_sets(u0, u1, mu, m):
-    """Per row, a pair and a triple of constraints for ``_field_finish``
-    that the largest multipliers can miss where many contacts tie, as on a
-    regular polygon at its center.
+@functools.cache
+def _field_sets(p: int):
+    """Each pair and triple of range(p) in three slots, the pairs first (a
+    pair's third slot is its first), and the number of pairs."""
+    pairs = [s + s[:1] for s in itertools.combinations(range(p), 2)]
+    return np.array(pairs + list(itertools.combinations(range(p), 3))), len(pairs)
 
-    In the frame where M (rows m = (m11, m12, m22)) is the identity,
-    John's conditions put the origin in the hull of a set's directions at
-    doubled angles.  Both sets hold the constraint i of largest multiplier;
-    of those with at least half its multiplier, the pair adds the one
-    nearest to the point opposite i's, and the triple the nearest on each
-    side of it.
+
+def _field_optimum(x: np.ndarray, y: np.ndarray):
+    """The optimum of max log det M over u_i^T M u_i <= 1 on each row's pool
+    of constraints u_i = (x_i, y_i) ((k, p) arrays), from its pairs and
+    triples.
+
+    A set S gives the pool's optimum M if u_i^T M u_i = 1 on S, no pool
+    slack 1 - u^T M u is below -FIELD_SLACK (relative, as u^T M u is about
+    1), and M^-1 = sum_S lam_i u_i u_i^T with every lam_i >= 0: these are
+    the KKT conditions of a concave problem.  For a pair, M^-1 = u_1 u_1^T
+    + u_2 u_2^T and both weights are 1.  For a triple, the contact
+    equations are linear in (m11, m12, m22), with rows c_i = (u0^2,
+    2 u0 u1, u1^2), and stationarity is C^T lam = v(M), the gradient of
+    log det M; both come from the cofactors of C.  Where sets tie, the one
+    of largest least pool slack wins.  Each row's result depends on that
+    row alone.
+
+    Returns per row the winning set as three pool slots, M as
+    (m11, m12, m22), and sum_S lam_i u_i; a row with no such set, as a pool
+    on one line, gets M = nan.
     """
-    rows = np.arange(len(mu))
-    i = np.argmax(mu, axis=1)
-    # R u with R^T R = m11 M: u in that frame, up to a rotation and a scale
-    det = m[:, 0] * m[:, 2] - m[:, 1] ** 2
-    with np.errstate(invalid="ignore"):
-        phi = 2.0 * np.arctan2(np.sqrt(det)[:, None] * u1, m[:, :1] * u0 + m[:, 1:2] * u1)
-    off = np.remainder(phi - phi[rows, i][:, None], 2.0 * np.pi) - np.pi
-    near = mu >= 0.5 * mu[rows, i][:, None]
-    near[rows, i] = False
-    a = np.argmax(np.where(near & (off < 0.0), off, -np.inf), axis=1)
-    b = np.argmin(np.where(near & (off >= 0.0), off, np.inf), axis=1)
-    c = np.argmin(np.where(near, np.abs(off), np.inf), axis=1)
-    return np.stack([i, c, i], axis=1), np.stack([i, a, b], axis=1)
-
-
-def _field_finish(u0: np.ndarray, u1: np.ndarray, mu: np.ndarray, m_bar: np.ndarray):
-    """John's conditions for max log det M over u_i^T M u_i <= 1, tried on
-    each pair and triple of constraints among the FIELD_POOL largest
-    multipliers mu of each row, and on the sets of ``_spread_sets`` at
-    the barrier's point m_bar (u_i = (u0_i, u1_i); all (k, n) arrays).
-
-    A set S gives the optimum M if u_i^T M u_i = 1 on S, no slack
-    1 - u^T M u is below -FIELD_SLACK (relative, as u^T M u is about 1), and
-    M^-1 = sum_S lam_i u_i u_i^T with every lam_i >= 0: these are the KKT
-    conditions of a concave problem.  For a pair, M^-1 = u_1 u_1^T +
-    u_2 u_2^T and both weights are 1.  For a triple, the contact equations
-    are linear in (m11, m12, m22), with rows c_i = (u0^2, 2 u0 u1, u1^2),
-    and stationarity is C^T lam = v(M), the gradient of log det M; both
-    come from the cofactors of C.  Each row's result depends on that row
-    alone.
-
-    Returns (certified, det M, sum_S lam_i u_i) per row, from the certified
-    set whose least slack is largest.
-    """
-    k, n = mu.shape
-    pool = min(FIELD_POOL, n)
-    top = np.argsort(-mu, axis=1, kind="stable")[:, :pool]
-    pair, triple = _spread_sets(u0, u1, mu, m_bar)
-    # each set in three slots, the pairs first: a pair's third slot is its
-    # first, of weight 0
-    pairs = [s + s[:1] for s in itertools.combinations(range(pool), 2)]
-    sets = np.concatenate([top[:, pairs], pair[:, None], triple[:, None],
-                           top[:, list(itertools.combinations(range(pool), 3))]], axis=1)
-    xs = np.take_along_axis(u0, sets.reshape(k, -1), axis=1).reshape(sets.shape)
-    ys = np.take_along_axis(u1, sets.reshape(k, -1), axis=1).reshape(sets.shape)
-    p = len(pairs) + 1
+    k = len(x)
+    sets, p = _field_sets(x.shape[1])
+    xs, ys = x[:, sets], y[:, sets]
     x0, y0, x1, y1 = xs[:, :p, 0], ys[:, :p, 0], xs[:, :p, 1], ys[:, :p, 1]
-    c = np.stack([xs * xs, 2.0 * xs * ys, ys * ys], axis=3)[:, p:]
-    cof = np.stack([np.cross(c[:, :, 1], c[:, :, 2]), np.cross(c[:, :, 2], c[:, :, 0]),
-                    np.cross(c[:, :, 0], c[:, :, 1])], axis=2)
+    # a triple's rows c_i = (P_i, Q_i, W_i), and their cofactors
+    # c_i+1 x c_i+2, along the last axis
+    P, Q, W = xs[:, p:] ** 2, 2.0 * xs[:, p:] * ys[:, p:], ys[:, p:] ** 2
+    nxt, last = [1, 2, 0], [2, 0, 1]
+    cP = Q[..., nxt] * W[..., last] - W[..., nxt] * Q[..., last]
+    cQ = W[..., nxt] * P[..., last] - P[..., nxt] * W[..., last]
+    cW = P[..., nxt] * Q[..., last] - Q[..., nxt] * P[..., last]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cr2 = ((x0 * y1 - y0 * x1) ** 2)[:, :, None]
-        det_c = (c[:, :, 0] * cof[:, :, 0]).sum(axis=2)
+        cr2 = (x0 * y1 - y0 * x1) ** 2
+        det_c = P[..., 0] * cP[..., 0] + Q[..., 0] * cQ[..., 0] + W[..., 0] * cW[..., 0]
         # rows dependent to rounding, as antiparallel edges make them, fix no
         # M and let rounding pick one; independent rows give
         # |det C| / prod |c_i| >= 1e-2 in practice
-        det_c = np.where(np.abs(det_c) > 1e-8 * np.abs(c).max(axis=3).prod(axis=2),
-                         det_c, np.nan)[:, :, None]
+        scale = np.maximum(np.maximum(P, np.abs(Q)), W).prod(axis=2)
+        det_c = np.where(np.abs(det_c) > 1e-8 * scale, det_c, np.nan)
         m = np.concatenate([np.stack([y0 * y0 + y1 * y1, -(x0 * y0 + x1 * y1),
-                                      x0 * x0 + x1 * x1], axis=2) / cr2,
-                            cof.sum(axis=2) / det_c], axis=1)
+                                      x0 * x0 + x1 * x1], axis=2) / cr2[:, :, None],
+                            np.stack([cP.sum(axis=2), cQ.sum(axis=2), cW.sum(axis=2)], axis=2)
+                            / det_c[:, :, None]], axis=1)
         det_m = m[:, :, 0] * m[:, :, 2] - m[:, :, 1] ** 2
-        v = np.stack([m[:, p:, 2], -2.0 * m[:, p:, 1], m[:, p:, 0]], axis=2) \
-            / det_m[:, p:, None]
+        # the gradient v(M) of log det M, times det M
+        v = m[:, p:, 2:] * cP - 2.0 * m[:, p:, 1:2] * cQ + m[:, p:, :1] * cW
         lam = np.concatenate([np.broadcast_to([1.0, 1.0, 0.0], (k, p, 3)),
-                              (cof * v[:, :, None]).sum(axis=3) / det_c], axis=1)
-        least = (1.0 - (m[:, :, :1] * (u0 * u0)[:, None]
-                        + 2.0 * m[:, :, 1:2] * (u0 * u1)[:, None]
-                        + m[:, :, 2:] * (u1 * u1)[:, None])).min(axis=2)
+                              v / (det_m[:, p:] * det_c)[:, :, None]], axis=1)
+        least = (1.0 - (m[:, :, :1] * (x * x)[:, None] + 2.0 * m[:, :, 1:2] * (x * y)[:, None]
+                        + m[:, :, 2:] * (y * y)[:, None])).min(axis=2)
         ok = (least >= -FIELD_SLACK) & (lam >= 0.0).all(axis=2) & (det_m > 0.0) \
             & (det_m < np.inf)
-    best = np.argmax(np.where(ok, least, -np.inf), axis=1)[:, None]
+    best = np.argmax(np.where(ok, least, -np.inf), axis=1)
+    rows = np.arange(k)
     g = np.stack([(lam * xs).sum(axis=2), (lam * ys).sum(axis=2)], axis=2)
-    pick = np.take_along_axis
-    return (pick(ok, best, axis=1)[:, 0], pick(det_m, best, axis=1)[:, 0],
-            pick(g, best[:, :, None], axis=1)[:, 0])
+    return sets[best], np.where(ok[rows, best, None], m[rows, best], np.nan), g[rows, best]
 
 
 def _centered_john(A: np.ndarray, b: np.ndarray, X):
@@ -505,24 +484,29 @@ def _centered_john(A: np.ndarray, b: np.ndarray, X):
     m = (m11, m12, m22), and log det L = log det M / 2.  Each row is
     solved in the frame where its u_i have unit second moment, so that M
     is well conditioned there even 1e-7 of the diameter from an edge.
-    One log-det barrier path, from t = max(1, n / 10), runs for all rows
-    at once: params (k, 3), slacks (k, n) and (k, 3, 3) Newton systems.
-    The line search starts short of the first slack's zero, which is
-    linear along the step, and inside the quadratic region
-    (lambda^2 < 1/16) a row takes the full step.  A row leaves a t-stage
-    after its first full step; in the last stage, after the full step at
-    which its decrement no longer falls fourfold, so that stage is
-    centered as well as rounding allows.
 
-    After every stage each row tries to finish (``_field_finish``) on the
-    contact sets that its multipliers mu_i = 1 / (t s_i) name; a row whose
-    set meets John's conditions leaves the path with the optimum.  There
-    det L = sqrt(det M), and by the envelope theorem
-    grad_x log det L = -sum_S lam_i a_i / r_i exactly.  The rows never
-    certified run on to a gap n / t below BARRIER_GAP and take the
-    multipliers mu as their lam.  Expects a body of diameter about 1; a
-    row whose center has margin at most 1e-13 gets det 0.  Each row's
-    result depends on that row alone.
+    The problem is LP-type with three unknowns (Welzl 1991), so a pair or
+    a triple of contacts fixes its optimum, and all rows run ``_solve``'s
+    basis iteration at once, each on its own pool of FIELD_POOL
+    constraints.  The first pool is every constraint up to FIELD_POOL,
+    else the u_i of largest projection on FIELD_POOL evenly spaced
+    directions of the row's frame: there the u_i are the vertices of the
+    polar of the body about x, and the contacts are among its extreme
+    points.  (The constraints whose directions lie nearest those, as in
+    ``_solve``, took 0.71 against 0.46 s on a sweep of 6,900 centers over
+    69 bodies, and one more pool on the regions workload's roster.)  Each
+    round takes each pool's optimum (``_field_optimum``).  A row whose
+    optimum leaves no slack over all constraints below -FIELD_SLACK has
+    the field's optimum, since its weights lam_i >= 0 meet John's
+    conditions there, and leaves.  The others take their next pool by
+    ``_next_pool``: the optimum's pair or triple, the deepest violation of
+    each violated arc, then the least slacks (after a pool that fixes no
+    M, whose slacks read nan, the first constraints).  More than 100
+    rounds raise ConvergenceFailure, which gives the centers left and
+    their least slack.  At the optimum det L = sqrt(det M), and by the
+    envelope theorem grad_x log det L = -sum_S lam_i a_i / r_i exactly.
+    Expects a body of diameter about 1; a row whose center has margin at
+    most 1e-13 gets det 0.  Each row's result depends on that row alone.
 
     Returns (det L, grad_x log det L) per row.
     """
@@ -544,90 +528,41 @@ def _centered_john(A: np.ndarray, b: np.ndarray, X):
     u1 = u1 - r01[:, None] * u0
     r11 = np.sqrt((u1 * u1).sum(axis=1))
     u1 = u1 / r11[:, None]
-    # the constraint rows (p, 2 q, w) and the products that the slack part
-    # of the Hessian, sum_i (p, 2 q, w)^T (p, 2 q, w) / s_i^2, sums
-    p, q, w = u0 * u0, u0 * u1, u1 * u1
-    pp, pq, pw, qw, ww = p * p, p * q, p * w, q * w, w * w
-    # start at the disk of 0.45 times the nearest constraint's distance:
-    # every slack is at least 1 - 0.45^2
-    m = np.zeros((len(rows), 3))
-    m[:, 0] = m[:, 2] = 0.2025 / (p + w).max(axis=1)
-    s = 1.0 - (m[:, :1] * p + m[:, 2:] * w)
-    log_s = np.log(s).sum(axis=1)
-    act = np.arange(len(rows))
-    t = max(1.0, n / 10.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while act.size:
-            last = n / t < BARRIER_GAP
-            live = act
-            prev = np.full(len(rows), np.inf)
-            for _ in range(60):
-                if not live.size:
-                    break
-                mm, e = m[live], 1.0 / s[live]
-                dd = mm[:, 0] * mm[:, 2] - mm[:, 1] ** 2
-                v = np.stack([mm[:, 2], -2.0 * mm[:, 1], mm[:, 0]], axis=1) / dd[:, None]
-                e2 = e * e
-                h = [(e2 * z[live]).sum(axis=1) for z in (pp, pq, pw, qw, ww)]
-                H = np.stack([h[0], 2.0 * h[1], h[2], 2.0 * h[1], 4.0 * h[2], 2.0 * h[3],
-                              h[2], 2.0 * h[3], h[4]], axis=1).reshape(-1, 3, 3)
-                H += t * (v[:, :, None] * v[:, None, :] - _LOGDET3_M / dd[:, None, None])
-                g = np.stack([(e * p[live]).sum(axis=1), 2.0 * (e * q[live]).sum(axis=1),
-                              (e * w[live]).sum(axis=1)], axis=1) - t * v
-                try:
-                    step = np.linalg.solve(H, -g[:, :, None])[:, :, 0]
-                except np.linalg.LinAlgError:
-                    step = np.full_like(g, np.nan)
-                lam2 = -(g * step).sum(axis=1)
-                go = np.isfinite(step).all(axis=1) & (lam2 >= 0.0)
-                live, step, lam2 = live[go], step[go], lam2[go]
-                # a row leaves the stage after a full step (in the last
-                # stage, one whose decrement no longer falls fourfold)
-                full = lam2 < 1.0 / 16.0
-                more = ~full | (lam2 < 0.25 * prev[live]) if last else ~full
-                prev[live] = lam2
-                # the slacks fall by alpha d along the step: the line search
-                # starts short of where the first reaches 0
-                d = step[:, :1] * p[live] + 2.0 * step[:, 1:2] * q[live] + step[:, 2:] * w[live]
-                room = np.where(d > 0.0, s[live] / d, np.inf).min(axis=1)
-                alpha = np.where(full, 1.0, np.minimum(1.0, 0.99 * room))
-                base = -t * np.log(dd[go]) - log_s[live]
-                pend = np.arange(len(live))
-                while pend.size and alpha[pend].max() > 1e-14:
-                    a, lp = alpha[pend][:, None], live[pend]
-                    mc = m[lp] + a * step[pend]
-                    sc = 1.0 - (mc[:, :1] * p[lp] + 2.0 * mc[:, 1:2] * q[lp] + mc[:, 2:] * w[lp])
-                    dc = mc[:, 0] * mc[:, 2] - mc[:, 1] ** 2
-                    lc = np.log(sc).sum(axis=1)
-                    fc = -t * np.log(dc) - lc
-                    ok = (sc.min(axis=1) > 0.0) & (mc[:, 0] > 0.0) & (dc > 0.0) & np.isfinite(fc)
-                    ok &= (full[pend] & (a[:, 0] == 1.0)) | (fc < base[pend])
-                    hit = live[pend[ok]]
-                    m[hit], s[hit], log_s[hit] = mc[ok], sc[ok], lc[ok]
-                    pend = pend[~ok]
-                    alpha[pend] *= 0.5
-                # so does a row whose line search found no step
-                more[pend] = False
-                live = live[more]
-            mu = 1.0 / (t * s[act])
-            ok, det_m, lu = _field_finish(u0[act], u1[act], mu, m[act])
-            root_det[act[ok]] = np.sqrt(det_m[ok])
-            lam_u[act[ok]] = lu[ok]
-            if last:
-                act, mu = act[~ok], mu[~ok]
-                mm = m[act]
-                root_det[act] = np.sqrt(mm[:, 0] * mm[:, 2] - mm[:, 1] ** 2)
-                lam_u[act] = np.stack([(mu * u0[act]).sum(axis=1),
-                                       (mu * u1[act]).sum(axis=1)], axis=1)
-                break
-            act = act[~ok]
-            t *= 10.0
-        # back to x's frame: det M = det M' / (r00 r11)^2, and
-        # -sum lam_i u_i = -R^T sum lam_i u'_i
-        det, grad = np.zeros(k), np.full((k, 2), np.nan)
-        det[rows] = root_det / (r00 * r11)
-        grad[rows, 0] = -r00 * lam_u[:, 0]
-        grad[rows, 1] = -(r01 * lam_u[:, 0] + r11 * lam_u[:, 1])
+    size = min(FIELD_POOL, n)
+    if n <= FIELD_POOL:
+        pool = np.broadcast_to(np.arange(n), (len(rows), n))
+    else:
+        # the support points of the u_i, in the row's frame the vertices of
+        # the polar of the body about x, in FIELD_POOL evenly spaced
+        # directions
+        t = 2.0 * np.pi * np.arange(FIELD_POOL) / FIELD_POOL
+        pool = np.stack([np.argmax(np.cos(a) * u0 + np.sin(a) * u1, axis=1) for a in t], axis=1)
+    live = np.arange(len(rows))
+    p, q, w = u0 * u0, 2.0 * u0 * u1, u1 * u1
+    for _ in range(100):
+        sets, m, g = _field_optimum(np.take_along_axis(u0, pool, axis=1),
+                                    np.take_along_axis(u1, pool, axis=1))
+        s = 1.0 - (m[:, :1] * p + m[:, 1:2] * q + m[:, 2:] * w)
+        least = s.min(axis=1)
+        done = least >= -FIELD_SLACK
+        root_det[live[done]] = np.sqrt(m[done, 0] * m[done, 2] - m[done, 1] ** 2)
+        lam_u[live[done]] = g[done]
+        go = np.flatnonzero(~done)
+        if not go.size:
+            break
+        basis = np.zeros((go.size, n), dtype=bool)
+        basis[np.arange(go.size)[:, None], np.take_along_axis(pool[go], sets[go], axis=1)] = True
+        pool = _next_pool(s[go], basis, size, FIELD_SLACK)
+        live, u0, u1, p, q, w = live[go], u0[go], u1[go], p[go], q[go], w[go]
+    else:
+        raise ConvergenceFailure(f"the fixed-center John field ran 100 pools: {go.size} of "
+                                 f"{len(rows)} centers left, least slack {least[go].min():.3g}")
+    # back to x's frame: det M = det M' / (r00 r11)^2, and
+    # -sum lam_i u_i = -R^T sum lam_i u'_i
+    det, grad = np.zeros(k), np.full((k, 2), np.nan)
+    det[rows] = root_det / (r00 * r11)
+    grad[rows, 0] = -r00 * lam_u[:, 0]
+    grad[rows, 1] = -(r01 * lam_u[:, 0] + r11 * lam_u[:, 1])
     return det, grad
 
 

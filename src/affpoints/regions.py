@@ -8,7 +8,8 @@ five find their roots with one batched root-finder, ``points._ray_roots``:
 each map gives its level function and its slope along the rays, and
 safeguarded Newton runs on all rays of a block at once.  Each root is
 within 1e-10 diam of the level set of the field as computed, and the
-John field is certified by John's conditions, so exact to rounding.
+John field is the optimum of a pair or triple of contacts that meets
+John's conditions, so exact to rounding.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _polyops_py as kernels
-from .ellipses import _centered_john, _normalize
+from .ellipses import FIELD_POOL, _centered_john, _normalize
 from .errors import BadParams, DegenerateInput, EmptyResult
 from .points import PointFunction, _overlap_model, _ray_roots, eval_point
 from .polygons import Polygon, canonicalize, edge_normals
@@ -159,7 +160,8 @@ def john_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:
 
     Each ray's crossing is the root of log target - log f, with f and its
     exact envelope-theorem slope from the batched fixed-center John field
-    (``ellipses._centered_john``).
+    (``ellipses._centered_john``), which solves each ray's pools of
+    FIELD_POOL constraints from their 35 pairs and triples.
     """
     if not 0.0 < c < 1.0:
         raise BadParams(f"need 0 < c < 1, got {c}")
@@ -174,7 +176,9 @@ def john_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:
         with np.errstate(divide="ignore"):
             return log_target - np.log(det), -(grad * U).sum(axis=1)
 
-    return canonicalize(g + d * _region(Q, j, m, field, Q.n))
+    # per ray, the field's arrays hold n slacks, and 35 x FIELD_POOL pool
+    # slacks of its candidates
+    return canonicalize(g + d * _region(Q, j, m, field, max(Q.n, 35 * FIELD_POOL)))
 
 
 def symcore_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:

@@ -45,7 +45,13 @@ def polygon_from_dict(d: dict) -> Polygon:
     kind = d.get("kind") if isinstance(d, dict) else None
     if kind != "polygon" or "vertices" not in d:
         raise BadParams(f"expected polygon JSON with vertices, got kind={kind!r}")
-    return canonicalize(d["vertices"])
+    try:
+        vertices = np.asarray(d["vertices"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise BadParams(f"polygon vertices must be numbers: {exc}") from exc
+    if vertices.ndim != 2 or vertices.shape[1] != 2:
+        raise BadParams(f"polygon vertices must be [x, y] pairs, got shape {vertices.shape}")
+    return canonicalize(vertices)
 
 
 def ellipse_to_dict(E: Ellipse) -> dict:

@@ -255,6 +255,11 @@ def test_usage_error_exit_2():
     ["iterate-product", "--body", "square", "--p", "john", "--r", "santalo",
      "--k", "100000000"],
     ["dual-check", "--p", "centroid", "--q", "santalo", "--trials", "100000000"],
+    # vertices that are not [x, y] pairs; reshaped to pairs, the first two
+    # read as the triangle (0, 0), (1, 0), (1, 1)
+    ["point", "--body", "file:{tmp}/triples.json", "--id", "centroid"],
+    ["point", "--body", "file:{tmp}/flat.json", "--id", "centroid"],
+    ["point", "--body", "file:{tmp}/nested.json", "--id", "centroid"],
 ])
 def test_bad_input_exit_2(argv, tmp_path, monkeypatch, capsys):
     from affpoints import cli
@@ -265,6 +270,11 @@ def test_bad_input_exit_2(argv, tmp_path, monkeypatch, capsys):
         '{"kind": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [NaN, 1]]}\n')
     (tmp_path / "huge.json").write_text(
         '{"kind": "polygon", "vertices": [[0, 0], [1e200, 0], [0, 1e200]]}\n')
+    (tmp_path / "triples.json").write_text(
+        '{"kind": "polygon", "vertices": [[0, 0, 1], [0, 1, 1]]}\n')
+    (tmp_path / "flat.json").write_text('{"kind": "polygon", "vertices": [0, 0, 1, 0, 0, 1]}\n')
+    (tmp_path / "nested.json").write_text(
+        '{"kind": "polygon", "vertices": [[[0, 0]], [[1, 0]], [[0, 1]]]}\n')
     argv = [a.format(tmp=tmp_path) for a in argv]
     monkeypatch.setattr(sys, "argv", ["affpoints", *argv])
     with pytest.raises(SystemExit) as exc:

@@ -59,8 +59,8 @@ class TestDualResidual:
 
     def test_john_loewner_at_rounding(self):
         # acceptance criterion 5's bodies: L(K^{J(K)}) = J(K) holds to
-        # rounding once both ellipses solve John's conditions (7.3e-10 at the
-        # barrier's gap of 1e-10)
+        # rounding once both ellipses solve John's conditions (7.3e-10 when
+        # they came from a log-det barrier stopped at a gap of 1e-10)
         rep = dual_residual(J, L, random_polygons(50, 1003))
         assert rep.max_residual <= 1e-12
 

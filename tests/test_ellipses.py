@@ -9,9 +9,9 @@ import pytest
 from affpoints.bodies import ngon, parse_spec, random_map
 from affpoints.duality import random_polygons
 from affpoints.ellipses import (
-    BARRIER_GAP,
     BASIS_MAX_N,
     CONTACT_TOL,
+    FINISH_POOL,
     FINISH_SLACK,
     Ellipse,
     _basis_optimum,
@@ -342,10 +342,9 @@ class TestCenteredFields:
                                           T(np.asarray(x)))
             assert w * det == pytest.approx(v, rel=1e-7)
 
-    def test_one_row_matches_scalar_barrier(self):
-        # max_centered_area is the one-row call of the batched solver; the
-        # exact oracle is the reference (the scalar barrier path that was
-        # the reference, run to a gap of 1e-10, sat 3.0e-11 below it)
+    def test_one_row_call_matches_the_exact_oracle(self):
+        # max_centered_area is the one-row call of the batched solver, and
+        # the exact oracle its reference; measured 1.4e-15
         for P in random_polygons(100, 5):
             x = P.centroid
             verts, d, g = _normalize(P)
@@ -375,9 +374,10 @@ class TestCenteredFields:
         # through the center, so every triple's contact equations are
         # dependent to rounding: 10 of them read a triple's rounding as a
         # certificate, off by up to 20%, before such triples were set
-        # aside.  Under the map of condition 1e3, ngon(64) to ngon(200) are
-        # certified only by _spread_sets (5e-12 low without, the barrier's
-        # gap)
+        # aside.  Past FIELD_POOL vertices a pool can miss every pair and
+        # triple of the tied contacts that meets John's conditions, and the
+        # basis iteration must reach one.  Measured: at most 1.5e-13
+        # (ngon(16))
         rng = np.random.default_rng(68)
         T = AffineMap(_rotation(0.7) @ np.diag([1.0, 1e-3]) @ _rotation(2.9),
                       np.array([3.0, -2.0]))
@@ -502,6 +502,10 @@ def _sym(t3):
     return np.array([[t3[0], t3[1]], [t3[1], t3[2]]])
 
 
+# the oracle's barrier stops at this duality gap n / t
+_ORACLE_GAP = 1e-10
+
+
 def _oracle_barrier(theta0, slack_fn, slack_jac, slack_hess, ss, n_con):
     def logdet(t3):
         return np.log(t3[0] * t3[2] - t3[1] ** 2)
@@ -545,7 +549,7 @@ def _oracle_barrier(theta0, slack_fn, slack_jac, slack_hess, ss, n_con):
                 alpha *= 0.5
             else:
                 break
-        if n_con / t < BARRIER_GAP:
+        if n_con / t < _ORACLE_GAP:
             return theta
         t *= 10.0
 
@@ -777,6 +781,47 @@ def test_pools_on_the_benchmark_maps():
         assert np.mean(steps) <= 8 and max(steps) <= 12
 
 
+def test_field_pools_on_the_benchmark_maps(monkeypatch):
+    # the fixed-center John field at 64 centers of the benchmark's limacon
+    # under its 12 maps of seed 1, from the centroid out to 0.99 of the way
+    # to a vertex.  Each round after the first calls _next_pool once on the
+    # rows left.  Measured: 4.5 pools after the first per center on
+    # average, and 7 rounds in every batch
+    rows = []
+    next_pool = _next_pool
+
+    def spy(s, basis, size, tol):
+        rows.append(len(s))
+        return next_pool(s, basis, size, tol)
+
+    monkeypatch.setattr("affpoints.ellipses._next_pool", spy)
+    rng = np.random.default_rng(1)
+    base = canonicalize(limacon(1024))
+    for _ in range(12):
+        T = random_map(rng)
+        T = AffineMap(T.matrix / np.linalg.svd(T.matrix, compute_uv=False)[-1], T.translation)
+        P = affine_apply(T, base)
+        verts, d, g = _normalize(P)
+        A, b = edge_normals(Polygon(verts))
+        X = np.linspace(0.0, 0.99, 64)[:, None] * verts[::16]
+        rows.clear()
+        det, grad = _centered_john(A, b, X)
+        assert (det > 0.0).all() and np.isfinite(grad).all()
+        assert sum(rows) / len(X) <= 5.5 and len(rows) <= 9
+
+
+def test_field_failure_reports_the_rows_and_the_least_slack(monkeypatch):
+    # a pool rule that always returns the first six edges, whose optimum
+    # at the centroid of a 64-vertex limacon leaves the other edges
+    # violated: after 100 rounds the failure says how many centers were
+    # left and how far their optima were infeasible
+    monkeypatch.setattr("affpoints.ellipses._next_pool",
+                        lambda s, basis, size, tol: np.tile(np.arange(size), (len(s), 1)))
+    with pytest.raises(ConvergenceFailure,
+                       match=r"ran 100 pools: 1 of 1 centers left, least slack -\d"):
+        max_centered_area(canonicalize(limacon(64)), (0.0, 0.0))
+
+
 def _slack_profile(n, dips):
     s = np.full(n, 0.5)
     for i, v in dips.items():
@@ -784,23 +829,33 @@ def _slack_profile(n, dips):
     return s
 
 
+def _next_pools(s, basis):
+    # the rows of s with their bases, given as index lists, at the free
+    # center's pool size and slack
+    mask = np.zeros(s.shape, dtype=bool)
+    for row, b in zip(mask, basis):
+        row[b] = True
+    return _next_pool(s, mask, FINISH_POOL, FINISH_SLACK).tolist()
+
+
 def test_next_pool_takes_each_violated_arc():
-    # a basis of five tight pool constraints (one feasible to rounding) and
-    # two violated arcs; the four constraints of least slack are all on the
+    # a basis of five tight constraints (one feasible to rounding) and two
+    # violated arcs; the four constraints of least slack are all on the
     # deeper arc, so the next pool holds the deepest of the other only as an
-    # arc's deepest violation
-    s = _slack_profile(30, {3: -0.1, 4: -0.4, 5: -0.2, 6: -0.05,
-                            16: -0.5, 17: -0.6, 18: -0.7, 19: -0.8, 20: -0.75,
-                            21: -0.65, 22: -0.55, 23: -0.45,
-                            9: 0.0, 11: -1e-13, 12: 1e-10, 26: 0.0, 28: 0.0, 13: 1e-8})
-    pool = np.array([9, 11, 12, 13, 26, 28])
-    assert _next_pool(s, pool).tolist() == [4, 9, 11, 12, 18, 19, 20, 26, 28]
-    # five single-constraint arcs and room for four: the deepest four, the
-    # least slack of all among them
-    s = _slack_profile(30, {2: -0.3, 6: -0.1, 14: -0.5, 20: -0.2, 24: -0.4,
-                            9: 0.0, 11: 0.0, 12: 0.0, 26: 0.0, 28: 0.0})
-    assert _next_pool(s, np.array([9, 11, 12, 26, 28])).tolist() == [2, 9, 11, 12, 14, 20,
-                                                                         24, 26, 28]
+    # arc's deepest violation.  Row two: five single-constraint arcs and
+    # room for four, so the deepest four, the least slack of all among them.
+    # Each row's pool depends on that row alone
+    s = np.stack([_slack_profile(30, {3: -0.1, 4: -0.4, 5: -0.2, 6: -0.05,
+                                      16: -0.5, 17: -0.6, 18: -0.7, 19: -0.8, 20: -0.75,
+                                      21: -0.65, 22: -0.55, 23: -0.45,
+                                      9: 0.0, 11: -1e-13, 12: 1e-10, 26: 0.0, 28: 0.0,
+                                      13: 1e-8}),
+                  _slack_profile(30, {2: -0.3, 6: -0.1, 14: -0.5, 20: -0.2, 24: -0.4,
+                                      9: 0.0, 11: 0.0, 12: 0.0, 26: 0.0, 28: 0.0})])
+    basis = [[9, 11, 12, 26, 28]] * 2
+    expect = [[4, 9, 11, 12, 18, 19, 20, 26, 28], [2, 9, 11, 12, 14, 20, 24, 26, 28]]
+    assert _next_pools(s, basis) == expect
+    assert [_next_pools(row[None], basis[:1])[0] for row in s] == expect
 
 
 def test_next_pool_takes_a_plateau_once():
@@ -812,8 +867,7 @@ def test_next_pool_takes_a_plateau_once():
     s = _slack_profile(24, {3: -0.1, 4: -0.4, 5: -0.4, 6: -0.4, 7: -0.1,
                             22: -0.2, 23: -0.5, 0: -0.5, 1: -0.2, 19: -0.3,
                             9: 0.0, 11: 0.0, 13: 0.0, 15: 0.0, 17: 0.0})
-    assert _next_pool(s, np.array([9, 11, 13, 15, 17])).tolist() == [0, 4, 9, 11, 13, 15, 17,
-                                                                         19, 23]
+    assert _next_pools(s[None], [[9, 11, 13, 15, 17]]) == [[0, 4, 9, 11, 13, 15, 17, 19, 23]]
 
 
 def test_failure_reports_the_pools_and_the_least_slack(monkeypatch):
@@ -827,7 +881,7 @@ def test_failure_reports_the_pools_and_the_least_slack(monkeypatch):
         loewner_ellipse(canonicalize(limacon(64)))
 
 
-def test_pool_finish_rejects_a_feasible_candidate_off_the_optimum():
+def test_partial_pool_candidate_off_the_optimum_is_rejected():
     # five consecutive vertices of the benchmark's limacon under its fourth
     # map at seed 1: their own problem is near degenerate, and its best
     # candidate encloses every vertex, yet is 1.1% larger than the optimum
@@ -942,8 +996,8 @@ def test_crowded_contacts_stall_at_the_optimum():
 def test_free_center_solves_agree_with_the_fields():
     # the fixed-center fields at the free-center optima: f_K(c_J) is the
     # John ellipse's area, and lambda_K(c_L) its inverse for Loewner's.
-    # The free-center barrier and the batched field are separate solvers
-    # with separate finishes; measured 3.5e-13 and 1.0e-12
+    # The free-center basis iteration and the batched field are separate
+    # solvers on separate candidates; measured 1.2e-13 and 3.9e-13
     bodies = [case.values[0] for case in _finish_cases()] + _stream(100, 5)
     for P in bodies:
         J, L = john_ellipse(P), loewner_ellipse(P)
