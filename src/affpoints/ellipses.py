@@ -10,8 +10,8 @@ larger body runs a basis iteration: it solves pools of FINISH_POOL
 constraints so, the first spread over all directions and each later one
 the last pool's basis, the deepest violation of each arc of constraints
 that its optimum violates, and the constraints it violates most, until an
-optimum is feasible for every constraint and certified by John's
-conditions (``_solve``, ``_next_pool``).
+optimum is feasible for every constraint (``_solve``, ``_next_pool``): it
+meets John's conditions on its basis, so it is the optimum of them all.
 The fixed-center John field f_K has constraints linear in M = L^2 and
 three unknowns, so a pair or a triple of contacts fixes its optimum in
 closed form, and the same basis iteration runs over many centers at once,
@@ -38,10 +38,9 @@ CERT_RESIDUAL_TOL = 1e-6
 # past BASIS_MAX_N constraints, the basis iteration solves pools of
 # FINISH_POOL of them (see _solve)
 FINISH_POOL = 9
-# an accepted basis leaves no slack below -FINISH_SLACK, the rounding of the
-# frame, and a partial pool's meets John's conditions to it: under a map of
-# condition 1e3, a regular polygon's tied vertices read slacks down to
-# -1.0e-12 there, and a wrong contact set one below -2.5e-8
+# a basis leaves no other slack below -FINISH_SLACK, the rounding of the
+# frame: under a map of condition 1e3, a regular polygon's tied vertices
+# read slacks down to -1.0e-12 there, and a wrong contact set below -2.5e-8
 FINISH_SLACK = 1e-12
 # the fixed-center John field runs the basis iteration on pools of
 # FIELD_POOL constraints per center, and takes a pair or triple of contacts
@@ -53,17 +52,13 @@ FIELD_SLACK = 1e-10
 # bodies of at most BASIS_MAX_N vertices take their John and Loewner
 # ellipses from one _basis_optimum on all constraints, larger ones from the
 # basis iteration on pools of FINISH_POOL.  The value keeps the ellipses of
-# bodies up to 15 vertices bit for bit as the all-constraints solve gives
-# them, not the speed: John plus Loewner on limacons and random hulls took
-# 0.80 against 1.03 ms a solve at 13 vertices, 1.15 against 1.13 at 14 and
-# 1.8 against 1.2 at 15 (all constraints against the iteration)
+# bodies up to 15 vertices as the all-constraints solve gives them; it was
+# not chosen for speed
 BASIS_MAX_N = 15
-# _basis_optimum's tie-break weight on a candidate's least slack, where it is
-# negative: above the sum of the multipliers, which in the frame of _whiten
-# is 2 for Loewner and 4 / r for John, r about the inradius (1 on a square)
-BASIS_PENALTY = 10.0
-# the residual of a John or Loewner solve: the rounding unit
-EPS = float(np.finfo(float).eps)
+# a basis meets John's conditions when no weight is below -WEIGHT_TOL: tied
+# contacts, as a regular polygon's, give bases of the optimum whose zero
+# weights read down to -7.4e-12; no rejected basis read above -2.1e-7
+WEIGHT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,10 +67,9 @@ class Ellipse:
 
     A solved ellipse records its solve: ``iterations`` counts the pools
     that the basis iteration solved after its first (0 for a body of at
-    most BASIS_MAX_N vertices), and ``residual`` is the rounding unit, or
-    the residual of John's conditions where the iteration stalled at an
-    optimum that they certify only above FINISH_SLACK (see ``_solve``).
-    Both are 0 for an ellipse built any other way.
+    most BASIS_MAX_N vertices), and ``residual`` that of John's conditions
+    on its basis (see ``_basis_optimum``).  Both are 0 for an ellipse built
+    any other way.
     """
 
     center: np.ndarray
@@ -119,31 +113,36 @@ def _gram_root(B: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _subsets(n: int):
+def _subsets(n: int, lines: bool):
     """Index arrays of the 3-, 4- and 5-subsets of range(n) for
     ``_basis_optimum``: the triples (i, j, k) as a (3, m3) array, and as
     their pairs (j, k), (k, i), (i, j), flat in the n x n grid; the pairs
-    (i, j), (k, l), (i, k), (j, l) of each 4-subset, flat in that grid; and
+    (i, j), (k, l), (i, k), (j, l) of each 4-subset, flat in that grid;
     each 5-subset as the index of its first four, and as its fifth and that
-    index flat in the grid of constraints by 4-subsets."""
+    index flat in the grid of constraints by 4-subsets; and each
+    candidate's constraints, padded with its first, as a (5, m) array (a
+    4-subset twice for John, once per root of its quadratic)."""
     comb = itertools.combinations
     i, j, k = np.array(list(comb(range(n), 3)), dtype=np.intp).reshape(-1, 3).T
     a, b, c, d = np.array(list(comb(range(n), 4)), dtype=np.intp).reshape(-1, 4).T
     first, fifth = np.array([(q, e) for q, last in enumerate(d.tolist())
                              for e in range(last + 1, n)], dtype=np.intp).reshape(-1, 2).T
+    sets = np.concatenate([np.stack([i, j, k, i, i])] + [np.stack([a, b, c, d, a])] * (1 + lines)
+                          + [np.stack([a[first], b[first], c[first], d[first], fifth])], axis=1)
     return (np.stack([i, j, k]), np.stack([j * n + k, k * n + i, i * n + j]),
             np.stack([a * n + b, c * n + d, a * n + c, b * n + d]), first,
-            fifth * len(a) + first)
+            fifth * len(a) + first, sets)
 
 
 def _pair(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The entries (00, 01, 02, 11, 12, 22) of p q^T + q p^T, as rows, for
     the columns p and q of two (3, m) arrays."""
-    return np.stack([2.0 * p[0] * q[0], p[0] * q[1] + p[1] * q[0], p[0] * q[2] + p[2] * q[0],
-                     2.0 * p[1] * q[1], p[1] * q[2] + p[2] * q[1], 2.0 * p[2] * q[2]])
+    o = p[:, None] * q
+    i, j = [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]
+    return o[i, j] + o[j, i]
 
 
-def _basis_optimum(V: np.ndarray, lines: bool) -> tuple[np.ndarray, np.ndarray]:
+def _basis_optimum(V: np.ndarray, lines: bool):
     """The John (``lines``) or Loewner ellipse of a small body, as the best
     feasible candidate over all sets of 3 to 5 of its constraints.
 
@@ -175,32 +174,34 @@ def _basis_optimum(V: np.ndarray, lines: bool) -> tuple[np.ndarray, np.ndarray]:
       fifth, v^T (A + s C) v = 0.
     Both problems are LP-type of combinatorial dimension 5 (Welzl 1991;
     Gaertner and Schoenherr 1998): the optimum is the optimum over some 3
-    to 5 constraints, all tight there, and so a candidate, and no feasible
-    ellipse is better.  A candidate is feasible when no slack is below
-    -FINISH_SLACK (distances to the edges, or 1 - |L^-1 (y - c)|^2).  Where
-    contacts tie, as on a regular polygon, many candidates give the
-    optimum to rounding, and one a little outside has a little larger
-    det; so the best is the one of largest
-    log det X + BASIS_PENALTY * min(least slack, 0).
+    to 5 constraints, all tight there, and so a candidate.  A candidate is
+    feasible when its own constraints read slacks (distances to the edges,
+    or 1 - |L^-1 (y - c)|^2) within 1e-9 of 0 and no other is below
+    -FINISH_SLACK, and as the problems are convex it is the optimum when
+    its weights in John's conditions are >= -WEIGHT_TOL (John 1948).  Of
+    those, as many where contacts tie, the one of largest least slack wins,
+    as in ``_field_optimum``; where there are none, the feasible candidate
+    of largest least slack, for the basis iteration to move on from.
 
-    Expects the frame of ``_whiten``.  Returns (c, X) with X = M (John) or
-    X = M^-1 (Loewner), the entries (x11, x12, x22).  Each candidate is a
-    column of (2, m) and (3, m) arrays, so that every reduction over the
-    constraints runs along the long axis.
+    Expects the frame of ``_whiten``.  Returns (c, X, basis, w, residual):
+    X = M (John) or M^-1 (Loewner) as (x11, x12, x22), the candidate's rows
+    of V, their weights, and max(|sum w u|, |sum w u u^T - I|).  Candidates
+    are columns, so that reductions over the constraints run along the long
+    axis.
     """
     n = len(V)
-    tri, tri_pairs, (ij, kl, ik, jl), first, fifth = _subsets(n)
+    tri, tri_pairs, (ij, kl, ik, jl), first, fifth, sets = _subsets(n, lines)
     v = V.T
     # the cross products of every pair of constraints
-    W = np.stack([np.outer(v[1], v[2]) - np.outer(v[2], v[1]),
-                  np.outer(v[2], v[0]) - np.outer(v[0], v[2]),
-                  np.outer(v[0], v[1]) - np.outer(v[1], v[0])]).reshape(3, -1)
+    a, b = v[:, :, None], v[:, None, :]
+    W = np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                  a[0] * b[1] - a[1] * b[0]]).reshape(3, -1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = W[:, tri_pairs] if lines else v[:, tri]
         x = x[:2] / x[2]
-        g = x.mean(axis=1)
+        g = x.sum(axis=1) / 3.0
         y = x - g[:, None]
-        m = np.stack([(y[0] * y[0]).sum(axis=0), (y[0] * y[1]).sum(axis=0),
+        m = np.array([(y[0] * y[0]).sum(axis=0), (y[0] * y[1]).sum(axis=0),
                       (y[1] * y[1]).sum(axis=0)])
         X3 = m / 6.0 if lines else m[::-1] * [[1.5], [-1.5], [1.5]] / (m[0] * m[2] - m[1] ** 2)
         p, q, r, t = W[:, ij], W[:, kl], W[:, ik], W[:, jl]
@@ -209,7 +210,7 @@ def _basis_optimum(V: np.ndarray, lines: bool) -> tuple[np.ndarray, np.ndarray]:
             h0, h1 = A[5], C[5]
             e = h0 - h1
             f = -(e + np.copysign(np.sqrt(e * e + h0 * h1), e))
-            s = np.stack([-f / h1, h0 / f])
+            s = np.array([-f / h1, h0 / f])
         else:
             d0 = A[0] * A[3] - A[1] ** 2
             d1 = A[0] * C[3] + A[3] * C[0] - 2.0 * A[1] * C[1]
@@ -226,22 +227,48 @@ def _basis_optimum(V: np.ndarray, lines: bool) -> tuple[np.ndarray, np.ndarray]:
         if lines:
             # C* = h [[c c^T - M, c], [c^T, 1]]
             c = Q[[2, 4]] / Q[5]
-            X = np.stack([c[0] * c[0], c[0] * c[1], c[1] * c[1]]) - Q[[0, 1, 3]] / Q[5]
+            X = np.array([c[0] * c[0], c[0] * c[1], c[1] * c[1]]) - Q[[0, 1, 3]] / Q[5]
         else:
             # C = kappa [[X, -X c], [-c^T X, c^T X c - 1]]
-            c = np.stack([Q[1] * Q[4] - Q[3] * Q[2], Q[1] * Q[2] - Q[0] * Q[4]]) \
+            c = np.array([Q[1] * Q[4] - Q[3] * Q[2], Q[1] * Q[2] - Q[0] * Q[4]]) \
                 / (Q[0] * Q[3] - Q[1] ** 2)
             X = Q[[0, 1, 3]] / -(Q[5] + Q[2] * c[0] + Q[4] * c[1])
         c, X = np.concatenate([g, c], axis=1), np.concatenate([X3, X], axis=1)
         det = X[0] * X[2] - X[1] ** 2
-        keep = np.flatnonzero((X[0] > 0.0) & (det > 0.0) & (det < np.inf))
-        c, X, det = c[:, keep], X[:, keep], det[keep]
-        least = _slacks(V, c, X, lines).min(axis=0)
-    ok = least >= -FINISH_SLACK
-    if not ok.any():
+        s = _slacks(V, c, X, lines)
+        least = s.min(axis=0)
+    f = np.flatnonzero((least >= -1e-9) & (X[0] > 0.0) & (det > 0.0))
+    s, sets, col = s[:, f], sets[:, f], np.arange(len(f))
+    tight = s[sets, col]
+    s[sets, col] = np.inf
+    ok = (tight <= 1e-9).all(axis=0) & (s.min(axis=0) >= -FINISH_SLACK)
+    f, sets = f[ok], sets[:, ok]
+    if not f.size:
         raise ConvergenceFailure("no feasible basis")
-    best = np.argmax(np.where(ok, np.log(det) + BASIS_PENALTY * np.minimum(least, 0.0), -np.inf))
-    return c[:, best], X[:, best]
+    c, X, d, least = c[:, f], X[:, f], np.sqrt(det[f]), least[f]
+    # J: John's conditions sum w_i u_i = 0, sum w_i u_i u_i^T = I as rows, a
+    # column per u_i, the unit X^1/2 a of an edge line (a, -b) or X^1/2 (y - c)
+    # of a vertex y; X^1/2 is X + sqrt(det X) I over a scalar
+    y = V[sets, :2] if lines else V[sets, :2] - c.T
+    u0 = (X[0] + d) * y[..., 0] + X[1] * y[..., 1]
+    u1 = X[1] * y[..., 0] + (X[2] + d) * y[..., 1]
+    r = np.hypot(u0, u1)
+    u0, u1 = u0 / r, u1 / r
+    J = np.array([u0, u1, u0 * u0, u0 * u1, u1 * u1]).transpose(2, 0, 1)
+    # triples first (a Steiner ellipse touches at an equilateral triangle),
+    # then 4-sets, whose normal equations hold at a pencil's stationary member
+    i3, i4 = np.searchsorted(f, (len(tri[0]), len(det) - len(first))).tolist()
+    w = np.zeros((len(f), 5))
+    w[:i3, :3] = 2.0 / 3.0
+    G = np.swapaxes(J[i3:i4, :, :4], 1, 2)
+    w[i3:i4, :4] = np.linalg.solve(G @ np.swapaxes(G, 1, 2), G[..., 2:3] + G[..., 4:5])[..., 0]
+    w[i4:] = np.linalg.solve(J[i4:], np.array([[[0.0], [0.0], [1.0], [0.0], [1.0]]]))[..., 0]
+    # least lies within 1e-9 of 0, so meeting John's conditions ranks first
+    i = int(np.argmax(least - ~(w >= -WEIGHT_TOL).all(axis=1)))
+    size = 3 + (i >= i3) + (i >= i4)
+    r0, r1, r2, r3, r4 = (J[i] @ w[i]).tolist()
+    res = max(math.hypot(r0, r1), math.sqrt((r2 - 1.0) ** 2 + 2.0 * r3 ** 2 + (r4 - 1.0) ** 2))
+    return c[:, i], X[:, i], sets[:size, i], w[i, :size], res
 
 
 def _slacks(V: np.ndarray, c: np.ndarray, X: np.ndarray, lines: bool) -> np.ndarray:
@@ -291,13 +318,13 @@ def _whiten(P: Polygon) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.linalg.solve(S, Y.T).T, S, g
 
 
-def _to_ellipse(c, X, S, g, lines: bool, iterations: int = 0) -> Ellipse:
+def _to_ellipse(c, X, S, g, lines: bool, iterations: int = 0, residual: float = 0.0) -> Ellipse:
     """The ellipse (c, X) of ``_basis_optimum``, in the frame of ``_whiten``
     given by (S, g), as an Ellipse in the body's own frame."""
     # John's X = L^2; Loewner's {S y : |X^1/2 (y - c)| <= 1} is
     # {S (c + X^-1/2 u) : |u| <= 1}
     B = S @ _sqrtm(X) if lines else np.linalg.solve(_sqrtm(X), S.T).T
-    return Ellipse(g + S @ c, _gram_root(B), iterations, EPS)
+    return Ellipse(g + S @ c, _gram_root(B), iterations, residual)
 
 
 def _solve(P: Polygon, lines: bool) -> Ellipse:
@@ -310,30 +337,20 @@ def _solve(P: Polygon, lines: bool) -> Ellipse:
     direction from the centroid) lie nearest FINISH_POOL evenly spaced
     directions.  Those of a convex body leave no gap of pi, so neither do
     the chosen ones, 40 degrees apart, and John's first pool is bounded.
-    Each round solves the pool.  While its candidate leaves a slack below
-    -FINISH_SLACK over the whole body, the next pool (``_next_pool``) is
-    the candidate's basis, the at most five pool constraints of least slack
-    that are tight to 1e-9; then the deepest violation of each violated
-    arc, the cyclic local minima of the slack below -FINISH_SLACK, deepest
-    first; then the constraints of least slack over the whole body,
-    FINISH_POOL in all: on a smooth body the constraints of least slack
-    over all are neighbours at one contact, so each violated arc gets its
-    own place.  The least slack over all is the deepest local minimum, so
-    every pool holds a basis, which is bounded, and a constraint it
-    violates; such a pool has an optimum of smaller area than the basis's
-    (larger for Loewner), so no pool comes back while each optimum is
-    exact.  A feasible candidate of a partial pool is the optimum only
-    where the pool's own problem is well posed (of five consecutive
-    vertices of a limacon, one enclosing every vertex was 1.1% larger than
-    the optimum), so it is accepted only if John's conditions certify it
-    to FINISH_SLACK, and else taken as infeasible.
-    Where contacts crowd, as 200 vertices on an arc of a circle, the
-    optimum itself certifies only to a few 1e-12, and its pool comes back:
-    a feasible candidate whose next pool was solved before is accepted if
-    John's conditions certify it at all, with their residual as the
-    ellipse's.  Any other repeated pool, or more than 100, raises
-    ConvergenceFailure, which gives the pools solved and the least slack of
-    the last optimum.
+    Each round solves the pool.  Its optimum meets John's conditions on its
+    basis, so it is the answer once no slack outside the basis over the
+    whole body is below -FINISH_SLACK.  Until then the next pool
+    (``_next_pool``) is the basis; then the deepest violation of each
+    violated arc, the cyclic local minima of the slack below -FINISH_SLACK;
+    then the least slacks over the whole body, FINISH_POOL in all (on a
+    smooth body those are neighbours at one contact).  So every pool holds
+    a basis, which is bounded, and a constraint it violates, and has an
+    optimum of smaller area than the basis's (larger for Loewner): no pool
+    comes back while each optimum is exact.  A pool whose own problem is
+    ill posed may have no candidate that meets John's conditions (five
+    consecutive vertices of a limacon had none); its feasible candidate of
+    largest least slack then gives the basis.  A repeated pool, or over 100,
+    raises ConvergenceFailure, with the pools and the last least slack.
     """
     Y, S, g = _whiten(P)
     if lines:
@@ -350,31 +367,22 @@ def _solve(P: Polygon, lines: bool) -> Ellipse:
         pool = np.unique(np.argmax(d @ np.stack([np.cos(t), np.sin(t)]), axis=0))
     tried = {pool.tobytes()}
     for pools in range(100):
-        c, X = _basis_optimum(V[pool], lines)
-        if len(pool) == n:
-            return _to_ellipse(c, X, S, g, lines, pools)
+        c, X, basis, w, res = _basis_optimum(V[pool], lines)
+        kkt = w.min() >= -WEIGHT_TOL
+        if kkt and len(pool) == n:  # pool-feasible on all constraints
+            return _to_ellipse(c, X, S, g, lines, pools, res)
+        mask = np.zeros(n, dtype=bool)
+        mask[pool[basis]] = True
         s = _slacks(V, c[:, None], X[:, None], lines)[:, 0]
-        res = None
-        if s.min() >= -FINISH_SLACK:
-            E = _to_ellipse(c, X, S, g, lines, pools)
-            try:
-                cert = verify_john_conditions(P, E, "inscribed" if lines else "enclosing")
-                res = max(float(np.linalg.norm(cert.residual_sum)), cert.residual_identity)
-            except (NoContacts, CertificationFailure):
-                pass
-            if res is not None and res <= FINISH_SLACK:
-                return E
-        least = pool[np.argsort(s[pool], kind="stable")[:5]]
-        basis = np.zeros(n, dtype=bool)
-        basis[least[s[least] <= 1e-9]] = True
-        pool = _next_pool(s[None], basis[None], FINISH_POOL, FINISH_SLACK)[0]
+        least = np.where(mask, 0.0, s).min()
+        if kkt and least >= -FINISH_SLACK:
+            return _to_ellipse(c, X, S, g, lines, pools, res)
+        pool = _next_pool(s[None], mask[None], min(FINISH_POOL, n), FINISH_SLACK)[0]
         if pool.tobytes() in tried:
-            if res is None:
-                raise ConvergenceFailure(f"the basis iteration repeated a pool: {pools + 1} "
-                                         f"pools solved, least slack {s.min():.3g}")
-            return Ellipse(E.center, E.shape, pools, res)
+            raise ConvergenceFailure(f"the basis iteration repeated a pool: {pools + 1} "
+                                     f"pools solved, least slack {least:.3g}")
         tried.add(pool.tobytes())
-    raise ConvergenceFailure(f"the basis iteration solved 100 pools, least slack {s.min():.3g}")
+    raise ConvergenceFailure(f"the basis iteration solved 100 pools, least slack {least:.3g}")
 
 
 def _next_pool(s: np.ndarray, basis: np.ndarray, size: int, tol: float) -> np.ndarray:
@@ -657,21 +665,13 @@ def verify_john_conditions(P: Polygon, E: Ellipse, mode: str) -> JohnCertificate
     U = _contact_dirs(P, E, mode)
     if not len(U):
         raise NoContacts(f"no {mode} boundary contacts within {CONTACT_TOL}")
-    A = np.vstack([
-        U[:, 0],
-        U[:, 1],
-        U[:, 0] ** 2,
-        U[:, 0] * U[:, 1],
-        U[:, 1] ** 2,
-    ])
-    rhs = np.array([0.0, 0.0, 1.0, 0.0, 1.0])
-    w = _nnls(A, rhs)
+    A = np.array([U[:, 0], U[:, 1], U[:, 0] ** 2, U[:, 0] * U[:, 1], U[:, 1] ** 2])
+    w = _nnls(A, np.array([0.0, 0.0, 1.0, 0.0, 1.0]))
     res_sum = U.T @ w
     S = (U.T * w) @ U
     res_id = float(np.linalg.norm(S - np.eye(2)))
     if np.linalg.norm(res_sum) > CERT_RESIDUAL_TOL or res_id > CERT_RESIDUAL_TOL:
-        raise CertificationFailure(
-            f"John residuals too large: sum={np.linalg.norm(res_sum):.3g} id={res_id:.3g}"
-        )
+        raise CertificationFailure(f"John residuals too large: "
+                                   f"sum={np.linalg.norm(res_sum):.3g} id={res_id:.3g}")
     contacts = [(U[i], float(w[i])) for i in range(len(w)) if w[i] > 1e-12]
     return JohnCertificate(contacts, res_sum, res_id)

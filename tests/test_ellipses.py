@@ -752,7 +752,7 @@ def test_finish_past_five_contacts(P, john_pools, loewner_pools):
     for solve, mode, bound in ((john_ellipse, "inscribed", john_pools),
                                (loewner_ellipse, "enclosing", loewner_pools)):
         E = solve(P)
-        assert E.residual == np.finfo(float).eps
+        assert E.residual <= 1e-12
         cert = verify_john_conditions(P, E, mode)
         assert np.linalg.norm(cert.residual_sum) <= 1e-12
         assert cert.residual_identity <= 1e-12
@@ -875,7 +875,8 @@ def test_failure_reports_the_pools_and_the_least_slack(monkeypatch):
     # of _whiten, which holds no vertex: the pools repeat, and the failure
     # says how many were solved and how far the last optimum was infeasible
     monkeypatch.setattr("affpoints.ellipses._basis_optimum",
-                        lambda V, lines: (np.array([5.0, 5.0]), np.array([1.0, 0.0, 1.0])))
+                        lambda V, lines: (np.array([5.0, 5.0]), np.array([1.0, 0.0, 1.0]),
+                                          np.arange(3), np.full(3, 2.0 / 3.0), 0.0))
     with pytest.raises(ConvergenceFailure,
                        match=r"repeated a pool: \d+ pools solved, least slack -\d"):
         loewner_ellipse(canonicalize(limacon(64)))
@@ -885,9 +886,9 @@ def test_partial_pool_candidate_off_the_optimum_is_rejected():
     # five consecutive vertices of the benchmark's limacon under its fourth
     # map at seed 1: their own problem is near degenerate, and its best
     # candidate encloses every vertex, yet is 1.1% larger than the optimum
-    # and 5.1e-3 of the diameter off it.  John's conditions reject it, and
-    # the basis iteration, which certifies such a candidate before it takes
-    # it, ends at the optimum
+    # and 5.1e-3 of the diameter off it.  Its basis weights, one of them
+    # -7.4e8, and John's conditions both reject it, and the basis iteration,
+    # which takes only a candidate of weights >= 0, ends at the optimum
     rng = np.random.default_rng(1)
     for _ in range(4):
         T = random_map(rng)
@@ -895,12 +896,14 @@ def test_partial_pool_candidate_off_the_optimum_is_rejected():
     P = affine_apply(T, canonicalize(limacon(1024)))
     Y, S, g = _whiten(P)
     V = np.column_stack([Y, np.ones(len(Y))])
-    c, X = _basis_optimum(V[978:983], lines=False)
+    c, X, basis, w, _ = _basis_optimum(V[978:983], lines=False)
     assert _slacks(V, c[:, None], X[:, None], lines=False).min() >= -FINISH_SLACK
+    assert w.min() < -1e8
     E, opt = _to_ellipse(c, X, S, g, lines=False), loewner_ellipse(P)
     assert np.linalg.norm(E.center - opt.center) > 1e-3 * P.diameter
     with pytest.raises(CertificationFailure):
         verify_john_conditions(P, E, "enclosing")
+    assert opt.residual <= 1e-12
     cert = verify_john_conditions(P, opt, "enclosing")
     assert np.linalg.norm(cert.residual_sum) <= 1e-12
     assert cert.residual_identity <= 1e-12
@@ -920,7 +923,7 @@ def test_pool_finish_on_contacts_that_do_not_tie(m, polar):
         P = polar_about(P, (0.0, 0.0))
     for solve, mode in ((john_ellipse, "inscribed"), (loewner_ellipse, "enclosing")):
         E = solve(P)
-        assert E.residual == np.finfo(float).eps
+        assert E.residual <= 1e-12
         cert = verify_john_conditions(P, E, mode)
         assert np.linalg.norm(cert.residual_sum) <= 1e-12
         assert cert.residual_identity <= 1e-12
@@ -958,6 +961,14 @@ def _uneven_cases():
         cases.append(pytest.param(P, id=name))
         cases.append(pytest.param(polar_about(P, P.centroid), id=f"{name}-polar"))
         cases.append(pytest.param(affine_apply(_T1E3, P), id=f"{name}-mapped"))
+    # with 1000 corner vertices and under this map, Loewner's third pool
+    # had a candidate of weights -9.41 and 9.89 that won on log det, and
+    # the next pool repeated it: the solve raised ConvergenceFailure
+    t = np.linspace(0.0, 0.5 * np.pi, 1000)
+    corner = np.column_stack([0.7 + 0.3 * np.cos(t), 0.7 + 0.3 * np.sin(t)])
+    P = canonicalize(np.vstack([corner, [[-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]]))
+    cases.append(pytest.param(affine_apply(random_map(np.random.default_rng(2)), P),
+                              id="rounded1000-map2"))
     return cases
 
 
@@ -966,31 +977,43 @@ def test_unevenly_spread_bodies_certify(P):
     # measured: certificates at most 2.1e-13, under the map of condition 1e3
     for solve, mode in ((john_ellipse, "inscribed"), (loewner_ellipse, "enclosing")):
         E = solve(P)
-        assert E.residual == np.finfo(float).eps
+        assert E.residual <= 1e-12
         cert = verify_john_conditions(P, E, mode)
         assert np.linalg.norm(cert.residual_sum) <= 1e-12
         assert cert.residual_identity <= 1e-12
 
 
-def test_crowded_contacts_stall_at_the_optimum():
-    # 200 vertices on an arc of one radian: the Loewner ellipse touches the
-    # two ends and the two middle vertices, 0.005 apart, and the optimum of
-    # its pool certifies only to 5.1e-12, so its pool comes back.  The
-    # solve returns it with that residual (before, it raised
-    # ConvergenceFailure); by symmetry it is centered on the x-axis and
-    # aligned with it.  John's ellipse certifies as usual
-    P = _arc(200, 1.0)
-    E = loewner_ellipse(P)
-    cert = verify_john_conditions(P, E, "enclosing")
+def _sector(m, deg):
+    # the apex and m vertices evenly spaced on an arc of deg degrees of the
+    # unit circle, symmetric about the x-axis
+    u = np.linspace(-0.5 * math.radians(deg), 0.5 * math.radians(deg), m)
+    return canonicalize(np.vstack([[[0.0, 0.0]], np.column_stack([np.cos(u), np.sin(u)])]))
+
+
+@pytest.mark.parametrize("P, solve, mode, bound, cert_bound", [
+    (_arc(200, 1.0), loewner_ellipse, "enclosing", 1e-11, 1e-11),
+    (_arc(1000, 0.5), loewner_ellipse, "enclosing", 1e-9, 1e-9),
+    (_arc(200, 1.0), john_ellipse, "inscribed", 1e-12, 1e-12),
+    (_sector(1000, 20), john_ellipse, "inscribed", 1e-12, 1e-7),
+], ids=["arc200-loewner", "arc1000-loewner", "arc200-john", "sector20-john"])
+def test_crowded_contacts_certify_by_their_basis(P, solve, mode, bound, cert_bound):
+    # contacts a few 1e-3 apart: the Loewner ellipses of 200 vertices on an
+    # arc of one radian and of 1000 on half a radian touch the two ends and
+    # two middle vertices, and their basis residuals, 5.1e-12 and 2.1e-10,
+    # are the certificate's: the ellipse carries them.  John's ellipses read
+    # at most 3.1e-16 on their basis; on a 20 degree sector of 1000 arc
+    # vertices the certificate's weights read 2.1e-8.  Loewner's were
+    # solved to a stall before, past FINISH_SLACK, and so was the sector's.
+    # By symmetry each is centered on the x-axis and aligned with it
+    E = solve(P)
+    assert E.residual <= bound
+    cert = verify_john_conditions(P, E, mode)
     res = max(np.linalg.norm(cert.residual_sum), cert.residual_identity)
-    assert E.residual == res
-    assert FINISH_SLACK < res <= 1e-10
+    assert res <= cert_bound
+    if mode == "enclosing":
+        assert E.residual == pytest.approx(res, rel=1e-3)
     assert abs(E.center[1]) <= 1e-14
     assert abs(E.shape[0, 1]) <= 1e-14
-    J = john_ellipse(P)
-    assert J.residual == np.finfo(float).eps
-    cert = verify_john_conditions(P, J, "inscribed")
-    assert max(np.linalg.norm(cert.residual_sum), cert.residual_identity) <= 1e-12
 
 
 def test_free_center_solves_agree_with_the_fields():
