@@ -10,8 +10,12 @@ larger body runs a basis iteration: it solves pools of FINISH_POOL
 constraints so, the first spread over all directions and each later one
 the last pool's basis, the deepest violation of each arc of constraints
 that its optimum violates, and the constraints it violates most, until an
-optimum is feasible for every constraint (``_solve``, ``_next_pool``): it
-meets John's conditions on its basis, so it is the optimum of them all.
+optimum is feasible for every constraint (``_solve``, ``_next_pool``).  A
+pool's optimum is its feasible candidate of largest area (smallest for
+Loewner) once the weights of John's conditions on that candidate's own
+constraints certify it; only where they do not are all candidates weighed.
+So the last optimum meets John's conditions on its basis, and it is the
+optimum of all constraints.
 The fixed-center John field f_K has constraints linear in M = L^2 and
 three unknowns, so a pair or a triple of contacts fixes its optimum in
 closed form, and the same basis iteration runs over many centers at once,
@@ -53,7 +57,11 @@ FIELD_SLACK = 1e-10
 # ellipses from one _basis_optimum on all constraints, larger ones from the
 # basis iteration on pools of FINISH_POOL.  The value keeps the ellipses of
 # bodies up to 15 vertices as the all-constraints solve gives them; it was
-# not chosen for speed
+# not chosen for speed.  Per solve, on limacons under 8 maps and hulls of
+# random_body(60, s) with n vertices, all constraints against the iteration
+# (medians of 15 alternated rounds, two runs, on a 2-CPU x86 host): 0.81
+# against 0.87 ms at n = 12, 1.2 against 0.95 at 13, 1.55 against 1.1 at
+# 14 and 2.1 against 1.1 at 15, so the iteration is the faster from 13
 BASIS_MAX_N = 15
 # a basis meets John's conditions when no weight is below -WEIGHT_TOL: tied
 # contacts, as a regular polygon's, give bases of the optimum whose zero
@@ -142,9 +150,9 @@ def _pair(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return o[i, j] + o[j, i]
 
 
-def _basis_optimum(V: np.ndarray, lines: bool):
-    """The John (``lines``) or Loewner ellipse of a small body, as the best
-    feasible candidate over all sets of 3 to 5 of its constraints.
+def _candidates(V: np.ndarray, T: np.ndarray, lines: bool):
+    """The feasible candidates for the John (``lines``) or Loewner ellipse
+    of a small body, one per set of 3 to 5 of its constraints.
 
     The rows of V are the constraints in homogeneous coordinates and in the
     body's cyclic order: the edge lines (a, -b) of {a.x <= b}, or the
@@ -177,17 +185,15 @@ def _basis_optimum(V: np.ndarray, lines: bool):
     to 5 constraints, all tight there, and so a candidate.  A candidate is
     feasible when its own constraints read slacks (distances to the edges,
     or 1 - |L^-1 (y - c)|^2) within 1e-9 of 0 and no other is below
-    -FINISH_SLACK, and as the problems are convex it is the optimum when
-    its weights in John's conditions are >= -WEIGHT_TOL (John 1948).  Of
-    those, as many where contacts tie, the one of largest least slack wins,
-    as in ``_field_optimum``; where there are none, the feasible candidate
-    of largest least slack, for the basis iteration to move on from.
+    -FINISH_SLACK.
 
-    Expects the frame of ``_whiten``.  Returns (c, X, basis, w, residual):
-    X = M (John) or M^-1 (Loewner) as (x11, x12, x22), the candidate's rows
-    of V, their weights, and max(|sum w u|, |sum w u u^T - I|).  Candidates
-    are columns, so that reductions over the constraints run along the long
-    axis.
+    Expects the frame of ``_whiten``, and T = ``_terms`` of V.  Returns
+    (c, X, det X, least, sets, i3, i4) of the feasible candidates, as
+    columns: X = M (John) or M^-1 (Loewner) as (x11, x12, x22), the least
+    slack, and the rows of V of each, padded to five with its first; the
+    triples come first, then the 4-sets from column i3 and the 5-sets from
+    column i4.  Candidates are columns, so that reductions over the
+    constraints run along the long axis.
     """
     n = len(V)
     tri, tri_pairs, (ij, kl, ik, jl), first, fifth, sets = _subsets(n, lines)
@@ -235,7 +241,7 @@ def _basis_optimum(V: np.ndarray, lines: bool):
             X = Q[[0, 1, 3]] / -(Q[5] + Q[2] * c[0] + Q[4] * c[1])
         c, X = np.concatenate([g, c], axis=1), np.concatenate([X3, X], axis=1)
         det = X[0] * X[2] - X[1] ** 2
-        s = _slacks(V, c, X, lines)
+        s = _slacks(V, T, c, X, lines)
         least = s.min(axis=0)
     f = np.flatnonzero((least >= -1e-9) & (X[0] > 0.0) & (det > 0.0))
     s, sets, col = s[:, f], sets[:, f], np.arange(len(f))
@@ -245,49 +251,100 @@ def _basis_optimum(V: np.ndarray, lines: bool):
     f, sets = f[ok], sets[:, ok]
     if not f.size:
         raise ConvergenceFailure("no feasible basis")
-    c, X, d, least = c[:, f], X[:, f], np.sqrt(det[f]), least[f]
-    # J: John's conditions sum w_i u_i = 0, sum w_i u_i u_i^T = I as rows, a
-    # column per u_i, the unit X^1/2 a of an edge line (a, -b) or X^1/2 (y - c)
-    # of a vertex y; X^1/2 is X + sqrt(det X) I over a scalar
+    i3, i4 = np.searchsorted(f, (len(tri[0]), len(det) - len(first))).tolist()
+    return c[:, f], X[:, f], det[f], least[f], sets, i3, i4
+
+
+def _basis_optimum(V: np.ndarray, T: np.ndarray, lines: bool):
+    """The John (``lines``) or Loewner ellipse of a small body, as the best
+    feasible candidate over all sets of 3 to 5 of its constraints
+    (``_candidates``).
+
+    Both problems maximize det X, and they are convex, so the feasible
+    candidate of largest det X is the optimum once its weights in John's
+    conditions on its own constraints are >= -WEIGHT_TOL (John 1948), and
+    that candidate alone is weighed.  Where they are not, as in a pool
+    whose own problem is ill posed, every feasible candidate is weighed:
+    of those whose weights are >= -WEIGHT_TOL the one of largest least
+    slack wins, as in ``_field_optimum``; where there are none, the
+    feasible candidate of largest least slack, for the basis iteration to
+    move on from.
+
+    Expects the frame of ``_whiten``, and T = ``_terms`` of V.  Returns
+    (c, X, basis, w, residual): X = M (John) or M^-1 (Loewner) as
+    (x11, x12, x22), the candidate's rows of V, their weights, and
+    max(|sum w u|, |sum w u u^T - I|).
+    """
+    c, X, det, least, sets, i3, i4 = _candidates(V, T, lines)
+    # i indexes the feasible candidates, j the ones weighed
+    i, j = int(np.argmax(det)), 0
+    k = slice(i, i + 1)
+    w, J = _basis_weights(V, sets[:, k], c[:, k], X[:, k], det[k], int(i < i3), int(i < i4),
+                          lines)
+    if not (w >= -WEIGHT_TOL).all():
+        w, J = _basis_weights(V, sets, c, X, det, i3, i4, lines)
+        # least lies within 1e-9 of 0, so meeting John's conditions ranks first
+        i = j = int(np.argmax(least - ~(w >= -WEIGHT_TOL).all(axis=1)))
+    size = 3 + (i >= i3) + (i >= i4)
+    r0, r1, r2, r3, r4 = (J[j] @ w[j]).tolist()
+    res = max(math.hypot(r0, r1), math.sqrt((r2 - 1.0) ** 2 + 2.0 * r3 ** 2 + (r4 - 1.0) ** 2))
+    return c[:, i], X[:, i], sets[:size, i], w[j, :size], res
+
+
+def _basis_weights(V, sets, c, X, det, i3: int, i4: int, lines: bool):
+    """The weights w of John's conditions sum w_i u_i = 0,
+    sum w_i u_i u_i^T = I on the constraints of each candidate (the columns
+    of sets, c, X and det X, with i3 and i4, as ``_candidates`` returns
+    them), in the frame where it is the unit disk.  Returns w and the
+    conditions as (k, 5) and (k, 5, 5) arrays, J w = (0, 0, 1, 0, 1) where
+    w meets them."""
+    # a column of J per u_i, the unit X^1/2 a of an edge line (a, -b) or
+    # X^1/2 (y - c) of a vertex y; X^1/2 is X + sqrt(det X) I over a scalar
+    d = np.sqrt(det)
     y = V[sets, :2] if lines else V[sets, :2] - c.T
     u0 = (X[0] + d) * y[..., 0] + X[1] * y[..., 1]
     u1 = X[1] * y[..., 0] + (X[2] + d) * y[..., 1]
     r = np.hypot(u0, u1)
     u0, u1 = u0 / r, u1 / r
     J = np.array([u0, u1, u0 * u0, u0 * u1, u1 * u1]).transpose(2, 0, 1)
-    # triples first (a Steiner ellipse touches at an equilateral triangle),
-    # then 4-sets, whose normal equations hold at a pencil's stationary member
-    i3, i4 = np.searchsorted(f, (len(tri[0]), len(det) - len(first))).tolist()
-    w = np.zeros((len(f), 5))
+    # a Steiner ellipse touches at an equilateral triangle; a 4-set's normal
+    # equations hold at its pencil's stationary member
+    w = np.zeros((len(d), 5))
     w[:i3, :3] = 2.0 / 3.0
-    G = np.swapaxes(J[i3:i4, :, :4], 1, 2)
-    w[i3:i4, :4] = np.linalg.solve(G @ np.swapaxes(G, 1, 2), G[..., 2:3] + G[..., 4:5])[..., 0]
-    w[i4:] = np.linalg.solve(J[i4:], np.array([[[0.0], [0.0], [1.0], [0.0], [1.0]]]))[..., 0]
-    # least lies within 1e-9 of 0, so meeting John's conditions ranks first
-    i = int(np.argmax(least - ~(w >= -WEIGHT_TOL).all(axis=1)))
-    size = 3 + (i >= i3) + (i >= i4)
-    r0, r1, r2, r3, r4 = (J[i] @ w[i]).tolist()
-    res = max(math.hypot(r0, r1), math.sqrt((r2 - 1.0) ** 2 + 2.0 * r3 ** 2 + (r4 - 1.0) ** 2))
-    return c[:, i], X[:, i], sets[:size, i], w[i, :size], res
+    if i4 > i3:
+        G = np.swapaxes(J[i3:i4, :, :4], 1, 2)
+        w[i3:i4, :4] = np.linalg.solve(G @ np.swapaxes(G, 1, 2), G[..., 2:3] + G[..., 4:5])[..., 0]
+    if len(d) > i4:
+        w[i4:] = np.linalg.solve(J[i4:], np.array([[[0.0], [0.0], [1.0], [0.0], [1.0]]]))[..., 0]
+    return w, J
 
 
-def _slacks(V: np.ndarray, c: np.ndarray, X: np.ndarray, lines: bool) -> np.ndarray:
-    """The slack of each constraint V of ``_basis_optimum`` (rows) for each
-    ellipse (c, X), a column of the (2, m) and (3, m) arrays c and X: the
-    distance b - a.c - |L a| from the ellipse to the edge line, or
-    1 - |L^-1 (y - c)|^2 at the vertex y."""
+def _terms(V: np.ndarray, lines: bool) -> np.ndarray:
+    """The terms of each constraint V of ``_basis_optimum`` (rows) that
+    ``_slacks`` weighs by an ellipse: (a0^2, 2 a0 a1, a1^2) of an edge line
+    (a0, a1, a2), and (a0^2, a0 a1, a1^2, a0, a1, a2) of a vertex."""
     a0, a1, a2 = V.T
+    if lines:
+        return np.column_stack([a0 * a0, 2.0 * a0 * a1, a1 * a1])
+    return np.column_stack([a0 * a0, a0 * a1, a1 * a1, a0, a1, a2])
+
+
+def _slacks(V: np.ndarray, T: np.ndarray, c: np.ndarray, X: np.ndarray, lines: bool) -> np.ndarray:
+    """The slack of each constraint V of ``_basis_optimum`` (rows), with its
+    terms T (``_terms``), for each ellipse (c, X), a column of the (2, m)
+    and (3, m) arrays c and X: the distance b - a.c - |L a| from the
+    ellipse to the edge line, or 1 - |L^-1 (y - c)|^2 at the vertex y."""
     if lines:
         # a.c + |L a| - b for b = -a2, in place: (n, m) arrays dominate the
         # memory of a solve
-        w = np.column_stack([a0 * a0, 2.0 * a0 * a1, a1 * a1]) @ X
+        w = T @ X
         np.sqrt(w, out=w)
         w += V[:, :2] @ c
-        w += a2[:, None]
+        w += V[:, 2:]
         return np.negative(w, out=w)
     Xc = np.stack([X[0] * c[0] + X[1] * c[1], X[1] * c[0] + X[2] * c[1]])
     coef = np.concatenate([X[:1], 2.0 * X[1:2], X[2:], -2.0 * Xc, (Xc * c).sum(axis=0)[None]])
-    w = np.column_stack([a0 * a0, a0 * a1, a1 * a1, a0, a1, a2]) @ coef
+    w = T @ coef
     return np.subtract(1.0, w, out=w)
 
 
@@ -337,10 +394,12 @@ def _solve(P: Polygon, lines: bool) -> Ellipse:
     direction from the centroid) lie nearest FINISH_POOL evenly spaced
     directions.  Those of a convex body leave no gap of pi, so neither do
     the chosen ones, 40 degrees apart, and John's first pool is bounded.
-    Each round solves the pool.  Its optimum meets John's conditions on its
-    basis, so it is the answer once no slack outside the basis over the
-    whole body is below -FINISH_SLACK.  Until then the next pool
-    (``_next_pool``) is the basis; then the deepest violation of each
+    Each round solves the pool: its optimum is the feasible candidate of
+    largest det X that its own weights certify, and only where they do not
+    are all candidates weighed (``_basis_optimum``).  It meets John's
+    conditions on its basis, so it is the answer once no slack outside the
+    basis over the whole body is below -FINISH_SLACK.  Until then the next
+    pool (``_next_pool``) is the basis; then the deepest violation of each
     violated arc, the cyclic local minima of the slack below -FINISH_SLACK;
     then the least slacks over the whole body, FINISH_POOL in all (on a
     smooth body those are neighbours at one contact).  So every pool holds
@@ -348,8 +407,10 @@ def _solve(P: Polygon, lines: bool) -> Ellipse:
     optimum of smaller area than the basis's (larger for Loewner): no pool
     comes back while each optimum is exact.  A pool whose own problem is
     ill posed may have no candidate that meets John's conditions (five
-    consecutive vertices of a limacon had none); its feasible candidate of
-    largest least slack then gives the basis.  A repeated pool, or over 100,
+    consecutive vertices of a limacon had none); after all are weighed, its
+    feasible candidate of largest least slack then gives the basis.  Each
+    solve builds the constraint terms of ``_slacks`` once (``_terms``), and
+    each pool takes its rows of them.  A repeated pool, or over 100,
     raises ConvergenceFailure, with the pools and the last least slack.
     """
     Y, S, g = _whiten(P)
@@ -358,7 +419,7 @@ def _solve(P: Polygon, lines: bool) -> Ellipse:
         V = np.column_stack([A, -b])
     else:
         V = np.column_stack([Y, np.ones(len(Y))])
-    n = len(V)
+    n, T = len(V), _terms(V, lines)
     if n <= BASIS_MAX_N:
         pool = np.arange(n)
     else:
@@ -367,13 +428,13 @@ def _solve(P: Polygon, lines: bool) -> Ellipse:
         pool = np.unique(np.argmax(d @ np.stack([np.cos(t), np.sin(t)]), axis=0))
     tried = {pool.tobytes()}
     for pools in range(100):
-        c, X, basis, w, res = _basis_optimum(V[pool], lines)
+        c, X, basis, w, res = _basis_optimum(V[pool], T[pool], lines)
         kkt = w.min() >= -WEIGHT_TOL
         if kkt and len(pool) == n:  # pool-feasible on all constraints
             return _to_ellipse(c, X, S, g, lines, pools, res)
         mask = np.zeros(n, dtype=bool)
         mask[pool[basis]] = True
-        s = _slacks(V, c[:, None], X[:, None], lines)[:, 0]
+        s = _slacks(V, T, c[:, None], X[:, None], lines)[:, 0]
         least = np.where(mask, 0.0, s).min()
         if kkt and least >= -FINISH_SLACK:
             return _to_ellipse(c, X, S, g, lines, pools, res)
@@ -393,8 +454,10 @@ def _next_pool(s: np.ndarray, basis: np.ndarray, size: int, tol: float) -> np.nd
     the cyclic local minima of s below -tol outside it, deepest first,
     then the least slacks.  Ties go to the lower index."""
     k = len(s)
-    # a plateau of equal minima counts once, at its first constraint
-    dips = (s < -tol) & (s < np.roll(s, 1, axis=1)) & (s <= np.roll(s, -1, axis=1)) & ~basis
+    # a plateau of equal minima counts once, at its first constraint; each
+    # constraint's cyclic neighbours are slices of s padded at both ends
+    e = np.concatenate([s[:, -1:], s, s[:, :1]], axis=1)
+    dips = (s < -tol) & (s < e[:, :-2]) & (s <= e[:, 2:]) & ~basis
     # only the basis, the dips and the size least slacks outside the basis
     # can be taken; ranked, they are sorted row by row
     free = np.where(basis, np.inf, s)
@@ -509,12 +572,14 @@ def _centered_john(A: np.ndarray, b: np.ndarray, X):
     conditions there, and leaves.  The others take their next pool by
     ``_next_pool``: the optimum's pair or triple, the deepest violation of
     each violated arc, then the least slacks (after a pool that fixes no
-    M, whose slacks read nan, the first constraints).  More than 100
-    rounds raise ConvergenceFailure, which gives the centers left and
-    their least slack.  At the optimum det L = sqrt(det M), and by the
-    envelope theorem grad_x log det L = -sum_S lam_i a_i / r_i exactly.
-    Expects a body of diameter about 1; a row whose center has margin at
-    most 1e-13 gets det 0.  Each row's result depends on that row alone.
+    M, whose slacks read nan, the first constraints).  A row whose next
+    pool is the one it just solved would solve it again, so that raises
+    ConvergenceFailure at once, naming the round and the centers; more
+    than 100 rounds raise it too, with the centers left and their least
+    slack.  At the optimum det L = sqrt(det M), and by the envelope
+    theorem grad_x log det L = -sum_S lam_i a_i / r_i exactly.  Expects a
+    body of diameter about 1; a row whose center has margin at most 1e-13
+    gets det 0.  Each row's result depends on that row alone.
 
     Returns (det L, grad_x log det L) per row.
     """
@@ -547,7 +612,7 @@ def _centered_john(A: np.ndarray, b: np.ndarray, X):
         pool = np.stack([np.argmax(np.cos(a) * u0 + np.sin(a) * u1, axis=1) for a in t], axis=1)
     live = np.arange(len(rows))
     p, q, w = u0 * u0, 2.0 * u0 * u1, u1 * u1
-    for _ in range(100):
+    for rounds in range(1, 101):
         sets, m, g = _field_optimum(np.take_along_axis(u0, pool, axis=1),
                                     np.take_along_axis(u1, pool, axis=1))
         s = 1.0 - (m[:, :1] * p + m[:, 1:2] * q + m[:, 2:] * w)
@@ -560,7 +625,15 @@ def _centered_john(A: np.ndarray, b: np.ndarray, X):
             break
         basis = np.zeros((go.size, n), dtype=bool)
         basis[np.arange(go.size)[:, None], np.take_along_axis(pool[go], sets[go], axis=1)] = True
-        pool = _next_pool(s[go], basis, size, FIELD_SLACK)
+        nxt = _next_pool(s[go], basis, size, FIELD_SLACK)
+        # a row whose next pool is the one it just solved would solve it again
+        repeat = (nxt == np.sort(pool[go], axis=1)).all(axis=1)
+        if repeat.any():
+            raise ConvergenceFailure(
+                f"the fixed-center John field repeated a pool in round {rounds}: centers "
+                f"{rows[live[go[repeat]]].tolist()} of {len(rows)}, least slack "
+                f"{least[go[repeat]].min():.3g}")
+        pool = nxt
         live, u0, u1, p, q, w = live[go], u0[go], u1[go], p[go], q[go], w[go]
     else:
         raise ConvergenceFailure(f"the fixed-center John field ran 100 pools: {go.size} of "

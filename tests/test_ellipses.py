@@ -14,13 +14,18 @@ from affpoints.ellipses import (
     FINISH_POOL,
     FINISH_SLACK,
     Ellipse,
+    WEIGHT_TOL,
     _basis_optimum,
+    _basis_weights,
+    _candidates,
     _centered_john,
     _contact_dirs,
+    _field_optimum,
     _normalize,
     _next_pool,
     _nnls,
     _slacks,
+    _terms,
     _to_ellipse,
     _whiten,
     john_ellipse,
@@ -490,13 +495,13 @@ class TestNNLS:
         assert np.allclose(w[:4] + w[4:], 0.5, atol=1e-14)
 
 
-# The barrier path as it stood before the lean step: a generic driver over
-# separate slack, Jacobian and Hessian-sum closures, with the log-det terms
-# as arrays, and both problems at the diameter's scale, the Loewner problem
-# in the center c and the matrix M of (y - c)^T M (y - c) <= 1.  It stops
-# at a gap of 1e-10, some 5e-10 of the diameter from the optimum, so the
-# John and Loewner references are its end point refined by Newton on
-# John's conditions.
+# The oracle, a log-det barrier independent of the library's solvers: a
+# generic driver over separate slack, Jacobian and Hessian-sum closures,
+# with the log-det terms as arrays, and both problems at the diameter's
+# scale, the Loewner problem in the center c and the matrix M of
+# (y - c)^T M (y - c) <= 1.  It stops at a gap of 1e-10, some 5e-10 of the
+# diameter from the optimum, so the John and Loewner references are its end
+# point refined by Newton on John's conditions.
 
 def _sym(t3):
     return np.array([[t3[0], t3[1]], [t3[1], t3[2]]])
@@ -657,15 +662,15 @@ def _oracle_bodies():
     return stream + [polar_about(P, P.centroid) for P in stream[:100]]
 
 
-class TestLeanBarrier:
+class TestBasisSolveAgainstBarrierOracle:
     @pytest.mark.parametrize("solve, oracle, tol", [
         (john_ellipse, _oracle_john, 1e-12),
         (loewner_ellipse, _oracle_loewner, 1e-9),
     ], ids=["john", "loewner"])
     def test_matches_oracle(self, solve, oracle, tol):
-        # the lean step and its finish against the optimum that the barrier
-        # path it replaced leads to, on 300 stream bodies and the polars of
-        # 100 of them
+        # the basis solve against the optimum that the test's own log-det
+        # barrier and KKT refinement lead to, on 300 stream bodies and the
+        # polars of 100 of them
         for P in _oracle_bodies():
             E = solve(P)
             c, S = oracle(P)
@@ -676,9 +681,10 @@ class TestLeanBarrier:
         (john_ellipse, "inscribed"), (loewner_ellipse, "enclosing")],
         ids=["john", "loewner"])
     def test_certified_to_rounding(self, solve, mode):
-        # the barrier alone took 67 Newton steps per solve on these bodies,
-        # and its end points had certificates up to 1.2e-7 (john) and
-        # 2.0e-8 (loewner)
+        # the basis solve's ellipses certify to rounding on the same bodies,
+        # with at most 40 pools after the first per solve on average (a
+        # barrier took 67 Newton steps per solve on them, and its end points
+        # read certificates up to 1.2e-7 for john and 2.0e-8 for loewner)
         steps = []
         for P in _oracle_bodies():
             E = solve(P)
@@ -811,15 +817,45 @@ def test_field_pools_on_the_benchmark_maps(monkeypatch):
 
 
 def test_field_failure_reports_the_rows_and_the_least_slack(monkeypatch):
-    # a pool rule that always returns the first six edges, whose optimum
-    # at the centroid of a 64-vertex limacon leaves the other edges
-    # violated: after 100 rounds the failure says how many centers were
-    # left and how far their optima were infeasible
-    monkeypatch.setattr("affpoints.ellipses._next_pool",
-                        lambda s, basis, size, tol: np.tile(np.arange(size), (len(s), 1)))
+    # a pool rule that returns the first six edges and the next six by
+    # turns, whose optima at the centroid of a 64-vertex limacon leave
+    # other edges violated: no pool is the one just solved, and after 100
+    # rounds the failure says how many centers were left and how far their
+    # optima were infeasible
+    calls = []
+
+    def two_pools(s, basis, size, tol):
+        calls.append(len(s))
+        return np.tile(np.arange(size) + size * (len(calls) % 2), (len(s), 1))
+
+    monkeypatch.setattr("affpoints.ellipses._next_pool", two_pools)
     with pytest.raises(ConvergenceFailure,
                        match=r"ran 100 pools: 1 of 1 centers left, least slack -\d"):
         max_centered_area(canonicalize(limacon(64)), (0.0, 0.0))
+
+
+def test_field_stops_a_center_whose_pool_repeats(monkeypatch):
+    # a center whose pools fix no M (its M reads nan, as on a pool of one
+    # line) takes the basis and the first constraints as its next pool,
+    # which here in the second round is the pool it just solved: the field
+    # stops there and names it, rather than solve that pool again until its
+    # 100-round failure
+    rounds = []
+    field_optimum = _field_optimum
+
+    def nan_first_row(x, y):
+        rounds.append(len(x))
+        sets, m, g = field_optimum(x, y)
+        m[0] = np.nan
+        return sets, m, g
+
+    monkeypatch.setattr("affpoints.ellipses._field_optimum", nan_first_row)
+    verts, _, _ = _normalize(canonicalize(limacon(64)))
+    A, b = edge_normals(Polygon(verts))
+    with pytest.raises(ConvergenceFailure,
+                       match=r"repeated a pool in round 2: centers \[0\] of 4, least slack nan"):
+        _centered_john(A, b, 0.1 * verts[::16])
+    assert len(rounds) == 2
 
 
 def _slack_profile(n, dips):
@@ -875,14 +911,69 @@ def test_failure_reports_the_pools_and_the_least_slack(monkeypatch):
     # of _whiten, which holds no vertex: the pools repeat, and the failure
     # says how many were solved and how far the last optimum was infeasible
     monkeypatch.setattr("affpoints.ellipses._basis_optimum",
-                        lambda V, lines: (np.array([5.0, 5.0]), np.array([1.0, 0.0, 1.0]),
-                                          np.arange(3), np.full(3, 2.0 / 3.0), 0.0))
+                        lambda V, T, lines: (np.array([5.0, 5.0]), np.array([1.0, 0.0, 1.0]),
+                                             np.arange(3), np.full(3, 2.0 / 3.0), 0.0))
     with pytest.raises(ConvergenceFailure,
                        match=r"repeated a pool: \d+ pools solved, least slack -\d"):
         loewner_ellipse(canonicalize(limacon(64)))
 
 
-def test_partial_pool_candidate_off_the_optimum_is_rejected():
+def _count_weighings(monkeypatch):
+    # the number of candidates of each _basis_weights call, in order: a
+    # pool solve weighs its candidate of largest det, and every feasible
+    # candidate after that only where that one fails
+    calls = []
+    weights = _basis_weights
+
+    def spy(V, sets, *args):
+        calls.append(sets.shape[1])
+        return weights(V, sets, *args)
+
+    monkeypatch.setattr("affpoints.ellipses._basis_weights", spy)
+    return calls
+
+
+def _weigh_every_candidate(V, T, lines):
+    # the pool optimum by the rule that weighs every feasible candidate: of
+    # those whose weights are >= -WEIGHT_TOL, the one of largest least
+    # slack, else of them all
+    c, X, det, least, sets, i3, i4 = _candidates(V, T, lines)
+    w, _ = _basis_weights(V, sets, c, X, det, i3, i4, lines)
+    i = int(np.argmax(least - ~(w >= -WEIGHT_TOL).all(axis=1)))
+    return c[:, i], X[:, i]
+
+
+def test_pool_optima_match_weighing_every_candidate(monkeypatch):
+    # every pool that the basis iteration solves, on the limacons of
+    # _finish_cases, the uneven bodies and 100 stream bodies: the candidate
+    # of largest det X that its own weights certify is the ellipse that
+    # weighing every candidate picks.  Where contacts tie the two rules may
+    # take different candidates of the same optimum
+    pools = []
+    basis_optimum = _basis_optimum
+
+    def spy(V, T, lines):
+        out = basis_optimum(V, T, lines)
+        pools.append((V, T, lines, out[0], out[1]))
+        return out
+
+    monkeypatch.setattr("affpoints.ellipses._basis_optimum", spy)
+    limacons = [case.values[0] for case in _finish_cases() if case.id.startswith("limacon")]
+    bodies = limacons + [case.values[0] for case in _uneven_cases()] + _stream(100, 5)
+    for P in bodies:
+        _, S, g = _whiten(P)
+        pools.clear()
+        john_ellipse(P)
+        loewner_ellipse(P)
+        assert pools
+        for V, T, lines, c, X in pools:
+            E = _to_ellipse(c, X, S, g, lines)
+            ref = _to_ellipse(*_weigh_every_candidate(V, T, lines), S, g, lines)
+            assert np.linalg.norm(E.center - ref.center) <= 1e-12 * P.diameter
+            assert np.abs(E.shape - ref.shape).max() <= 1e-12 * P.diameter
+
+
+def test_partial_pool_candidate_off_the_optimum_is_rejected(monkeypatch):
     # five consecutive vertices of the benchmark's limacon under its fourth
     # map at seed 1: their own problem is near degenerate, and its best
     # candidate encloses every vertex, yet is 1.1% larger than the optimum
@@ -896,8 +987,12 @@ def test_partial_pool_candidate_off_the_optimum_is_rejected():
     P = affine_apply(T, canonicalize(limacon(1024)))
     Y, S, g = _whiten(P)
     V = np.column_stack([Y, np.ones(len(Y))])
-    c, X, basis, w, _ = _basis_optimum(V[978:983], lines=False)
-    assert _slacks(V, c[:, None], X[:, None], lines=False).min() >= -FINISH_SLACK
+    calls = _count_weighings(monkeypatch)
+    c, X, basis, w, _ = _basis_optimum(V[978:983], _terms(V[978:983], False), lines=False)
+    # its one feasible candidate fails its weights, so the pool weighs
+    # every feasible candidate: that one again
+    assert calls == [1, 1]
+    assert _slacks(V, _terms(V, False), c[:, None], X[:, None], lines=False).min() >= -FINISH_SLACK
     assert w.min() < -1e8
     E, opt = _to_ellipse(c, X, S, g, lines=False), loewner_ellipse(P)
     assert np.linalg.norm(E.center - opt.center) > 1e-3 * P.diameter
@@ -911,18 +1006,25 @@ def test_partial_pool_candidate_off_the_optimum_is_rejected():
 
 @pytest.mark.parametrize("polar", [False, True], ids=["circle", "polar"])
 @pytest.mark.parametrize("m", [20, 40, 60, 100, 150, 200, 250, 300])
-def test_pool_finish_on_contacts_that_do_not_tie(m, polar):
+def test_pool_finish_on_contacts_that_do_not_tie(m, polar, monkeypatch):
     # m vertices at random angles on the unit circle: each touches the
     # Loewner ellipse, the circle, with its own weight, and each edge of the
     # polar about 0 touches the incircle.  The barrier that the basis
     # iteration replaced ended at its gap on the 300 tangent lines, where
-    # every pool it tried read a slack of -2.3e-12
+    # every pool it tried read a slack of -2.3e-12.  The 5-sets of a pool
+    # of nine contacts give the circle to rounding, and on the 200 tangent
+    # lines the one of largest det fails its weights, so John's one pool
+    # weighs every candidate
+    calls = _count_weighings(monkeypatch)
     t = np.sort(np.random.default_rng(11).uniform(0.0, 2.0 * np.pi, m))
     P = canonicalize(np.column_stack([np.cos(t), np.sin(t)]))
     if polar:
         P = polar_about(P, (0.0, 0.0))
     for solve, mode in ((john_ellipse, "inscribed"), (loewner_ellipse, "enclosing")):
+        calls.clear()
         E = solve(P)
+        if (m, polar, mode) == (200, True, "inscribed"):
+            assert len(calls) == 2 and calls[0] == 1 and E.iterations == 0
         assert E.residual <= 1e-12
         cert = verify_john_conditions(P, E, mode)
         assert np.linalg.norm(cert.residual_sum) <= 1e-12
