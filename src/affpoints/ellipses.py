@@ -3,19 +3,18 @@ ellipse solvers for convex polygons.
 
 Both run on the vertices whitened to unit scatter (``_whiten``).  In the
 plane each problem is LP-type with at most five contacts, so its optimum is
-the best feasible ellipse over all sets of 3 to 5 constraints, each a
-Steiner ellipse or a pencil member from a root of a quadratic or cubic
-(``_basis_optimum``): so on all constraints up to BASIS_MAX_N vertices.  A
-larger body runs a basis iteration: it solves pools of FINISH_POOL
-constraints so, the first spread over all directions and each later one
-the last pool's basis, the deepest violation of each arc of constraints
-that its optimum violates, and the constraints it violates most, until an
-optimum is feasible for every constraint (``_solve``, ``_next_pool``).  A
-pool's optimum is its feasible candidate of largest area (smallest for
-Loewner) once the weights of John's conditions on that candidate's own
-constraints certify it; only where they do not are all candidates weighed.
-So the last optimum meets John's conditions on its basis, and it is the
-optimum of all constraints.
+the best feasible ellipse over all sets of 3 to 5 constraints, one per set
+for both problems (a Steiner ellipse or a pencil member, ``_candidates``):
+so on all constraints up to BASIS_MAX_N vertices.  A larger body runs a
+basis iteration: it solves pools of FINISH_POOL constraints so, the first
+spread over all directions and each later one the last pool's basis, the
+deepest violation of each arc of constraints that its optimum violates,
+and the constraints it violates most, until an optimum is feasible for
+every constraint (``_solve``, ``_next_pool``).  A pool's optimum is its
+feasible candidate of largest area (smallest for Loewner) once the weights
+of John's conditions on that candidate's own constraints certify it; only
+where they do not are all candidates weighed.  So the last optimum meets
+John's conditions on its basis, and it is the optimum of all constraints.
 The fixed-center John field f_K has constraints linear in M = L^2 and
 three unknowns, so a pair or a triple of contacts fixes its optimum in
 closed form, and the same basis iteration runs over many centers at once,
@@ -121,25 +120,25 @@ def _gram_root(B: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _subsets(n: int, lines: bool):
-    """Index arrays of the 3-, 4- and 5-subsets of range(n) for
-    ``_basis_optimum``: the triples (i, j, k) as a (3, m3) array, and as
-    their pairs (j, k), (k, i), (i, j), flat in the n x n grid; the pairs
-    (i, j), (k, l), (i, k), (j, l) of each 4-subset, flat in that grid;
-    each 5-subset as the index of its first four, and as its fifth and that
-    index flat in the grid of constraints by 4-subsets; and each
-    candidate's constraints, padded with its first, as a (5, m) array (a
-    4-subset twice for John, once per root of its quadratic)."""
+def _subsets(n: int):
+    """Index arrays of the 3-, 4- and 5-subsets of range(n), one candidate
+    each for John and Loewner alike (``_candidates``): the triples (i, j, k)
+    as a (3, m3) array, and as their pairs (j, k), (k, i), (i, j), flat in
+    the n x n grid; the pairs (i, j), (k, l), (i, k), (j, l) of each
+    4-subset, flat in that grid; the 4-subset of each pencil member, its own
+    and then each 5-subset's first four; each 5-subset's fifth and first
+    four, flat in the grid of constraints by 4-subsets; and each
+    candidate's constraints, padded with its first, as a (5, m) array."""
     comb = itertools.combinations
     i, j, k = np.array(list(comb(range(n), 3)), dtype=np.intp).reshape(-1, 3).T
     a, b, c, d = np.array(list(comb(range(n), 4)), dtype=np.intp).reshape(-1, 4).T
     first, fifth = np.array([(q, e) for q, last in enumerate(d.tolist())
                              for e in range(last + 1, n)], dtype=np.intp).reshape(-1, 2).T
-    sets = np.concatenate([np.stack([i, j, k, i, i])] + [np.stack([a, b, c, d, a])] * (1 + lines)
-                          + [np.stack([a[first], b[first], c[first], d[first], fifth])], axis=1)
+    sets = np.concatenate([np.stack([i, j, k, i, i]), np.stack([a, b, c, d, a]),
+                           np.stack([a[first], b[first], c[first], d[first], fifth])], axis=1)
     return (np.stack([i, j, k]), np.stack([j * n + k, k * n + i, i * n + j]),
-            np.stack([a * n + b, c * n + d, a * n + c, b * n + d]), first,
-            fifth * len(a) + first, sets)
+            np.stack([a * n + b, c * n + d, a * n + c, b * n + d]),
+            np.concatenate([np.arange(len(a)), first]), fifth * len(a) + first, sets)
 
 
 def _pair(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -166,11 +165,19 @@ def _candidates(V: np.ndarray, T: np.ndarray, lines: bool):
       mean g of its vertices x_i and M = L^2 = sum (x_i - g)(x_i - g)^T / 6
       (inscribed) or 2 / 3 of that sum (circumscribed);
     - 4 constraints v_i, v_j, v_k, v_l: the pencil Q(s) = A + s C of the
-      two line pairs A = sym(v_i x v_j, v_k x v_l) and
-      C = sym(v_i x v_k, v_j x v_l), sym(p, q) = p q^T + q p^T.  Its
-      degenerate members are A, A - C and C, so det Q(s) ~ s (1 + s).
-      John maximizes det M = det Q / h^3, h = Q_22 = h0 + h1 s, at a root
-      of -h1 s^2 + 2 (h0 - h1) s + h0; Loewner maximizes
+      point (John) or line (Loewner) pairs A = sym(v_i x v_j, v_k x v_l)
+      and C = sym(v_i x v_k, v_j x v_l), sym(p, q) = p q^T + q p^T.  Its
+      degenerate members are A, A - C and C, so det Q(s) ~ s (1 + s); its
+      ellipses lie on s in (-1, 0), and each problem takes the one
+      stationary member there.  John maximizes det M = det Q / h^3,
+      h = Q_22 = h0 + h1 s.  The segment between the quadrilateral's two
+      diagonal point pairs A and A - C holds every inscribed ellipse, and
+      det M vanishes at both ends, so q(s) = -h1 s^2 + 2 (h0 - h1) s + h0,
+      the numerator of (log det M)', has exactly one root there; as
+      q(0) = h0 and q(-1) = h1 - h0, that happens exactly when h0 and
+      e = h0 - h1 share a sign.  Then f = -(e + sign(e) sqrt(e^2 + h0 h1))
+      has |f| > |h0| and the sign of -h0: the root is h0 / f, in (-1, 0),
+      and the other, -f / h1, lies outside.  Loewner maximizes
       det L^-2 = det(Q')^3 / det(Q)^2, with Q' the 2x2 block of Q and
       det Q' = d0 + d1 s + d2 s^2, at a root of
       2 d2 s^3 + (4 d2 - d1) s^2 + (d1 - 4 d0) s - 2 d0.  Its leading
@@ -196,7 +203,7 @@ def _candidates(V: np.ndarray, T: np.ndarray, lines: bool):
     constraints run along the long axis.
     """
     n = len(V)
-    tri, tri_pairs, (ij, kl, ik, jl), first, fifth, sets = _subsets(n, lines)
+    tri, tri_pairs, (ij, kl, ik, jl), four, fifth, sets = _subsets(n)
     v = V.T
     # the cross products of every pair of constraints
     a, b = v[:, :, None], v[:, None, :]
@@ -216,7 +223,7 @@ def _candidates(V: np.ndarray, T: np.ndarray, lines: bool):
             h0, h1 = A[5], C[5]
             e = h0 - h1
             f = -(e + np.copysign(np.sqrt(e * e + h0 * h1), e))
-            s = np.array([-f / h1, h0 / f])
+            s = h0 / f
         else:
             d0 = A[0] * A[3] - A[1] ** 2
             d1 = A[0] * C[3] + A[3] * C[0] - 2.0 * A[1] * C[1]
@@ -225,11 +232,11 @@ def _candidates(V: np.ndarray, T: np.ndarray, lines: bool):
             # the middle root of s^3 + b2 s^2 + b1 s + b0, by Viete
             rad = np.sqrt(np.maximum(b2 * b2 / 9.0 - b1 / 3.0, 0.0))
             cos3 = (b2 * (b1 / 6.0 - b2 * b2 / 27.0) - 0.5 * b0) / rad ** 3
-            s = (2.0 * rad * np.cos((np.arccos(np.clip(cos3, -1.0, 1.0)) - 2.0 * np.pi) / 3.0)
-                 - b2 / 3.0)[None]
-        s5 = -((V @ p) * (V @ q) / ((V @ r) * (V @ t))).reshape(-1)[fifth]
-        Q = np.concatenate([(A[:, None] + s * C[:, None]).reshape(6, -1),
-                            A[:, first] + s5 * C[:, first]], axis=1)
+            s = 2.0 * rad * np.cos((np.arccos(np.clip(cos3, -1.0, 1.0)) - 2.0 * np.pi) / 3.0) \
+                - b2 / 3.0
+        # and each 5-set's member of its first four's pencil through its fifth
+        s = np.concatenate([s, -((V @ p) * (V @ q) / ((V @ r) * (V @ t))).reshape(-1)[fifth]])
+        Q = A[:, four] + s * C[:, four]
         if lines:
             # C* = h [[c c^T - M, c], [c^T, 1]]
             c = Q[[2, 4]] / Q[5]
@@ -251,7 +258,7 @@ def _candidates(V: np.ndarray, T: np.ndarray, lines: bool):
     f, sets = f[ok], sets[:, ok]
     if not f.size:
         raise ConvergenceFailure("no feasible basis")
-    i3, i4 = np.searchsorted(f, (len(tri[0]), len(det) - len(first))).tolist()
+    i3, i4 = np.searchsorted(f, (len(tri[0]), len(det) - len(fifth))).tolist()
     return c[:, f], X[:, f], det[f], least[f], sets, i3, i4
 
 
@@ -721,9 +728,7 @@ def _contact_dirs(P: Polygon, E: Ellipse, mode: str) -> np.ndarray:
     if mode == "inscribed":
         U, r = edge_normals(Polygon(verts))
     else:
-        # each radius as np.linalg.norm of one vertex takes it, by a dot
-        # product (matmul of two vectors calls the same one)
-        r = np.sqrt(verts[:, None] @ verts[:, :, None])[:, 0, 0]
+        r = np.hypot(verts[:, 0], verts[:, 1])
         U = verts / r[:, None]
     return U[np.abs(r - 1.0) < CONTACT_TOL]
 

@@ -185,20 +185,11 @@ def central_differences(F):
     return model
 
 
-def _dot_norms(F: np.ndarray) -> np.ndarray:
-    # |F| of each row as np.linalg.norm gives it, by the same dot product (a
-    # sum of squares differs in the last bit, as OpenBLAS's dot fuses): a
-    # (1, 2) @ (2, 1) matmul, which numpy hands to that dot
-    return np.sqrt(np.matmul(F[:, None], F[..., None])[:, 0, 0])
-
-
-def _vecdot_norms(F: np.ndarray) -> np.ndarray:
-    # the same by np.vecdot (numpy 2.0 on), which calls that dot at less
-    # cost: the matmul cost a one-row Santalo solve 2-4% more
-    return np.sqrt(np.vecdot(F, F))
-
-
-_norms = _vecdot_norms if hasattr(np, "vecdot") else _dot_norms
+def _norms(F: np.ndarray) -> np.ndarray:
+    """|F| of each row of a (k, 2) array, as np.hypot.  np.hypot(inf, nan)
+    is inf where a sum of squares gives nan; every use sits behind the
+    margin test, and a row that fails it is never taken."""
+    return np.hypot(F[:, 0], F[:, 1])
 
 
 def _newton_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -361,9 +352,7 @@ def _santalo_model(bodies):
     def jac(aux, rows):
         V, grad, H = aux
         V = V[:, None, None]
-        # float_power is the C pow of the scalar V**2 that this model took
-        # before it ran k rows: it differs from V*V in the last bit
-        return (H / V - grad[:, :, None] * grad[:, None, :] / np.float_power(V, 2)) / 3.0
+        return (H / V - grad[:, :, None] * grad[:, None, :] / (V * V)) / 3.0
 
     return at, jac
 

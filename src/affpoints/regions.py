@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _polyops_py as kernels
-from .ellipses import FIELD_POOL, _centered_john, _normalize
+from .ellipses import FIELD_POOL, _centered_john, _field_sets, _normalize
 from .errors import BadParams, DegenerateInput, EmptyResult
 from .points import PointFunction, _overlap_model, _ray_roots, eval_point
 from .polygons import Polygon, canonicalize, edge_normals
@@ -161,7 +161,7 @@ def john_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:
     Each ray's crossing is the root of log target - log f, with f and its
     exact envelope-theorem slope from the batched fixed-center John field
     (``ellipses._centered_john``), which solves each ray's pools of
-    FIELD_POOL constraints from their 35 pairs and triples.
+    FIELD_POOL constraints from their pairs and triples.
     """
     if not 0.0 < c < 1.0:
         raise BadParams(f"need 0 < c < 1, got {c}")
@@ -176,9 +176,10 @@ def john_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:
         with np.errstate(divide="ignore"):
             return log_target - np.log(det), -(grad * U).sum(axis=1)
 
-    # per ray, the field's arrays hold n slacks, and 35 x FIELD_POOL pool
-    # slacks of its candidates
-    return canonicalize(g + d * _region(Q, j, m, field, max(Q.n, 35 * FIELD_POOL)))
+    # per ray, the field's arrays hold n slacks, and FIELD_POOL pool slacks
+    # of each of its candidates, the pool's pairs and triples
+    per_ray = max(Q.n, len(_field_sets(FIELD_POOL)[0]) * FIELD_POOL)
+    return canonicalize(g + d * _region(Q, j, m, field, per_ray))
 
 
 def symcore_region(P: Polygon, c: float, m: int = DEFAULT_RAYS) -> Polygon:

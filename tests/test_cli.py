@@ -260,6 +260,12 @@ def test_usage_error_exit_2():
     ["point", "--body", "file:{tmp}/triples.json", "--id", "centroid"],
     ["point", "--body", "file:{tmp}/flat.json", "--id", "centroid"],
     ["point", "--body", "file:{tmp}/nested.json", "--id", "centroid"],
+    ["region", "floating", "--body", "square", "--param", "0.1", "--rays", "32"],
+    ["region", "illumination", "--body", "square", "--param", "0.1", "--rays", "10"],
+    ["region", "john", "--body", "square", "--param", "1.5"],
+    ["region", "symcore", "--body", "square", "--param", "0"],
+    ["point", "--body", "beta:1.5", "--id", "centroid"],
+    ["point", "--body", "nosuch", "--id", "centroid"],
 ])
 def test_bad_input_exit_2(argv, tmp_path, monkeypatch, capsys):
     from affpoints import cli
@@ -281,6 +287,24 @@ def test_bad_input_exit_2(argv, tmp_path, monkeypatch, capsys):
         cli.main()
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["point", "--body", "cross", "--id", "centroid"], 0),
+    (["point", "--body", "beta:0.5", "--id", "centroid"], 0),
+    # no sign change of the certificate's function: a failed check
+    (["counterexample", "--eta", "0.5", "--eps", "0.5"], 1),
+])
+def test_exit_code_and_one_document(argv, code, monkeypatch, capsys):
+    from affpoints import cli
+
+    monkeypatch.setattr(sys, "argv", ["affpoints", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == code
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]).get("passed", True) is (code == 0)
 
 
 @pytest.mark.parametrize("s", [1e103, 1e-110])

@@ -25,6 +25,7 @@ from affpoints.ellipses import (
     _next_pool,
     _nnls,
     _slacks,
+    _subsets,
     _terms,
     _to_ellipse,
     _whiten,
@@ -180,7 +181,8 @@ class TestCertificates:
 
     def test_contact_scan_matches_loop(self):
         # the masked scan against a loop over the edges (vertices): the same
-        # contacts in the same order, to the bit, so the same certificate
+        # contacts in the same order, to the bit, so the same certificate;
+        # a vertex's radius is np.hypot of its coordinates, as in the scan
         def loop(P, E, mode):
             verts = np.linalg.solve(E.shape, (P.vertices - E.center).T).T
             dirs = []
@@ -190,8 +192,8 @@ class TestCertificates:
                         dirs.append(a)
             else:
                 for v in verts:
-                    if abs(np.linalg.norm(v) - 1.0) < CONTACT_TOL:
-                        dirs.append(v / np.linalg.norm(v))
+                    if abs(np.hypot(*v) - 1.0) < CONTACT_TOL:
+                        dirs.append(v / np.hypot(*v))
             return np.asarray(dirs).reshape(-1, 2)
 
         rng = np.random.default_rng(65)
@@ -971,6 +973,22 @@ def test_pool_optima_match_weighing_every_candidate(monkeypatch):
             ref = _to_ellipse(*_weigh_every_candidate(V, T, lines), S, g, lines)
             assert np.linalg.norm(E.center - ref.center) <= 1e-12 * P.diameter
             assert np.abs(E.shape - ref.shape).max() <= 1e-12 * P.diameter
+
+
+def test_one_subset_table_serves_john_and_loewner():
+    # one candidate per set of 3 to 5 constraints for both problems: John's
+    # 4-set takes only its pencil's root in (-1, 0).  A nine-constraint
+    # pool has C(9, 3) + C(9, 4) + C(9, 5) = 336 candidates (John had 462,
+    # two per 4-set), and twelve constraints 1,507 (John had 2,002)
+    _subsets.cache_clear()
+    P = canonicalize(limacon(9))
+    assert P.n == 9
+    john_ellipse(P)
+    loewner_ellipse(P)
+    info = _subsets.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert _subsets(9)[-1].shape == (5, 336)
+    assert _subsets(12)[-1].shape == (5, 1507)
 
 
 def test_partial_pool_candidate_off_the_optimum_is_rejected(monkeypatch):

@@ -204,8 +204,8 @@ def _same_bits(a, b):
 def _step_model(d):
     """A ``polar_root`` model with F(w) = w - 0.05 and the Jacobian d_i I
     for body i: d = 1 steps onto the root, d = 0.3 overshoots and is
-    halved, d = -1 points uphill and stalls, and d = 1e3 crawls past the
-    step budget."""
+    halved, d = -1 points uphill and stalls, d = 1e3 crawls past the step
+    budget, and d = 0 is singular."""
 
     def model(bodies):
         cons = [edge_normals(Q) for Q in bodies]
@@ -263,8 +263,11 @@ class TestEvalPoints:
             assert out[i][0].tobytes() == z.tobytes() and out[i][1:] == (steps, nrm)
 
     def test_rows_halve_stall_and_run_out_on_their_own(self):
-        d = [1.0, 0.3, -1.0, 1e3, 0.3]
-        bodies = list(random_polygons(5, 70))
+        # the last row's Jacobian is singular, so the first batched solve
+        # fails and each row is solved alone; that row steps by F, onto the
+        # root
+        d = [1.0, 0.3, -1.0, 1e3, 0.3, 0.0]
+        bodies = list(random_polygons(6, 70))
         out = polar_root(_step_model(d), bodies, None, 1e-12)
         kinds = []
         for i, P in enumerate(bodies):
@@ -279,6 +282,31 @@ class TestEvalPoints:
         assert kinds[0] == 1 and kinds[1] > 10
         assert kinds[2] == "polar root stalled"
         assert kinds[3] == "polar root: no convergence in 120 steps"
+        assert kinds[5] == 1
+
+    def test_a_long_first_step_is_capped(self):
+        # halfway from the centroid to an edge's midpoint the Santalo
+        # solve's first Newton step is 0.48 long in the whitened frame (near
+        # a vertex it measured 0.001 to 0.15): it is cut to 0.25, and the
+        # solve ends where the one from the centroid does
+        P = list(random_polygons(3, 70))[1]
+        start = 0.5 * (P.centroid + 0.5 * (P.vertices[1] + P.vertices[2]))
+        tried = []
+
+        def model(bodies):
+            at, jac = points._santalo_model(bodies)
+
+            def spy(W, rows):
+                tried.append(W.copy())
+                return at(W, rows)
+
+            return spy, jac
+
+        (z, steps, _), = polar_root(model, [P], [start], points.SANTALO_TOL)
+        (z0, _, _), = polar_root(points._santalo_model, [P], None, points.SANTALO_TOL)
+        assert np.linalg.norm(tried[1] - tried[0]) == pytest.approx(0.25, rel=1e-12)
+        assert steps > 1
+        assert np.linalg.norm(z - z0) <= 1e-12 * P.diameter
 
     def test_raises_the_first_failure_in_list_order(self, monkeypatch):
         bodies = list(random_polygons(4, 68))
@@ -304,15 +332,6 @@ class TestEvalPoints:
             assert _same_bits(eval_point(self.S, P), santalo_point(P))
         out = points._eval_points(self.S, bodies)
         assert [type(r) for r in out[1:3]] == [RuntimeError, RuntimeError]
-
-    def test_row_norms_are_linalg_norms(self):
-        # the driver's |F| per row, by np.vecdot or by the matmul that
-        # numpy before 2.0 runs, is np.linalg.norm of the row to the bit
-        rng = np.random.default_rng(71)
-        F = rng.standard_normal((20000, 2)) * np.exp(rng.uniform(-30, 30, (20000, 1)))
-        want = np.array([np.linalg.norm(f) for f in F]).tobytes()
-        assert points._dot_norms(F).tobytes() == want
-        assert points._norms(F).tobytes() == want
 
 
 class TestSymcore:
