@@ -25,7 +25,7 @@ from .duality import (
     random_polygons,
 )
 from .ellipses import john_ellipse, loewner_ellipse, verify_john_conditions
-from .errors import BadParams, CertificationFailure, GeometryError, NoRoot
+from .errors import CertificationFailure, GeometryError, NoRoot
 from .points import POINT_IDS, PointFunction, eval_point
 from .polygons import k_sub_z, polar_about
 
@@ -41,23 +41,11 @@ REGION_MAPS = {"floating": "floating_body",
 MAX_RAYS = 65536
 # upper bounds of iterate-product --k and of the --trials options: ten times
 # the longest runs in use, so that a mistyped count exits at once rather than
-# run for hours (two point solves per iterate; a John dual-check trial takes
-# some 5 ms, and dual-check builds its trial bodies up front)
+# run for hours (two point solves per iterate; dual-check builds its trial
+# bodies up front, and `dual-check --p john --q loewner --trials 1000` takes
+# 1.5 to 1.9 s, start-up included, on a 2-CPU x86 host)
 MAX_ITERATES = 1000
 MAX_TRIALS = 10000
-
-
-def _point(spec: str, eps: float = 0.1, delta: float = 0.05) -> PointFunction:
-    """Point function for an id; ``capfamily:EPS,DELTA`` sets the cap widths."""
-    name, _, widths = spec.partition(":")
-    if name != "capfamily":
-        return PointFunction(spec)
-    if widths:
-        try:
-            eps, delta = (float(s) for s in widths.split(","))
-        except ValueError as exc:
-            raise BadParams(f"expected capfamily:EPS,DELTA, got {spec!r}") from exc
-    return PointFunction("capfamily", (eps, delta))
 
 
 def _int_range(lo: int, hi: int | None = None):
@@ -136,19 +124,14 @@ def _add_body(sub, required=True):
                           "kab:A,B, beta:ETA, random:K,SEED, file:PATH")
 
 
-def _add_point_id(sub, flag="--id"):
-    sub.add_argument(flag, required=True, choices=POINT_IDS)
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="affpoints")
+    point_help = f"point: {', '.join(POINT_IDS)}, or capfamily:EPS,DELTA"
     sp = ap.add_subparsers(dest="cmd", required=True)
 
     p = sp.add_parser("point", help="evaluate an affine invariant point")
     _add_body(p)
-    _add_point_id(p)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--delta", type=float, default=0.05)
+    p.add_argument("--id", required=True, help=point_help)
 
     p = sp.add_parser("polar", help="polar body about a point")
     _add_body(p)
@@ -180,35 +163,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg")
 
     p = sp.add_parser("dual-check", help="residual of q(K^{p(K)}) = p(K)")
-    p.add_argument("--p", required=True)
-    p.add_argument("--q", required=True)
+    p.add_argument("--p", required=True, help=point_help)
+    p.add_argument("--q", required=True, help=point_help)
     p.add_argument("--trials", type=_int_range(1, MAX_TRIALS), default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_tolerance, default=1e-5)
     p.add_argument("--jobs", type=_int_range(1), default=1)
 
     p = sp.add_parser("product-check", help="check [p,q](r) = r")
-    p.add_argument("--p", required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--r", required=True)
+    p.add_argument("--p", required=True, help=point_help)
+    p.add_argument("--q", required=True, help=point_help)
+    p.add_argument("--r", required=True, help=point_help)
     p.add_argument("--trials", type=_int_range(1, MAX_TRIALS), default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_tolerance, default=1e-5)
 
     p = sp.add_parser("invariance", help="affine equivariance deviation")
     _add_body(p)
-    _add_point_id(p)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--delta", type=float, default=0.05)
+    p.add_argument("--id", required=True, help=point_help)
     p.add_argument("--trials", type=_int_range(1, MAX_TRIALS), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_tolerance, default=1e-6)
 
     p = sp.add_parser("preimage", help="solve p((C - z) polar) = 0 for z")
     _add_body(p)
-    _add_point_id(p)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--delta", type=float, default=0.05)
+    p.add_argument("--id", required=True, help=point_help)
     p.add_argument("--init", type=_parse_xy, default=None)
 
     p = sp.add_parser("counterexample",
@@ -218,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sp.add_parser("iterate-product", help="iterates of [p,p] applied to r")
     _add_body(p)
-    p.add_argument("--p", required=True)
-    p.add_argument("--r", required=True)
+    p.add_argument("--p", required=True, help=point_help)
+    p.add_argument("--r", required=True, help=point_help)
     p.add_argument("--k", type=_int_range(0, MAX_ITERATES), default=5)
     return ap
 
@@ -241,7 +220,7 @@ def _cpus() -> int:
 
 
 def _dual_check(args) -> int:
-    p, q = _point(args.p), _point(args.q)
+    p, q = map(PointFunction.parse, (args.p, args.q))
     bodies = list(random_polygons(args.trials, args.seed))
     if args.jobs > 1:
         from multiprocessing import get_context
@@ -264,7 +243,7 @@ def _dual_check(args) -> int:
 
 
 def _product_check(args) -> int:
-    p, q, r = _point(args.p), _point(args.q), _point(args.r)
+    p, q, r = map(PointFunction.parse, (args.p, args.q, args.r))
     worst = 0.0
     for P in random_polygons(args.trials, args.seed):
         dev = np.linalg.norm(product_apply(p, q, r, P) - eval_point(r, P).value)
@@ -281,7 +260,7 @@ def run_command(argv) -> int:
 
     if args.cmd == "point":
         P = parse_spec(args.body)
-        res = eval_point(_point(args.id, args.eps, args.delta), P)
+        res = eval_point(PointFunction.parse(args.id), P)
         _emit({"id": args.id, "value": res.value.tolist(),
                "iterations": res.iterations, "residual": res.residual})
         return 0
@@ -332,8 +311,7 @@ def run_command(argv) -> int:
 
     if args.cmd == "invariance":
         P = parse_spec(args.body)
-        dev = invariance_check(_point(args.id, args.eps, args.delta), P,
-                               args.trials, args.seed)
+        dev = invariance_check(PointFunction.parse(args.id), P, args.trials, args.seed)
         passed = dev < args.tol
         _emit({"id": args.id, "max_deviation": dev, "trials": args.trials,
                "tolerance": args.tol, "passed": passed})
@@ -341,7 +319,7 @@ def run_command(argv) -> int:
 
     if args.cmd == "preimage":
         C = parse_spec(args.body)
-        pf = _point(args.id, args.eps, args.delta)
+        pf = PointFunction.parse(args.id)
         z = polar_preimage(pf, C, args.init)
         resid = float(np.linalg.norm(eval_point(pf, polar_about(C, z)).value))
         _emit({"z": z.tolist(), "residual": resid})
@@ -358,7 +336,7 @@ def run_command(argv) -> int:
 
     if args.cmd == "iterate-product":
         P = parse_spec(args.body)
-        p, r = _point(args.p), _point(args.r)
+        p, r = map(PointFunction.parse, (args.p, args.r))
         values = [v.tolist() for v in product_iterates(p, r, P, args.k)]
         _emit({"p": args.p, "r": args.r, "k": args.k, "values": values})
         return 0

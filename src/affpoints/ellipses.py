@@ -54,13 +54,15 @@ FIELD_POOL = 6
 FIELD_SLACK = 1e-10
 # bodies of at most BASIS_MAX_N vertices take their John and Loewner
 # ellipses from one _basis_optimum on all constraints, larger ones from the
-# basis iteration on pools of FINISH_POOL.  The value keeps the ellipses of
-# bodies up to 15 vertices as the all-constraints solve gives them; it was
-# not chosen for speed.  Per solve, on limacons under 8 maps and hulls of
-# random_body(60, s) with n vertices, all constraints against the iteration
-# (medians of 15 alternated rounds, two runs, on a 2-CPU x86 host): 0.81
-# against 0.87 ms at n = 12, 1.2 against 0.95 at 13, 1.55 against 1.1 at
-# 14 and 2.1 against 1.1 at 15, so the iteration is the faster from 13
+# basis iteration: a choice by size.  John plus Loewner per body, all
+# constraints against the iteration, on the n-vertex bodies of
+# random_polygons(1120, 41) (n = 14, 15: of random_polygons(40000, 41)),
+# medians of 9 alternated rounds on a 2-CPU x86 host: 1.0 against 1.6 ms at
+# n = 10, 1.4 against 1.7 at 12, 2.2 against 1.5 at 13 and 4.0 against 2.0
+# at 15.  So all constraints serve the `points` benchmark's bodies (4 to 11
+# vertices) and the iteration `large_n`'s 1024; the value is 15, not 12,
+# only to keep the output of bodies of 13 to 15 vertices, whose
+# ``iterations`` would turn nonzero (199 of 240 such solves)
 BASIS_MAX_N = 15
 # a basis meets John's conditions when no weight is below -WEIGHT_TOL: tied
 # contacts, as a regular polygon's, give bases of the optimum whose zero
@@ -74,9 +76,10 @@ class Ellipse:
 
     A solved ellipse records its solve: ``iterations`` counts the pools
     that the basis iteration solved after its first (0 for a body of at
-    most BASIS_MAX_N vertices), and ``residual`` that of John's conditions
-    on its basis (see ``_basis_optimum``).  Both are 0 for an ellipse built
-    any other way.
+    most BASIS_MAX_N vertices, solved on all constraints: a choice of the
+    faster solver by size), and ``residual`` that of John's conditions on
+    its basis (``_basis_optimum``).  Both are 0 for an ellipse built any
+    other way.
     """
 
     center: np.ndarray

@@ -40,7 +40,8 @@ POINT_IDS = ("centroid", "santalo", "john", "loewner", "symcore", "capfamily")
 
 @dataclass(frozen=True)
 class PointFunction:
-    """An identified affine invariant point, optionally parameterized."""
+    """An identified affine invariant point: capfamily takes its cap
+    widths (eps, delta) as parameters, every other id takes none."""
 
     id: str
     params: tuple = ()
@@ -53,6 +54,21 @@ class PointFunction:
         if self.id == "capfamily":
             if len(self.params) != 2 or not all(0.0 < p < np.inf for p in self.params):
                 raise BadParams("capfamily needs parameters (eps, delta), both finite and > 0")
+        elif self.params:
+            raise BadParams(f"point id {self.id!r} takes no parameters")
+
+    @classmethod
+    def parse(cls, spec: str) -> "PointFunction":
+        """The point that ``spec`` names: an id of POINT_IDS, or
+        ``capfamily:EPS,DELTA`` with its cap widths; a bare ``capfamily``
+        takes the default widths, which only this parser holds."""
+        if spec == "capfamily":
+            return cls(spec, (0.1, 0.05))
+        name, colon, widths = spec.partition(":")
+        try:
+            return cls(name, tuple(map(float, widths.split(","))) if colon else ())
+        except ValueError as exc:
+            raise BadParams(f"expected ID or capfamily:EPS,DELTA, got {spec!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -160,7 +176,9 @@ def central_differences(F):
     """``polar_root``'s model of a black-box point F(Q, w) of the polar
     (Q - w)°: F where the margin passes, and a Jacobian by central
     differences, four more calls of F, formed only when a step needs it.
-    F takes one point, so the rows run one by one."""
+    The difference step is 1e-6, or half the margin of a w nearer the
+    boundary than that, so the stencil stays inside the body.  F takes
+    one point, so the rows run one by one."""
 
     def model(bodies):
         cons = [edge_normals(Q) for Q in bodies]
@@ -171,14 +189,14 @@ def central_differences(F):
                                for r, w in zip(rows, W)])
             FW = np.array([F(bodies[r], w) if not m <= POLAR_MARGIN else (np.nan, np.nan)
                            for r, w, m in zip(rows, W, margin)])
-            return margin, FW, (W,)
+            return margin, FW, (W, margin)
 
         def jac(aux, rows):
-            (W,) = aux
+            W, margin = aux
             rows = range(len(W)) if rows is None else rows
-            E = 1e-6 * np.eye(2)
-            return np.array([np.column_stack([(F(bodies[r], w + e) - F(bodies[r], w - e)) / 2e-6
-                                              for e in E]) for r, w in zip(rows, W)])
+            return np.array([np.column_stack([(F(bodies[r], w + e) - F(bodies[r], w - e)) / (2 * h)
+                                              for e in h * np.eye(2)])
+                             for r, w, h in zip(rows, W, np.minimum(1e-6, 0.5 * margin))])
 
         return at, jac
 

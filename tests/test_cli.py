@@ -204,6 +204,10 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+BAD_POINT_SPECS = ["capfamily:", "capfamily:0.1", "capfamily:0.1,0.05,1",
+                   "capfamily:nan,0.1", "capfamily:0,0.1", "santalo:1", "nosuch"]
+
+
 @pytest.mark.parametrize("argv", [
     ["point", "--body", "ngon:abc", "--id", "centroid"],
     ["point", "--body", "kab:1", "--id", "centroid"],
@@ -231,7 +235,7 @@ def test_usage_error_exit_2():
     ["region", "illumination", "--body", "square", "--param", "inf"],
     ["region", "santalo", "--body", "square", "--param", "nan", "--rays", "16"],
     ["region", "santalo", "--body", "square", "--param", "inf", "--rays", "16"],
-    ["point", "--body", "random:9,4", "--id", "capfamily", "--delta", "inf"],
+    ["point", "--body", "random:9,4", "--id", "capfamily:0.1,inf"],
     ["counterexample", "--eps", "-1"],
     ["counterexample", "--eps", "nan"],
     ["counterexample", "--eta", "1.5"],
@@ -266,6 +270,11 @@ def test_usage_error_exit_2():
     ["region", "symcore", "--body", "square", "--param", "0"],
     ["point", "--body", "beta:1.5", "--id", "centroid"],
     ["point", "--body", "nosuch", "--id", "centroid"],
+    # the point grammar: ID, or capfamily:EPS,DELTA, alike for --id and --p
+    *[[*cmd, spec, *rest] for spec in BAD_POINT_SPECS for cmd, rest in (
+        (["point", "--body", "square", "--id"], []),
+        (["dual-check", "--p"], ["--q", "centroid", "--trials", "1"]))],
+    ["point", "--body", "square", "--id", "centroid", "--eps", "0.1"],
 ])
 def test_bad_input_exit_2(argv, tmp_path, monkeypatch, capsys):
     from affpoints import cli
@@ -294,6 +303,7 @@ def test_bad_input_exit_2(argv, tmp_path, monkeypatch, capsys):
     (["point", "--body", "beta:0.5", "--id", "centroid"], 0),
     # no sign change of the certificate's function: a failed check
     (["counterexample", "--eta", "0.5", "--eps", "0.5"], 1),
+    (["point", "--body", "random:12,7", "--id", "capfamily:0.1,0.05"], 0),
 ])
 def test_exit_code_and_one_document(argv, code, monkeypatch, capsys):
     from affpoints import cli

@@ -198,6 +198,13 @@ class TestPreimage:
             with pytest.raises(PointNotInterior):
                 polar_preimage(G, square, init=init)
 
+    @pytest.mark.parametrize("pf", [G, S, J], ids=lambda pf: pf.id)
+    def test_start_nearer_the_boundary_than_the_difference_step(self, square, pf):
+        # 1e-7 from the edge x = 1: a difference step of 1e-6 left the square
+        # and raised PointNotInterior for the stencil point (1.0000009, 0)
+        z = polar_preimage(pf, square, init=(0.9999999, 0.0))
+        assert np.linalg.norm(z) <= 1e-11
+
     @pytest.mark.parametrize("seed, t1, t2, shift", [
         (1153838077, 5.536746214766893, 0.3331952739149466,
          (-0.47642974385981746, -0.8191201803277345)),

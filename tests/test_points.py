@@ -76,6 +76,23 @@ def test_bad_point_function():
             PointFunction("capfamily", widths)
         with pytest.raises(BadParams):
             cap_point(random_body(9, 4), *widths)
+    # parameters on an id that takes none would key a memo entry of their
+    # own and solve the same point again
+    for pid in ALL_IDS:
+        with pytest.raises(BadParams):
+            PointFunction(pid, (1.0,))
+
+
+def test_parse_point_spec():
+    for pid in ALL_IDS:
+        assert PointFunction.parse(pid) == PointFunction(pid)
+    assert PointFunction.parse("capfamily:0.02,0.005") == PointFunction("capfamily", (0.02, 0.005))
+    assert PointFunction.parse("capfamily") == PointFunction.parse("capfamily:0.1,0.05")
+    for spec in ("capfamily:", "capfamily:0.1", "capfamily:0.1,0.05,1", "capfamily:0.1,",
+                 "capfamily:x,0.1", "capfamily:nan,0.1", "capfamily:0,0.1",
+                 "capfamily:0.1,inf", "santalo:", "santalo:1", "nosuch", "nosuch:1", ""):
+        with pytest.raises(BadParams):
+            PointFunction.parse(spec)
 
 
 class TestMemo:

@@ -1,10 +1,10 @@
-"""Property tests: affine equivariance of the santalo, john, loewner and
-symcore points, and of the floating and illumination bodies; the polar
-preimage of the centroid as the Santalo point; the scaling of the
-fixed-center John and Loewner fields under T; the Hausdorff distance as
-a metric that commutes with similarities; the diameter as the full scan
-over all vertex pairs; and John's contact conditions, to rounding, for
-the John and Loewner ellipses.
+"""Property tests: affine equivariance of the santalo, john, loewner,
+symcore and capfamily points, and of the floating and illumination
+bodies; the polar preimage of the centroid as the Santalo point; the
+scaling of the fixed-center John and Loewner fields under T; the
+Hausdorff distance as a metric that commutes with similarities; the
+diameter as the full scan over all vertex pairs; and John's contact
+conditions, to rounding, for the John and Loewner ellipses.
 
 The spec of an affine invariant point is p(T K) = T p(K) for every
 nonsingular affine T.  Hypothesis draws the body, the scale (1e-8 to 1e8),
@@ -86,10 +86,11 @@ def midline_bodies_and_maps(draw):
 PROPERTY = settings(max_examples=30, derandomize=True, deadline=None)
 
 
-def _deviation(pid, P, T):
-    """|p(T P) - T p(P)| over the diameter of T P."""
+def _deviation(spec, P, T):
+    """|p(T P) - T p(P)| over the diameter of T P, for the point that
+    ``spec`` names."""
     Q = affine_apply(T, P)
-    pf = PointFunction(pid)
+    pf = PointFunction.parse(spec)
     return np.linalg.norm(eval_point(pf, Q).value - T(eval_point(pf, P).value)) / Q.diameter
 
 
@@ -195,6 +196,12 @@ def test_santalo_point_is_affine_equivariant(case):
 @given(midline_bodies_and_maps())
 def test_symcore_point_is_affine_equivariant(case):
     assert _deviation("symcore", *case) <= TOL
+
+
+@PROPERTY
+@given(bodies_and_maps())
+def test_capfamily_point_is_affine_equivariant(case):
+    assert _deviation("capfamily:0.1,0.05", *case) <= TOL
 
 
 @PROPERTY
