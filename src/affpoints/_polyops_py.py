@@ -3,6 +3,11 @@
 All functions take a CCW-ordered (n, 2) float64 vertex array.  Callers
 import this module as ``kernels``; the benchmark's tracer finds the kernel
 layer by this module's name.
+
+No kernel loops over the vertices in Python or sorts where a minimum will
+do, and each has one form for every n.  ``clip_halfplane`` is vectorised
+and returns the same cycle, in the same order, as a walk over the edges;
+a vertex's successor is a slice (``_successors``), not ``np.roll``.
 """
 
 from __future__ import annotations
@@ -43,28 +48,33 @@ def support(verts: np.ndarray, ux: float, uy: float) -> float:
 
 
 def clip_halfplane(verts: np.ndarray, nx: float, ny: float, off: float) -> np.ndarray:
-    """Keep {x : <n, x> <= off}.  Returns a (k, 2) array, possibly empty."""
+    """Keep {x : <n, x> <= off}.  Returns a (k, 2) array, possibly empty.
+
+    The cycle walks the edges in index order, as a loop over the vertices
+    would: each kept vertex (d <= 0), then the crossing on its edge to the
+    next vertex where d changes sign, at t = d_i / (d_i - d_i+1) along it.
+    All crossings are formed at once, and one mask over the vertices, each
+    followed by its edge's crossing, picks the cycle.
+    """
     d = verts[:, 0] * nx + verts[:, 1] * ny - off
-    n = len(verts)
-    if np.all(d <= 0.0):
+    keep = d <= 0.0
+    if keep.all():
         return verts
-    if np.all(d >= 0.0):
+    if (d >= 0.0).all():
         return np.empty((0, 2))
-    out: list[np.ndarray] = []
-    for i in range(n):
-        j = (i + 1) % n
-        di, dj = d[i], d[j]
-        if di <= 0.0:
-            out.append(verts[i])
-            if dj > 0.0:
-                t = di / (di - dj)
-                out.append(verts[i] + t * (verts[j] - verts[i]))
-        elif dj < 0.0:
-            t = di / (di - dj)
-            out.append(verts[i] + t * (verts[j] - verts[i]))
-    if len(out) < 3:
-        return np.empty((0, 2))
-    return np.asarray(out)
+    dn = np.concatenate((d[1:], d[:1]))
+    cross = np.where(keep, dn > 0.0, dn < 0.0)
+    cut = np.flatnonzero(cross)
+    di, vi = d[cut], verts[cut]
+    t = di / (di - dn[cut])
+    # row 2i is vertex i, row 2i + 1 the crossing on edge i
+    rows = np.repeat(verts, 2, axis=0)
+    rows[2 * cut + 1] = vi + t[:, None] * (verts.take(cut + 1, axis=0, mode="wrap") - vi)
+    taken = np.empty(2 * len(verts), dtype=bool)
+    taken[0::2] = keep
+    taken[1::2] = cross
+    out = rows[taken]
+    return out if len(out) >= 3 else np.empty((0, 2))
 
 
 def polar_vertices(verts: np.ndarray, zx: float, zy: float) -> np.ndarray:
@@ -73,7 +83,7 @@ def polar_vertices(verts: np.ndarray, zx: float, zy: float) -> np.ndarray:
     Edge through y_i, y_{i+1} maps to the unique u with <u, y_i> = <u, y_{i+1}> = 1.
     """
     y = verts - np.array([zx, zy])
-    yn = np.roll(y, -1, axis=0)
+    yn = _successors(y)
     det = y[:, 0] * yn[:, 1] - y[:, 1] * yn[:, 0]
     ux = (yn[:, 1] - y[:, 1]) / det
     uy = (y[:, 0] - yn[:, 0]) / det

@@ -144,12 +144,15 @@ def _subsets(n: int):
             np.concatenate([np.arange(len(a)), first]), fifth * len(a) + first, sets)
 
 
+# the entries (00, 01, 02, 11, 12, 22) of a symmetric 3x3 matrix
+_PAIR_I, _PAIR_J = np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2])
+
+
 def _pair(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The entries (00, 01, 02, 11, 12, 22) of p q^T + q p^T, as rows, for
     the columns p and q of two (3, m) arrays."""
     o = p[:, None] * q
-    i, j = [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]
-    return o[i, j] + o[j, i]
+    return o[_PAIR_I, _PAIR_J] + o[_PAIR_J, _PAIR_I]
 
 
 def _candidates(V: np.ndarray, T: np.ndarray, lines: bool):
@@ -301,6 +304,10 @@ def _basis_optimum(V: np.ndarray, T: np.ndarray, lines: bool):
     return c[:, i], X[:, i], sets[:size, i], w[j, :size], res
 
 
+# the right-hand side (0, 0, 1, 0, 1) of John's conditions J w, as a stack of one
+_JOHN_RHS = np.array([[[0.0], [0.0], [1.0], [0.0], [1.0]]])
+
+
 def _basis_weights(V, sets, c, X, det, i3: int, i4: int, lines: bool):
     """The weights w of John's conditions sum w_i u_i = 0,
     sum w_i u_i u_i^T = I on the constraints of each candidate (the columns
@@ -325,7 +332,7 @@ def _basis_weights(V, sets, c, X, det, i3: int, i4: int, lines: bool):
         G = np.swapaxes(J[i3:i4, :, :4], 1, 2)
         w[i3:i4, :4] = np.linalg.solve(G @ np.swapaxes(G, 1, 2), G[..., 2:3] + G[..., 4:5])[..., 0]
     if len(d) > i4:
-        w[i4:] = np.linalg.solve(J[i4:], np.array([[[0.0], [0.0], [1.0], [0.0], [1.0]]]))[..., 0]
+        w[i4:] = np.linalg.solve(J[i4:], _JOHN_RHS)[..., 0]
     return w, J
 
 
@@ -434,8 +441,12 @@ def _solve(P: Polygon, lines: bool) -> Ellipse:
         pool = np.arange(n)
     else:
         t = 2.0 * np.pi * np.arange(FINISH_POOL) / FINISH_POOL
-        d = V[:, :2] / np.linalg.norm(V[:, :2], axis=1)[:, None]
-        pool = np.unique(np.argmax(d @ np.stack([np.cos(t), np.sin(t)]), axis=0))
+        x, y = V[:, 0], V[:, 1]
+        d = V[:, :2] / np.sqrt(x * x + y * y)[:, None]
+        # sorted, repeats dropped: np.unique's pool, without its import of
+        # numpy.ma on first use
+        pool = np.sort(np.argmax(d @ np.stack([np.cos(t), np.sin(t)]), axis=0))
+        pool = pool[np.concatenate(([True], pool[1:] != pool[:-1]))]
     tried = {pool.tobytes()}
     for pools in range(100):
         c, X, basis, w, res = _basis_optimum(V[pool], T[pool], lines)

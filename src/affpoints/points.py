@@ -475,8 +475,8 @@ def _overlap_model(Q: Polygon):
     """
     V = Q.vertices
     N, b = edge_normals(Q)
-    E = np.roll(V, -1, axis=0) - V
-    lengths = np.linalg.norm(E, axis=1)
+    E = kernels._successors(V) - V
+    lengths = np.sqrt(E[:, 0] * E[:, 0] + E[:, 1] * E[:, 1])
     # reflected edge i runs from 2x - v_i along -E_i; [i, k] pairs it with
     # halfplane k of Q
     beta = -E @ N.T
@@ -486,7 +486,7 @@ def _overlap_model(Q: Polygon):
     i, j = i[anti], j[anti]
     beta[j, i] = beta[i, j] = 0.0
     U = N[i] - N[j]
-    U /= np.linalg.norm(U, axis=1)[:, None]
+    U /= np.sqrt(U[:, 0] * U[:, 0] + U[:, 1] * U[:, 1])[:, None]
     C = 0.5 * (b[i] - b[j])
     nt = np.column_stack([-U[:, 1], U[:, 0]]) @ N.T
     with np.errstate(divide="ignore", invalid="ignore"):

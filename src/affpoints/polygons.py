@@ -85,7 +85,7 @@ class Polygon:
             e = w - _supporting(v, b, a)
             # sqrt is correctly rounded, so monotone: the root of the largest
             # square is the largest root
-            d = math.sqrt(float((e * e).sum(axis=1).max()))
+            d = math.sqrt(float((e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]).max()))
             object.__setattr__(self, "_diameter", d)
         return d
 
@@ -202,7 +202,7 @@ def _drop_collinear(verts: np.ndarray, floor: float) -> np.ndarray:
     e, _ = _turns(verts)
     near = np.hypot(e[:, 0], e[:, 1]) <= floor
     if len(verts) - near.sum() >= 3:
-        verts = verts[~np.roll(near, 1)]
+        verts = verts[~np.concatenate((near[-1:], near[:-1]))]
     e, cross = _turns(verts)
     keep = cross > _keep_bound(e, floor)
     return verts[keep] if keep.sum() >= 3 else verts
@@ -251,8 +251,10 @@ def canonicalize(points) -> Polygon:
     if not np.isfinite(pts).all():
         raise DegenerateInput("coordinates must be finite")
     # the hull has the extent of pts; the keep and degeneracy tests are
-    # relative to it, so neither depends on where the points lie
-    extent = float(np.ptp(pts, axis=0).max())
+    # relative to it, so neither depends on where the points lie.  Reduced
+    # along the rows of the transpose: numpy reduces (n, 2) along axis 0 slowly
+    w = np.ascontiguousarray(pts.T)
+    extent = float((w.max(axis=1) - w.min(axis=1)).max())
     floor = EPS_GEOM * extent
     hull = _convex_cycle(pts, floor)
     if hull is None:
@@ -261,8 +263,10 @@ def canonicalize(points) -> Polygon:
             hull = _drop_collinear(hull, floor)
     if len(hull) < 3:
         raise DegenerateInput("points are collinear or coincident")
-    start = int(np.lexsort((hull[:, 1], hull[:, 0]))[0])
-    P = Polygon(np.roll(hull, -start, axis=0))
+    # the first vertex of least x, then of least y: the lexicographic minimum
+    x = hull[:, 0]
+    start = int(np.argmin(np.where(x == x.min(), hull[:, 1], np.inf)))
+    P = Polygon(np.concatenate((hull[start:], hull[:start])))
     # the area that the polygon keeps, so the kernel runs once per hull
     if abs(P.area) <= EPS_AREA * extent * extent:
         raise DegenerateInput("points are collinear or coincident")
@@ -277,10 +281,12 @@ def support(P: Polygon, u) -> float:
 def edge_normals(P: Polygon) -> tuple[np.ndarray, np.ndarray]:
     """Unit outward normals and offsets: P = {x : normals @ x <= offsets}."""
     v = P.vertices
-    e = np.roll(v, -1, axis=0) - v
+    e = kernels._successors(v) - v
     normals = np.column_stack([e[:, 1], -e[:, 0]])
-    normals /= np.linalg.norm(normals, axis=1)[:, None]
-    offsets = np.einsum("ij,ij->i", normals, v)
+    x, y = normals.T
+    normals /= np.sqrt(x * x + y * y)[:, None]
+    # + 0.0: an edge line through the origin has the offset +0, never -0
+    offsets = x * v[:, 0] + y * v[:, 1] + 0.0
     return normals, offsets
 
 
@@ -366,11 +372,12 @@ def hausdorff(P: Polygon, Q: Polygon) -> float:
     start, U = start[order], np.vstack(fans)[order]
     d = (_supporting(P.vertices, angles[0], start)
          - _supporting(Q.vertices, angles[1], start))
-    U1 = np.roll(U, -1, axis=0)
+    U1 = kernels._successors(U)
     c0 = U[:, 0] * d[:, 1] - U[:, 1] * d[:, 0]
     c1 = d[:, 0] * U1[:, 1] - d[:, 1] * U1[:, 0]
     inside = ((c0 >= 0.0) & (c1 >= 0.0)) | ((c0 <= 0.0) & (c1 <= 0.0))
-    ends = np.maximum(np.abs((d * U).sum(axis=1)), np.abs((d * U1).sum(axis=1)))
+    ends = np.maximum(np.abs(d[:, 0] * U[:, 0] + d[:, 1] * U[:, 1]),
+                      np.abs(d[:, 0] * U1[:, 0] + d[:, 1] * U1[:, 1]))
     return float(np.where(inside, np.hypot(d[:, 0], d[:, 1]), ends).max())
 
 

@@ -47,7 +47,7 @@ def floating_body(P: Polygon, delta: float, m: int = DEFAULT_RAYS) -> Polygon:
         return P
     verts, d, g = _normalize(P)
     vx, vy = verts.T
-    ex, ey = (np.roll(verts, -1, axis=0) - verts).T
+    ex, ey = (kernels._successors(verts) - verts).T
     # edge i adds cross(v_i, v_i+1) times its share in the cap
     cross = vx * ey - vy * ex
     target = delta * 0.5 * cross.sum()
@@ -57,11 +57,11 @@ def floating_body(P: Polygon, delta: float, m: int = DEFAULT_RAYS) -> Polygon:
         beta = X[:, :1] * ux + X[:, 1:] * uy
         h = vx * ux + vy * uy - beta
         inside = h >= 0.0
-        into = np.roll(inside, -1, axis=1)
+        into = np.concatenate((inside[:, 1:], inside[:, :1]), axis=1)
         # the chord runs from where the boundary leaves the cap to where it
         # enters, along -u turned by 90 degrees, and adds -beta * L
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = h / (h - np.roll(h, -1, axis=1))
+            t = h / (h - np.concatenate((h[:, 1:], h[:, :1]), axis=1))
             share = np.where(inside, np.where(into, 1.0, t), np.where(into, 1.0 - t, 0.0))
             s = np.where(inside != into, (vy + t * ey) * ux - (vx + t * ex) * uy, 0.0)
         L = np.where(inside, s, -s).sum(axis=1)
@@ -94,7 +94,7 @@ def illumination_body(P: Polygon, delta: float, m: int = DEFAULT_RAYS) -> Polygo
     if delta == 0.0:
         return P
     verts, d, g = _normalize(P)
-    ex, ey = (np.roll(verts, -1, axis=0) - verts).T
+    ex, ey = (kernels._successors(verts) - verts).T
     b = ey * verts[:, 0] - ex * verts[:, 1]
     target = delta * 0.5 * b.sum()
 

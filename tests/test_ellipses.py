@@ -789,6 +789,29 @@ def test_pools_on_the_benchmark_maps():
         assert np.mean(steps) <= 8 and max(steps) <= 12
 
 
+def test_large_solves_load_no_numpy_ma():
+    # np.unique imports numpy.ma on its first call in numpy 2, at some 20 ms;
+    # the first pool of a body past BASIS_MAX_N vertices is formed without
+    # it.  numpy 1.24 loads numpy.ma with numpy itself
+    import os
+    import subprocess
+    import sys
+
+    import affpoints
+
+    src = os.path.dirname(os.path.dirname(affpoints.__file__))
+    code = ("import sys, numpy; before = set(sys.modules); "
+            "from affpoints.bodies import ngon; "
+            "from affpoints.ellipses import john_ellipse, loewner_ellipse; "
+            "P = ngon(64); john_ellipse(P); loewner_ellipse(P); "
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if m.split('.')[:2] == ['numpy', 'ma']))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"
+
+
 def test_field_pools_on_the_benchmark_maps(monkeypatch):
     # the fixed-center John field at 64 centers of the benchmark's limacon
     # under its 12 maps of seed 1, from the centroid out to 0.99 of the way

@@ -22,6 +22,7 @@ from affpoints.polygons import (
     affine_apply,
     canonicalize,
     clip_halfplane,
+    edge_normals,
     hausdorff,
     interior_margin,
     intersect,
@@ -537,3 +538,147 @@ class TestShift:
             g1 = affine_apply(T, P).centroid
             g2 = T(P.centroid)
             assert np.linalg.norm(g1 - g2) <= 1e-12 * (1 + np.linalg.norm(g2))
+
+
+# ---------------------------------------------------------------------------
+# The kernels' vectorised forms against the forms they replaced, which are
+# kept here verbatim: each must give the same bits.
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _clip_loop(verts, nx, ny, off):
+    d = verts[:, 0] * nx + verts[:, 1] * ny - off
+    n = len(verts)
+    if np.all(d <= 0.0):
+        return verts
+    if np.all(d >= 0.0):
+        return np.empty((0, 2))
+    out = []
+    for i in range(n):
+        j = (i + 1) % n
+        di, dj = d[i], d[j]
+        if di <= 0.0:
+            out.append(verts[i])
+            if dj > 0.0:
+                t = di / (di - dj)
+                out.append(verts[i] + t * (verts[j] - verts[i]))
+        elif dj < 0.0:
+            t = di / (di - dj)
+            out.append(verts[i] + t * (verts[j] - verts[i]))
+    if len(out) < 3:
+        return np.empty((0, 2))
+    return np.asarray(out)
+
+
+def _canonical_sorted(points):
+    """canonicalize's vertices, with its extent by np.ptp, its start by
+    np.lexsort and its rotation by np.roll."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    extent = float(np.ptp(pts, axis=0).max())
+    floor = EPS_GEOM * extent
+    hull = _convex_cycle(pts, floor)
+    if hull is None:
+        hull = _drop_collinear(_convex_hull(pts), floor)
+    start = int(np.lexsort((hull[:, 1], hull[:, 0]))[0])
+    return np.roll(hull, -start, axis=0)
+
+
+def _edge_normals_rolled(v):
+    e = np.roll(v, -1, axis=0) - v
+    normals = np.column_stack([e[:, 1], -e[:, 0]])
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    offsets = np.einsum("ij,ij->i", normals, v)
+    return normals, offsets
+
+
+def _polar_vertices_rolled(verts, zx, zy):
+    y = verts - np.array([zx, zy])
+    yn = np.roll(y, -1, axis=0)
+    det = y[:, 0] * yn[:, 1] - y[:, 1] * yn[:, 0]
+    ux = (yn[:, 1] - y[:, 1]) / det
+    uy = (y[:, 0] - yn[:, 0]) / det
+    return np.column_stack([ux, uy])
+
+
+def _turn(t):
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
+def _tied_bodies():
+    """Bodies whose smallest x is taken by two vertices: squares, kab
+    trapezoids and axis-aligned rectangles, one with a corner at the
+    origin (its left edge has the offset -0 by a product and +0 by a row
+    sum)."""
+    return [canonicalize([(1, 1), (-1, 1), (-1, -1), (1, -1)]),
+            canonicalize([(0, 0), (1, 0), (1, 1), (0, 1)]),
+            body_kab(0.4, 0.9), body_kab(1e-3, 1.0),
+            canonicalize([(0, 0), (3, 0), (3, 1e-3), (0, 1e-3)]),
+            canonicalize([(-5e3, -2), (5e3, -2), (5e3, 7), (-5e3, 7)])]
+
+
+@pytest.fixture(scope="module")
+def kernel_bodies():
+    """Convex bodies of 3 to 4096 vertices: stream bodies, limacons, n-gons
+    and the tied bodies, each also under maps of condition 10 and 1e3."""
+    base = [*random_polygons(10, 31), *(canonicalize(limacon(n)) for n in (16, 1024, 4096)),
+            *(ngon(n) for n in (3, 4, 5, 8, 64, 4096)), *_tied_bodies()]
+    maps = [AffineMap(_turn(0.7) @ np.diag([1.0, 1.0 / c]) @ _turn(2.9), np.array([3.0, -2.0]))
+            for c in (10.0, 1e3)]
+    return base + [affine_apply(T, P) for T in maps for P in base]
+
+
+class TestKernelForms:
+    def test_clip_matches_the_vertex_loop(self, kernel_bodies):
+        seen = set()
+        for P in kernel_bodies:
+            v = P.vertices
+            N, b = edge_normals(P)
+            cases = []
+            for a in (0.0, 0.5 * np.pi, 2.3):
+                nx, ny = np.cos(a), np.sin(a)
+                d = v[:, 0] * nx + v[:, 1] * ny
+                lo, hi = float(d.min()), float(d.max())
+                # all out, touching from outside, through vertices, across,
+                # touching from inside, all in
+                offs = [lo - 1.0, lo, float(d[0]), float(d[len(v) // 2]),
+                        0.5 * (lo + hi), lo + 0.1 * (hi - lo), hi, hi + 1.0]
+                cases += [(nx, ny, off) for off in offs]
+            # tangent to an edge, from either side
+            for k in (0, len(v) // 3):
+                cases += [(N[k, 0], N[k, 1], b[k]), (-N[k, 0], -N[k, 1], -b[k])]
+            for nx, ny, off in cases:
+                got = kernels.clip_halfplane(v, float(nx), float(ny), float(off))
+                assert _same_bits(got, _clip_loop(v, float(nx), float(ny), float(off)))
+                seen.add("in" if got is v else "out" if not len(got) else "cut")
+        assert seen == {"in", "out", "cut"}
+
+    def test_canonicalize_matches_the_sorted_start(self, kernel_bodies):
+        rng = np.random.default_rng(4)
+        for P in kernel_bodies:
+            v = P.vertices
+            n = len(v)
+            inputs = []
+            for k in {0, 1, n // 2, n - 1}:
+                w = np.roll(v, -k, axis=0)
+                inputs += [w, w[::-1]]
+            if n <= 64:
+                # with points inside, through the monotone chain
+                inputs.append(np.vstack([v, P.centroid + 0.5 * (v[rng.permutation(n)] - P.centroid)]))
+            for pts in inputs:
+                assert _same_bits(canonicalize(pts).vertices, _canonical_sorted(pts))
+
+    def test_edge_normals_match_the_rolled_form(self, kernel_bodies):
+        for P in kernel_bodies:
+            (N, b), (N0, b0) = edge_normals(P), _edge_normals_rolled(P.vertices)
+            assert _same_bits(N, N0) and _same_bits(b, b0)
+
+    def test_polar_vertices_match_the_rolled_form(self, kernel_bodies):
+        for P in kernel_bodies:
+            v, g = P.vertices, P.centroid
+            for z in (g, 0.9 * v[0] + 0.1 * g):
+                got = kernels.polar_vertices(v, float(z[0]), float(z[1]))
+                assert _same_bits(got, _polar_vertices_rolled(v, float(z[0]), float(z[1])))
